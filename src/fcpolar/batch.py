@@ -105,36 +105,27 @@ def _erased_planes(rows: int, width: int) -> planes.Planes:
 
 
 def _fccn_pass_batch(state: planes.Planes, structure, phi: np.ndarray) -> None:
-    """One extrinsic check-to-variable round, vectorized over rows.
+    """One extrinsic check-to-variable round over all rows, without loops.
 
-    Messages are computed from a snapshot so every check sees pre-round
-    values; merge order does not matter because the combine operator is
-    commutative and associative. Rows where a neighbor already carries a
-    conflict get garbage messages, but those rows are already failed by
-    the global conflict scan.
+    Per check j at round start: a_j = members' parity XOR phi_j, c_j = erased
+    members. A known member becomes a conflict iff a check has c_j = 0 and
+    a_j = 1; an erased one takes a_j from checks with c_j = 1 (a conflict if
+    both values arrive, erased if none). Merging all messages at once is
+    exact because the combine operator is commutative and associative, and
+    the float32 products are exact below 2^24. Rows already holding a
+    conflict get garbage, but the global conflict scan has failed them.
     """
-    cols, Q, vn_of, checks_of, offsets = structure
+    Q = structure[1].astype(np.float32)
     V, E, H = state
-    sv = V.copy()
-    se = E.copy()
-    for j, vj in enumerate(vn_of):
-        if not vj:
-            continue
-        idx = list(vj)
-        es = se[:, idx]
-        total_e = es.sum(axis=1)
-        xor_v = np.logical_xor.reduce(sv[:, idx], axis=1)
-        pj = phi[:, j]
-        for pos, k in enumerate(idx):
-            msg_v = xor_v ^ sv[:, k] ^ pj
-            msg_e = (total_e - es[:, pos]) > 0
-            kv, ke, kh = V[:, k], E[:, k], H[:, k]
-            clash = ~msg_e & ~ke & ~kh & (msg_v ^ kv)
-            nh = kh | clash
-            ne = ke & msg_e & ~nh
-            V[:, k] = np.where(ke, msg_v, kv) & ~ne & ~nh
-            E[:, k] = ne
-            H[:, k] = nh
+    a = mat_mul_f32(V, Q).astype(bool) ^ phi
+    c = E.astype(np.float32) @ Q
+    single = c == 1
+    preds = np.concatenate([(c == 0) & a, single & a, single & ~a])
+    clash, got1, got0 = (preds.astype(np.float32) @ Q.T > 0).reshape(3, *V.shape)
+    got1 &= E
+    H |= clash | (got1 & got0)
+    V[:] = (V & ~clash) | (got1 & ~got0)
+    E &= ~(got1 | got0)
 
 
 def _check_batch(spec: CodeSpec, yp: planes.Planes, ubuf: np.ndarray, i: int,
@@ -165,7 +156,7 @@ def _check_batch(spec: CodeSpec, yp: planes.Planes, ubuf: np.ndarray, i: int,
             structure = system_structure(spec, ell, t)
             if structure[0]:
                 structures[t] = structure
-                phis[t] = mat_mul_f32(ubuf, structure[4]).astype(bool)
+                phis[t] = mat_mul_f32(ubuf, structure[2]).astype(bool)
 
     prescribed = ubuf[:, ell].astype(bool)
     r = np.full(rows, -1, dtype=np.int8)

@@ -6,6 +6,10 @@ block state. The operators mirror planes.plus / planes.dot bit for bit and
 the check kernel reproduces batch._check_batch verdicts exactly; the batch
 module dispatches here for small codes and tests compare the two engines
 trial for trial.
+The FCCN round has no loops: bitwise_counts under each check's member mask
+give its parity a_j and erasure count c_j, and the closed form of
+batch._fccn_pass_batch (exact: the combine operator is commutative and
+associative) maps them to members. At N = 64 it beats the bool-plane products.
 """
 
 from __future__ import annotations
@@ -61,53 +65,29 @@ def _dot(a, b):
 
 
 def _bb_checks(spec: CodeSpec, ell: int, t: int):
-    """Per-stage check list as (phi column, member mask, member positions)."""
+    """Stage-t (member masks, offset rows), memoized; bit k of masks[j] is
+    set iff block variable k is in check j (zero masks are inert)."""
     key = ("bb", ell, t)
     cached = spec._cache.get(key)
     if cached is None:
-        cols, Q, vn_of, checks_of, offsets = system_structure(spec, ell, t)
-        entries = []
-        for j, vj in enumerate(vn_of):
-            if not vj:
-                continue
-            mask = 0
-            for k in vj:
-                mask |= 1 << k
-            entries.append((j, U64(mask), tuple(vj)))
-        cached = (tuple(entries), offsets)
+        _, Q, offsets = system_structure(spec, ell, t)
+        cached = (pack_rows(Q.T), offsets)
         spec._cache[key] = cached
     return cached
 
 
-def _fccn_pass64(state, entries, phi):
-    """One extrinsic check-to-variable round on a packed block.
-
-    Mirrors batch._fccn_pass_batch: messages come from a snapshot taken at
-    round start, merges land on the live state sequentially.
-    """
+def _fccn_pass64(state, masks, phi):
+    """One FCCN round on words; the masks each predicate selects OR-reduce."""
     v, e, h = state
-    sv = v.copy()
-    se = e.copy()
-    for j, mask, members in entries:
-        cnt_e = np.bitwise_count(se & mask).astype(U64)
-        par = np.bitwise_count(sv & mask).astype(U64) & _ONE
-        base = par ^ phi[:, j]
-        for k in members:
-            ks = U64(k)
-            kb = _ONE << ks
-            msg_v = base ^ ((sv >> ks) & _ONE)
-            msg_e = np.minimum(cnt_e - ((se >> ks) & _ONE), _ONE)
-            kv = (v >> ks) & _ONE
-            ke = (e >> ks) & _ONE
-            kh = (h >> ks) & _ONE
-            clash = (_ONE ^ msg_e) & (_ONE ^ ke) & (_ONE ^ kh) & (msg_v ^ kv)
-            nh = kh | clash
-            ne = ke & msg_e & (_ONE ^ nh)
-            nv = ((ke & msg_v) | ((_ONE ^ ke) & kv)) & (_ONE ^ ne) & (_ONE ^ nh)
-            h = h | (nh << ks)
-            e = (e & ~kb) | (ne << ks)
-            v = (v & ~kb) | (nv << ks)
-    return v, e, h
+    cnt = np.bitwise_count(e[:, None] & masks)
+    a = (np.bitwise_count(v[:, None] & masks) & 1).astype(bool) ^ phi
+    single = cnt == 1
+    preds = np.stack([(cnt == 0) & a, single & a, single & ~a])
+    clash, got1, got0 = np.bitwise_or.reduce(np.where(preds, masks, U64(0)),
+                                            axis=2)
+    got1 &= e
+    h = h | clash | (got1 & got0)
+    return (v & ~clash) | (got1 & ~got0), e & ~(got1 | got0), h
 
 
 def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
@@ -137,10 +117,10 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     phis = {}
     if use_fccn:
         for t in range(1, n + 1):
-            stage_entries, offsets = _bb_checks(spec, ell, t)
-            if stage_entries:
-                entries[t] = stage_entries
-                phis[t] = mat_mul_f32(ubuf, offsets).astype(U64)
+            masks, offsets = _bb_checks(spec, ell, t)
+            if masks.size:
+                entries[t] = masks
+                phis[t] = mat_mul_f32(ubuf, offsets).astype(bool)
 
     prescribed = ubuf[:, ell].astype(U64)
     r = np.full(rows, -1, dtype=np.int8)

@@ -166,6 +166,13 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+def _count(text: str) -> int:
+    """Argument type of the count flags: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _read_config(path: str) -> dict:
     values = {}
     try:
@@ -356,11 +363,11 @@ def main(argv=None) -> int:
     _add_code_args(sim)
     sim.add_argument("--decoder", default="bpscc-sbj",
                      choices=("sc", "scc", "bpscc", "bpscc-sbj", "scl"))
-    sim.add_argument("--imax", type=int, default=1)
+    sim.add_argument("--imax", type=_count, default=1)
     sim.add_argument("--list-size", type=int, default=32)
     sim.add_argument("--p-grid", type=_parse_grid, default=[0.5])
-    sim.add_argument("--trials", type=int, default=10000)
-    sim.add_argument("--max-errors", type=int)
+    sim.add_argument("--trials", type=_count, default=10000)
+    sim.add_argument("--max-errors", type=_count)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out")
     sim.set_defaults(func=_cmd_simulate)
@@ -382,7 +389,7 @@ def main(argv=None) -> int:
     mlb = sub.add_parser("mlbound", help="simulation-based ML lower bound")
     _add_code_args(mlb)
     mlb.add_argument("--p-grid", type=_parse_grid, default=[0.5])
-    mlb.add_argument("--trials", type=int, default=10000)
+    mlb.add_argument("--trials", type=_count, default=10000)
     mlb.add_argument("--seed", type=int, default=0)
     mlb.add_argument("--out")
     mlb.set_defaults(func=_cmd_mlbound)
@@ -390,7 +397,7 @@ def main(argv=None) -> int:
     toy = sub.add_parser("toy-compare",
                          help="BI-AWGN MAP comparison on the worked example")
     toy.add_argument("--esn0-grid", type=_parse_grid, default=[-2.0, 0.0, 2.0, 4.0])
-    toy.add_argument("--trials", type=int, default=10000)
+    toy.add_argument("--trials", type=_count, default=10000)
     toy.add_argument("--seed", type=int, default=0)
     toy.add_argument("--out")
     toy.set_defaults(func=_cmd_toy_compare)
@@ -416,13 +423,17 @@ def main(argv=None) -> int:
         defaults = _read_config(args.config)
         coerced = {}
         for key, val in defaults.items():
-            if key in ("p_grid", "esn0_grid"):
-                coerced[key] = _parse_grid(val)
-            elif key in ("n", "k", "imax", "list_size", "trials",
-                         "max_errors", "seed", "i"):
-                coerced[key] = int(val)
-            else:
-                coerced[key] = val
+            try:
+                if key in ("p_grid", "esn0_grid"):
+                    coerced[key] = _parse_grid(val)
+                elif key in ("imax", "trials", "max_errors"):
+                    coerced[key] = _count(val)
+                elif key in ("n", "k", "list_size", "seed", "i"):
+                    coerced[key] = int(val)
+                else:
+                    coerced[key] = val
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                parser.error(f"config {key}: {exc}")
         for key, val in coerced.items():
             if getattr(args, key, None) is None or _is_default(parser, argv, key):
                 setattr(args, key, val)

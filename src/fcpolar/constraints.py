@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .gf2 import kron_power, mat_mul
+from .gf2 import kron_power, mat_mul, mat_mul_f32
 
 __all__ = [
     "FcIndexSets",
@@ -54,8 +54,7 @@ class InstantConstraintSystem:
 
     Q has one row per block variable x_k^(t) (2^t rows) and one column per
     converted future constraint; phi holds the prefix offsets. vn_of[j] lists
-    the variable neighbors of check j; checks_of[k] lists the checks touching
-    variable k.
+    the variable neighbors of check j.
     """
 
     t: int
@@ -63,7 +62,6 @@ class InstantConstraintSystem:
     Q: np.ndarray
     phi: np.ndarray
     vn_of: tuple[tuple[int, ...], ...]
-    checks_of: tuple[tuple[int, ...], ...]
 
 
 def _block(i: int, t: int) -> tuple[int, int]:
@@ -115,7 +113,7 @@ def _system_coeffs(spec: CodeSpec, anchor: int, first: int, t: int,
     lo, hi = _block(anchor, t)
     t_prime = [k for k in range(max(lo, first), hi)]
     rel = [k - lo for k in t_prime]
-    return mat_mul(kron_power(t)[:, rel], spec.H[t_prime, :][:, list(cols)])
+    return mat_mul_f32(kron_power(t)[:, rel], spec.H[t_prime, :][:, list(cols)])
 
 
 def instant_Q_subgraph(spec: CodeSpec, ell: int, t: int,
@@ -146,8 +144,9 @@ def system_structure(spec: CodeSpec, ell: int, t: int,
                      anchored: bool = True) -> tuple:
     """Hypothesis-independent part of the stage-t systems, memoized.
 
-    Returns (cols, Q, vn_of, checks_of, offset_rows); offsets for a concrete
-    prefix are prefix . offset_rows.
+    Returns (cols, Q, offset_rows); offsets for a concrete prefix are
+    prefix . offset_rows. The batch engines' FCCN round is products with Q;
+    the member lists the scalar engine and DE walk come from check_lists.
     """
     if not 1 <= t <= spec.n:
         raise ValueError(f"stage {t} out of range")
@@ -161,18 +160,35 @@ def system_structure(spec: CodeSpec, ell: int, t: int,
         L = future_constraints(spec, i).L
         cols = tuple(k for k in L if lo <= k < hi and not prev_lo <= k < prev_hi)
         Q = _system_coeffs(spec, anchor, i, t, cols)
-        vn_of = tuple(tuple(int(k) for k in np.flatnonzero(Q[:, j])) for j in range(len(cols)))
-        checks_of = tuple(tuple(int(j) for j in np.flatnonzero(Q[k, :])) for k in range(Q.shape[0]))
         offset_rows = spec.H[:i, list(cols)].copy()
-        cached = (cols, Q, vn_of, checks_of, offset_rows)
+        cached = (cols, Q, offset_rows)
         spec._cache[key] = cached
     return cached
 
 
+def _row_supports(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Column indices of the nonzero entries of each row of m."""
+    cols = np.nonzero(m)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(m, axis=1)).tolist()
+    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
+
+
+def check_lists(spec: CodeSpec, ell: int, t: int,
+                anchored: bool = True) -> tuple:
+    """(vn_of, checks_of) of the stage-t systems, memoized: the variables of
+    each check and the checks of each block variable, ascending."""
+    key = ("lists", anchored, ell, t)
+    if key not in spec._cache:
+        Q = system_structure(spec, ell, t, anchored)[1]
+        spec._cache[key] = (_row_supports(Q.T), _row_supports(Q))
+    return spec._cache[key]
+
+
 def _build_system(spec, ell, t, hypothesis_prefix, anchor) -> InstantConstraintSystem:
     i = ell + 1
-    cols, Q, vn_of, checks_of, offset_rows = system_structure(
-        spec, ell, t, anchored=anchor == ell)
+    anchored = anchor == ell
+    cols, Q, offset_rows = system_structure(spec, ell, t, anchored)
+    vn_of = check_lists(spec, ell, t, anchored)[0]
     prefix = np.asarray(hypothesis_prefix, dtype=np.uint8)
     if prefix.shape != (i,):
         raise ValueError(f"hypothesis prefix must cover indices 0..{ell}")
@@ -180,5 +196,4 @@ def _build_system(spec, ell, t, hypothesis_prefix, anchor) -> InstantConstraintS
     for j, neighbors in enumerate(vn_of):
         if not neighbors and phi[j]:
             raise AssertionError("degenerate instant system with nonzero offset")
-    return InstantConstraintSystem(t=t, cols=cols, Q=Q, phi=phi,
-                                   vn_of=vn_of, checks_of=checks_of)
+    return InstantConstraintSystem(t=t, cols=cols, Q=Q, phi=phi, vn_of=vn_of)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import CodeSpec
-from .constraints import system_structure
+from .constraints import check_lists, system_structure
 from .decoders import build_hypothesis, processing_index
 from .gf2 import kron_power
 from .symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE
@@ -65,15 +65,16 @@ def psi_boxdot(p1: np.ndarray, p2: np.ndarray, b: int = 0) -> np.ndarray:
     return np.einsum("a,b,abs->s", p1, p2, _M_DOT)
 
 
-def de_fccn_update(pmfs: list[np.ndarray], structure, phi: np.ndarray) -> None:
+def de_fccn_update(pmfs: list[np.ndarray], lists, phi: np.ndarray) -> None:
     """Combine each attached VN with its most conflict-informative check.
 
     For every variable node the check-to-variable PMF q_{j->k} folds the
     point mass at the offset phi_j with the other neighbors' PMFs through
     psi_boxplus; only the message with the largest conflict mass (ties to
     the smallest check index) is folded back, to limit cycle effects.
+    lists is (vn_of, checks_of) from constraints.check_lists.
     """
-    cols, Q, vn_of, checks_of, offsets = structure
+    vn_of, checks_of = lists
     snapshot = [pmf.copy() for pmf in pmfs]
     for k, incident in enumerate(checks_of):
         if not incident:
@@ -118,10 +119,10 @@ def de_run(spec: CodeSpec, decoder: str, p: float):
         pmfs = [channel_pmf(p) for _ in range(spec.N)]
         for t in range(spec.n - 1, -1, -1):
             if use_fccn:
-                structure = system_structure(spec, ell, t + 1)
-                if structure[0]:
-                    phi = (prefix.astype(np.int64) @ structure[4].astype(np.int64)) % 2
-                    de_fccn_update(pmfs, structure, phi)
+                cols, _, offsets = system_structure(spec, ell, t + 1)
+                if cols:
+                    phi = (prefix.astype(np.int64) @ offsets.astype(np.int64)) % 2
+                    de_fccn_update(pmfs, check_lists(spec, ell, t + 1), phi)
             half = 1 << t
             if (ell >> t) & 1 == 0:
                 pmfs = [psi_boxplus(pmfs[k], pmfs[k + half]) for k in range(half)]

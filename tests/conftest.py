@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fcpolar.codes import build_example1, build_nr_code
+
+# Fixed examples and no per-example deadline: a property test must not flake
+# on a host whose speed swings, nor pass or fail with the run's random seed.
+settings.register_profile("fcpolar", deadline=None, derandomize=True)
+settings.load_profile("fcpolar")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fcpolar import batch
+from fcpolar.codes import build_nr_code
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
 
@@ -41,16 +42,46 @@ def test_fc_batch_matches_scalar(ex1, nr16, engine, i_max, sbj):
         _, x = batch.encode_batch(spec, msgs)
         erased = batch.sample_erasures(spec, p, seed=2, trials=trials)
         yp = batch.channel_planes(x, erased)
-        out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
-                                    sbj=sbj, seed=2, trials=trials)
         rows = _rows_to_symbols(yp)
-        for t in range(T):
-            ref = decode_with_fc(spec, rows[t], engine=engine, i_max=i_max,
-                                 sbj=sbj, seed=2, trial=t)
-            assert out.success[t] == (ref.status == "success"), (spec.N, t)
-            assert out.visits[t] == ref.visited_nodes, (spec.N, t)
+        refs = [decode_with_fc(spec, rows[t], engine=engine, i_max=i_max,
+                               sbj=sbj, seed=2, trial=t) for t in range(T)]
+        for kernel in ("auto", "planes"):
+            out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
+                                        sbj=sbj, seed=2, trials=trials,
+                                        kernel=kernel)
+            for t, ref in enumerate(refs):
+                key = (spec.N, kernel, t)
+                assert out.success[t] == (ref.status == "success"), key
+                assert out.visits[t] == ref.visited_nodes, key
+                if ref.status == "success":
+                    assert np.array_equal(out.u_hat[t], ref.u_hat), key
+
+
+@pytest.mark.parametrize("N,K,p,T,seed,kernels", [
+    (64, 32, 0.25, 24, 1, ("auto", "planes")),
+    (128, 64, 0.32, 10, 0, ("planes",)),
+    (256, 128, 0.35, 3, 0, ("planes",)),
+])
+def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed, kernels):
+    # Each case has rows that dead-end in the straight-line pass, so the
+    # packed lockstep search (N=64) or the scalar fallback (N>64) runs.
+    spec = build_nr_code(N, K)
+    trials = np.arange(T)
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))
+    yp = batch.channel_planes(x, batch.sample_erasures(spec, p, seed, trials))
+    rows = _rows_to_symbols(yp)
+    refs = [decode_with_fc(spec, rows[t], engine="bp_scc", sbj=True, seed=seed,
+                           trial=t) for t in range(T)]
+    for kernel in kernels:
+        out = batch.decode_fc_batch(spec, yp, sbj=True, seed=seed,
+                                    trials=trials, kernel=kernel)
+        assert out.backjumps.any(), kernel
+        for t, ref in enumerate(refs):
+            assert out.success[t] == (ref.status == "success"), (kernel, t)
+            assert out.visits[t] == ref.visited_nodes, (kernel, t)
+            assert out.backjumps[t] == ref.backjumps, (kernel, t)
             if ref.status == "success":
-                assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
+                assert np.array_equal(out.u_hat[t], ref.u_hat), (kernel, t)
 
 
 def test_sampling_is_reproducible(ex1):

@@ -162,3 +162,28 @@ def test_unknown_arguments_rejected():
 def test_decoder_needs_code():
     with pytest.raises(SystemExit):
         _run(["simulate", "--decoder", "sc"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--k", "6", "--imax", "0"],
+    ["simulate", "--n", "4", "--k", "6", "--imax", "-2"],
+    ["simulate", "--n", "4", "--k", "6", "--trials", "0"],
+    ["simulate", "--n", "4", "--k", "6", "--max-errors", "0"],
+    ["mlbound", "--n", "4", "--k", "6", "--trials", "0"],
+    ["toy-compare", "--trials", "0"],
+    ["toy-compare", "--trials", "x"],
+])
+def test_counts_below_one_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+
+def test_config_count_below_one_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("imax = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        _run(["--config", str(cfg), "simulate", "--n", "4", "--k", "6"])
+    assert exc.value.code == 2
+    assert "config imax: must be at least 1" in capsys.readouterr().err

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from fcpolar.codes import CodeSpec, _assemble, input_word
-from fcpolar.constraints import (attached_systems, future_constraints,
-                                 global_Q, instant_Q_full, instant_Q_subgraph,
-                                 system_structure)
+from fcpolar.constraints import (attached_systems, check_lists,
+                                 future_constraints, global_Q, instant_Q_full,
+                                 instant_Q_subgraph, system_structure)
 from fcpolar.gf2 import kron_power, mat_mul
 
 
@@ -108,6 +108,26 @@ def test_system_structure_memoized(nr64):
         system_structure(nr64, 18, 0)
     with pytest.raises(ValueError):
         system_structure(nr64, 18, nr64.n + 1)
+
+
+def test_structure_matches_integer_products_and_lists(nr64):
+    for anchored in (True, False):
+        for ell in range(nr64.N):
+            anchor = ell if anchored else ell + 1
+            for t in range(1, nr64.n + 1):
+                cols, Q, _ = system_structure(nr64, ell, t, anchored)
+                lo = (anchor >> t) << t
+                rows = list(range(max(lo, ell + 1), lo + (1 << t)))
+                want = mat_mul(kron_power(t)[:, [k - lo for k in rows]],
+                               nr64.H[np.ix_(rows, list(cols))])
+                assert np.array_equal(Q, want), (anchored, ell, t)
+                vn_of, checks_of = check_lists(nr64, ell, t, anchored)
+                assert vn_of == tuple(
+                    tuple(int(k) for k in np.flatnonzero(Q[:, j]))
+                    for j in range(len(cols)))
+                assert checks_of == tuple(
+                    tuple(int(j) for j in np.flatnonzero(Q[k, :]))
+                    for k in range(Q.shape[0]))
 
 
 def test_degenerate_offset_rejected(ex1):
