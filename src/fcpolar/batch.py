@@ -1,16 +1,18 @@
-"""Trial-vectorized BEC decoding with boolean symbol planes.
+"""Trial-vectorized BEC decoding, one row per channel realization.
 
-Each row of a plane triple (value, erased, conflict) is one independent
-channel realization; the sweep math is the plane form of the scalar
-engines and reproduces them bit for bit, because every random draw
-(message bits, erasures, coin flips) is keyed by (trial, position, count)
-rather than consumed from a sequential stream.
+The sweep math is the vector form of the scalar engines and reproduces
+them bit for bit, because every random draw (message bits, erasures, coin
+flips) is keyed by (trial, position, count) rather than consumed from a
+sequential stream. All of it runs on the planes operators.
 
-Straight-line traversals (SC, SCC, BP-SCC, and the no-backjump first pass
-of the stack search) stay fully vectorized. Under backjumping, trials that
-hit a dead end are re-decoded together by a lockstep stack search on the
-bit-packed kernel (codes up to N=64), or one at a time by the scalar
-search for longer codes.
+Plain SC is the SCL loop with one path per row: bitboard.refresh
+advances the SC recursion on the word layout at every bit, and a keyed
+coin decides wherever the leaf is erased or in conflict.
+Hypothesis checks (SCC, BP-SCC, and the no-backjump first pass of the
+stack search) run on boolean planes, or on one uint64 word per row when
+N <= 64. Under backjumping, trials that hit a dead end are re-decoded
+together by a lockstep stack search on the packed kernel (codes up to
+N=64), or one at a time by the scalar search for longer codes.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ __all__ = [
     "sample_erasures",
     "encode_batch",
     "channel_planes",
-    "planes_to_symbol_rows",
     "decode_sc_batch",
     "decode_fc_batch",
 ]
+
+_ONE = np.uint64(1)
 
 
 @dataclass
@@ -79,10 +82,6 @@ def encode_batch(spec: CodeSpec, messages: np.ndarray) -> tuple[np.ndarray, np.n
 def channel_planes(x: np.ndarray, erased: np.ndarray) -> planes.Planes:
     """BEC output planes for codewords x under the erasure mask."""
     return x.astype(bool) & ~erased, erased.copy(), np.zeros_like(erased)
-
-
-def planes_to_symbol_rows(p: planes.Planes) -> np.ndarray:
-    return planes.to_symbols(p)
 
 
 def _extend_prefix(spec: CodeSpec, committed: np.ndarray, i: int, ell: int,
@@ -212,29 +211,22 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Planes, seed: int,
     """Plain SC over all rows: coin-flip unresolved bits, never backtrack."""
     rows = yp[0].shape[0]
     trials = np.asarray(trials, dtype=np.uint64)
+    alpha: list = [None] * (spec.n + 1)
+    alpha[spec.n] = tuple(bitboard.pack_rows(p) for p in yp)
+    ps: dict[int, np.ndarray] = {}
     committed = np.zeros((rows, spec.N), dtype=np.uint8)
     a_set = set(spec.A)
     for i in range(spec.N):
-        if i not in a_set:
-            col = spec.T[:i, i]
-            if i and col.any():
-                committed[:, i] = mat_mul_f32(committed[:, :i], col[:, None])[:, 0]
-            continue
-        cur = yp
-        for t in range(spec.n - 1, -1, -1):
-            half = 1 << t
-            a = planes.take(cur, (slice(None), slice(0, half)))
-            c = planes.take(cur, (slice(None), slice(half, 2 * half)))
-            if (i >> t) & 1 == 0:
-                cur = planes.plus(a, c)
-            else:
-                lo = (i >> (t + 1)) << (t + 1)
-                beta = mat_mul_f32(committed[:, lo:lo + half],
-                                   kron_power(t)).astype(bool)
-                cur = planes.dot(planes.plus_bits(a, beta), c)
-        val, erased, conflict = cur[0][:, 0], cur[1][:, 0], cur[2][:, 0]
-        coin = keyed_bit_array(seed, STREAM_COIN, trials, i, 0)
-        committed[:, i] = np.where(erased | conflict, coin, val.astype(np.uint8))
+        bitboard.refresh(alpha, ps, i, spec.n)
+        if i in a_set:
+            lv, le, lh = alpha[0]
+            coin = keyed_bit_array(seed, STREAM_COIN, trials, i, 0)
+            committed[:, i] = np.where((le[:, 0] | lh[:, 0]) & _ONE, coin,
+                                       lv[:, 0] & _ONE)
+        elif spec.T[:i, i].any():
+            committed[:, i] = mat_mul_f32(committed[:, :i],
+                                          spec.T[:i, i][:, None])[:, 0]
+        bitboard.update_partial_sums(ps, i, committed[:, i])
     return BatchOutcome(success=np.ones(rows, dtype=bool), u_hat=committed,
                         visits=np.full(rows, spec.N, dtype=np.int64),
                         backjumps=np.zeros(rows, dtype=np.int64),
@@ -244,8 +236,7 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Planes, seed: int,
 
 def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
                     i_max: int = 1, sbj: bool = False, seed: int = 0,
-                    trials: np.ndarray | None = None,
-                    kernel: str = "auto") -> BatchOutcome:
+                    trials: np.ndarray | None = None) -> BatchOutcome:
     """Lockstep hypothesis-check traversal over all rows.
 
     Without backjumping this is the whole decode: rows whose both checks
@@ -255,21 +246,18 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
     otherwise); the traversal is deterministic given the channel output,
     so the replay walks the identical path before branching into recovery.
 
-    kernel picks the check implementation: "auto" packs each block into a
-    uint64 when the code fits, "planes" forces the wide boolean engine.
-    Both produce identical outcomes.
+    Checks run on the packed kernel when every block fits one uint64
+    (N <= 64) and on boolean planes otherwise; both give identical outcomes.
     """
     if engine not in ("scc", "bp_scc", "bpscc"):
         raise ValueError(f"unknown engine {engine!r}")
-    if kernel not in ("auto", "planes"):
-        raise ValueError(f"unknown kernel {kernel!r}")
     use_fccn = engine != "scc"
     rows = yp[0].shape[0]
     trials = np.arange(rows) if trials is None else np.asarray(trials)
     trials = trials.astype(np.uint64)
-    packed = kernel == "auto" and spec.N <= 64
+    packed = spec.N <= 64
     if packed:
-        yv, ye = bitboard.pack_rows(yp[0]), bitboard.pack_rows(yp[1])
+        yv, ye = bitboard.pack_rows(yp[0])[:, 0], bitboard.pack_rows(yp[1])[:, 0]
 
     def run_check(sel, ubuf, i, ell):
         if packed:

@@ -1,11 +1,16 @@
-"""Bit-packed decoding kernels for blocklengths up to 64.
+"""The uint64 word layout of symbol planes, and the packed check kernel.
 
-Every stage block holds at most 64 symbols, so one uint64 per row replaces a
-boolean plane row: three machine words (value, erased, conflict) carry a full
-block state. The operators mirror planes.plus / planes.dot bit for bit and
-the check kernel reproduces batch._check_batch verdicts exactly; the batch
-module dispatches here for small codes and tests compare the two engines
-trial for trial.
+A stage-t block holds 2^t symbols in ceil(2^t / 64) uint64 words per plane
+(value, erased, conflict), little-endian within each word and across
+words; unused high bits stay zero. pack_rows, mask, split, join, refresh
+and update_partial_sums are the whole layout: the SC recursion of
+batch.decode_sc_batch and of scl runs on it for any N, with the
+planes.plus / plus_bits / dot operators applied to words.
+
+For N <= 64 every block fits one word, so the check kernel keeps one
+uint64 per row and plane and reproduces batch._check_batch verdicts
+exactly; the batch module dispatches here for small codes and tests
+compare the two engines check for check.
 The FCCN round has no loops: bitwise_counts under each check's member mask
 give its parity a_j and erasure count c_j, and the closed form of
 batch._fccn_pass_batch (exact: the combine operator is commutative and
@@ -19,49 +24,80 @@ import numpy as np
 from .codes import CodeSpec
 from .constraints import system_structure
 from .gf2 import kron_power, mat_mul_f32
+from .planes import Planes, dot, plus, plus_bits
 
 U64 = np.uint64
 _ONE = U64(1)
+_SHIFTS = np.arange(64, dtype=U64)
 
 
-def _mask(width: int) -> np.uint64:
-    return U64((1 << width) - 1)
+def mask(width: int) -> np.uint64:
+    """Word mask of a block of width symbols (all ones from 64 up)."""
+    return U64((1 << min(width, 64)) - 1)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean or 0/1 (rows, width) array into one uint64 per row."""
-    width = bits.shape[1]
-    weights = _ONE << np.arange(width, dtype=U64)
-    return (bits.astype(U64) * weights).sum(axis=1, dtype=U64)
+    """Pack a boolean or 0/1 (rows, width) array into (rows, W) words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    padded = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 8), np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    return padded.view("<u8").astype(U64, copy=False)
 
 
 def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width, dtype=U64)
-    return ((words[:, None] >> shifts) & _ONE).astype(np.uint8)
+    """Inverse of pack_rows: (rows, W) words to a (rows, width) 0/1 array."""
+    bits = (words[:, :, None] >> _SHIFTS) & _ONE
+    return bits.reshape(words.shape[0], -1)[:, :width].astype(np.uint8)
 
 
-def _plus(a, b):
-    av, ae, ah = a
-    bv, be, bh = b
-    h = ah | bh
-    e = (ae | be) & ~h
-    v = (av ^ bv) & ~e & ~h
-    return v, e, h
+def split(p: Planes, t: int) -> tuple[Planes, Planes]:
+    """Halve a stage-(t+1) block into its stage-t left and right children."""
+    v, e, h = p
+    if t >= 6:
+        w = 1 << (t - 6)
+        return (v[..., :w], e[..., :w], h[..., :w]), (v[..., w:], e[..., w:],
+                                                       h[..., w:])
+    m, s = mask(1 << t), U64(1 << t)
+    return (v & m, e & m, h & m), ((v >> s) & m, (e >> s) & m, (h >> s) & m)
 
 
-def _plus_bits(a, bits):
-    av, ae, ah = a
-    return (av ^ bits) & ~ae & ~ah, ae, ah
+def _cat(a: np.ndarray, c: np.ndarray, t: int) -> np.ndarray:
+    if t >= 6:
+        return np.concatenate((a, c), axis=-1)
+    return a | (c << U64(1 << t))
 
 
-def _dot(a, b):
-    av, ae, ah = a
-    bv, be, bh = b
-    clash = ~ae & ~ah & ~be & ~bh & (av ^ bv)
-    h = ah | bh | clash
-    e = ae & be & ~h
-    v = ((bv & ae) | (av & ~ae)) & ~e & ~h
-    return v, e, h
+def join(a: Planes, c: Planes, t: int) -> Planes:
+    """Inverse of split: one stage-(t+1) block from its stage-t halves."""
+    return _cat(a[0], c[0], t), _cat(a[1], c[1], t), _cat(a[2], c[2], t)
+
+
+def refresh(alpha: list, ps: dict[int, np.ndarray], i: int, n: int) -> None:
+    """Recompute the SC stage blocks alpha[t] that move when the leaf
+    advances to bit i; alpha[n] is the channel, ps the partial sums."""
+    top = (i & -i).bit_length() - 1 if i else n - 1
+    for t in range(top, -1, -1):
+        a, c = split(alpha[t + 1], t)
+        if (i >> t) & 1 == 0:
+            alpha[t] = plus(a, c)
+        else:
+            alpha[t] = dot(plus_bits(a, ps[t]), c)
+
+
+def update_partial_sums(ps: dict[int, np.ndarray], i: int,
+                        value: np.ndarray) -> None:
+    """Fold committed bit i (one per row) into the partial-sum words.
+
+    ps[t] holds the stage-t transform of the most recently completed left
+    block, which is exactly the beta needed when the path next descends
+    right at stage t.
+    """
+    carry = value.astype(U64).reshape(-1, 1)
+    t = 0
+    while (i >> t) & 1:
+        carry = _cat(ps[t] ^ carry, carry, t)
+        t += 1
+    ps[t] = carry
 
 
 def _bb_checks(spec: CodeSpec, ell: int, t: int):
@@ -71,7 +107,7 @@ def _bb_checks(spec: CodeSpec, ell: int, t: int):
     cached = spec._cache.get(key)
     if cached is None:
         _, Q, offsets = system_structure(spec, ell, t)
-        cached = (pack_rows(Q.T), offsets)
+        cached = (pack_rows(Q.T)[:, 0], offsets)
         spec._cache[key] = cached
     return cached
 
@@ -104,7 +140,7 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     state: list = [None] * (n + 1)
     state[n] = (yv.copy(), ye.copy(), zeros.copy())
     for t in range(n):
-        state[t] = (zeros.copy(), np.full(rows, _mask(1 << t), dtype=U64),
+        state[t] = (zeros.copy(), np.full(rows, mask(1 << t), dtype=U64),
                     zeros.copy())
 
     betas = {}
@@ -112,7 +148,7 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         if (ell >> t) & 1:
             lo = (ell >> (t + 1)) << (t + 1)
             betas[t] = pack_rows(mat_mul_f32(ubuf[:, lo:lo + (1 << t)],
-                                             kron_power(t)))
+                                             kron_power(t)))[:, 0]
     entries = {}
     phis = {}
     if use_fccn:
@@ -132,24 +168,19 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
                 state[t + 1] = _fccn_pass64(state[t + 1], entries[t + 1],
                                             phis[t + 1])
                 fail |= state[t + 1][2] != 0
-            half = 1 << t
-            hm = _mask(half)
-            sv, se, sh = state[t + 1]
-            a = (sv & hm, se & hm, sh & hm)
-            c = ((sv >> half) & hm, (se >> half) & hm, (sh >> half) & hm)
+            a, c = split(state[t + 1], t)
             old = state[t]
             if (ell >> t) & 1 == 0:
-                child = _dot(old, _plus(a, c))
-                na = _dot(a, _plus(old, c))
-                nc = _dot(c, _plus(old, a))
+                child = dot(old, plus(a, c))
+                na = dot(a, plus(old, c))
+                nc = dot(c, plus(old, a))
             else:
                 bt = betas[t]
-                child = _dot(old, _dot(_plus_bits(a, bt), c))
-                na = _dot(_plus_bits(old, bt), a)
-                nc = _dot(old, c)
+                child = dot(old, dot(plus_bits(a, bt), c))
+                na = dot(plus_bits(old, bt), a)
+                nc = dot(old, c)
             state[t] = child
-            state[t + 1] = (na[0] | (nc[0] << half), na[1] | (nc[1] << half),
-                            na[2] | (nc[2] << half))
+            state[t + 1] = join(na, nc, t)
             fail |= (child[2] | state[t + 1][2]) != 0
 
         lv, le, lh = state[0]
@@ -172,5 +203,3 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     r[eps] = 1
     iters[eps] = i_max
     return r == 1, eps, iters
-
-

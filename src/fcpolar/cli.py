@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, batch, bounds, de, oracle
+from . import __version__, batch, bounds, de, oracle, planes
 from .codes import CodeSpec, build_example1, build_nr_code
 from .constraints import future_constraints
 from .gf2 import format_matrix, mat_mul
@@ -108,7 +108,7 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
 
 
 def _decode_scl_chunk(spec, yp, list_size, seed, ids) -> batch.BatchOutcome:
-    y_sym = batch.planes_to_symbol_rows(yp)
+    y_sym = planes.to_symbols(yp)
     rows = y_sym.shape[0]
     out = batch.BatchOutcome(
         success=np.zeros(rows, dtype=bool),
@@ -135,18 +135,25 @@ def emit_results(rows: list[dict], out_path: str | None, meta: dict) -> str:
             f"{row['avg_visits']:.8g},{row['avg_iters']:.8g},"
             f"{row['trials']},{row['errors']}")
     text = "\n".join(lines) + "\n"
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-            with open(out_path + ".json", "w") as fh:
-                json.dump({**meta, "points": rows}, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write {out_path}: {exc}")
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path, {**meta, "points": rows})
     return text
+
+
+def _write(text: str, out_path: str | None, sidecar: dict | None = None) -> None:
+    """Write text to out_path, or to stdout without one; a sidecar dict
+    goes to out_path + ".json". An unwritable path exits with a message."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+        if sidecar is not None:
+            with open(out_path + ".json", "w") as fh:
+                json.dump(sidecar, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    except OSError as exc:
+        raise SystemExit(f"cannot write {out_path}: {exc}")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -233,12 +240,7 @@ def _cmd_de(args) -> int:
         per_bit, bler = de.de_run(spec, args.decoder, p)
         lines.append(f"{p:.6g},{bler:.8g}," +
                      ",".join(f"{v:.8g}" for v in per_bit))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -248,12 +250,7 @@ def _cmd_bounds(args) -> int:
     for p in args.p_grid:
         lines.append(f"{p:.6g},{bounds.dt_bound(N, K, p):.8g},"
                      f"{bounds.mc_bound(N, K, p):.8g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -263,12 +260,7 @@ def _cmd_mlbound(args) -> int:
     for p in args.p_grid:
         val = bounds.ml_bound_sim(spec, p, args.trials, args.seed)
         lines.append(f"{p:.6g},{val:.8g},{args.trials}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -291,12 +283,7 @@ def _cmd_toy_compare(args) -> int:
             blers.append(float((u_hat != u).any(axis=1).mean()))
         lines.append(f"{esn0:.6g}," + ",".join(f"{b:.8g}" for b in blers) +
                      f",{args.trials}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -343,12 +330,7 @@ def _cmd_dump_matrices(args) -> int:
                 ("TG", mat_mul(spec.T, spec.generator)),
                 ("Q", global_Q(spec))]
     chunks = [f"# {name}\n{format_matrix(m)}" for name, m in sections]
-    text = "\n".join(chunks)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(chunks), args.out)
     return 0
 
 
@@ -416,27 +398,12 @@ def main(argv=None) -> int:
     dmx.add_argument("--out")
     dmx.set_defaults(func=_cmd_dump_matrices, seed=0)
 
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
+    args = parser.parse_args(argv)
     if args.config:
-        defaults = _read_config(args.config)
-        coerced = {}
-        for key, val in defaults.items():
-            try:
-                if key in ("p_grid", "esn0_grid"):
-                    coerced[key] = _parse_grid(val)
-                elif key in ("imax", "trials", "max_errors"):
-                    coerced[key] = _count(val)
-                elif key in ("n", "k", "list_size", "seed", "i"):
-                    coerced[key] = int(val)
-                else:
-                    coerced[key] = val
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                parser.error(f"config {key}: {exc}")
-        for key, val in coerced.items():
-            if getattr(args, key, None) is None or _is_default(parser, argv, key):
-                setattr(args, key, val)
+        cmd = sub.choices[args.command]
+        cmd.set_defaults(**_coerce_config(parser, cmd, args.command,
+                                          _read_config(args.config)))
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
@@ -444,11 +411,25 @@ def main(argv=None) -> int:
         return 1
 
 
-def _is_default(parser, argv, key: str) -> bool:
-    flag = "--" + key.replace("_", "-")
-    tokens = argv if argv is not None else sys.argv[1:]
-    return not any(tok == flag or tok.startswith(flag + "=") for tok in tokens)
-
+def _coerce_config(parser, cmd, command: str, values: dict) -> dict:
+    """Config values converted by the subcommand's own flags; a key that is
+    not one of its flags, or a value its flag rejects, is a usage error."""
+    flags = {a.dest: a for a in cmd._actions
+             if a.option_strings and a.dest != "help"}
+    coerced = {}
+    for key, val in values.items():
+        action = flags.get(key)
+        try:
+            if action is None:
+                raise ValueError(f"not a flag of {command}")
+            value = action.type(val) if action.type else val
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"invalid choice {value!r} (choose from "
+                                 f"{', '.join(map(str, action.choices))})")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"config {key}: {exc}")
+        coerced[key] = value
+    return coerced
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -41,9 +41,6 @@ class ReliabilityProfile:
 
     order: tuple[int, ...]
 
-    def least_reliable(self, count: int) -> tuple[int, ...]:
-        return tuple(sorted(self.order[:count]))
-
     def most_reliable(self, count: int) -> tuple[int, ...]:
         return tuple(sorted(self.order[len(self.order) - count:]))
 

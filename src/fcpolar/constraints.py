@@ -29,7 +29,6 @@ __all__ = [
     "future_constraints",
     "global_Q",
     "instant_Q_full",
-    "instant_Q_subgraph",
     "attached_systems",
 ]
 
@@ -116,32 +115,22 @@ def _system_coeffs(spec: CodeSpec, anchor: int, first: int, t: int,
     return mat_mul_f32(kron_power(t)[:, rel], spec.H[t_prime, :][:, list(cols)])
 
 
-def instant_Q_subgraph(spec: CodeSpec, ell: int, t: int,
-                       hypothesis_prefix) -> InstantConstraintSystem:
-    """Stage-t instant systems for processing step ell, anchored at ell + 1.
-
-    The coefficient part depends only on (ell, t) and is memoized on the
-    spec; the offsets are recomputed from the hypothesis prefix, which must
-    cover indices 0..ell.
-    """
-    return _build_system(spec, ell, t, hypothesis_prefix, anchor=ell + 1)
-
-
 def attached_systems(spec: CodeSpec, ell: int, t: int,
                      hypothesis_prefix) -> InstantConstraintSystem:
-    """Stage-t systems re-anchored on the decoding-path block T(ell, t).
+    """Stage-t instant systems for processing step ell on the decoding-path
+    block T(ell, t).
 
-    Identical to instant_Q_subgraph whenever ell + 1 lies inside T(ell, t)
-    (always true unless 2^t divides ell + 1); in the divisible corner case
-    the subgraph form lives on the next block, which the stage-t sweep never
-    touches, so the path-anchored split is used and the affected columns
-    simply surface at the first stage whose block reaches past ell.
+    The coefficient part depends only on (ell, t) and is memoized on the
+    spec; the offsets come from the hypothesis prefix, which must cover
+    indices 0..ell. Anchoring at ell rather than at the next index ell + 1
+    only matters when 2^t divides ell + 1: the block of ell + 1 is then the
+    next one, which the stage-t sweep never touches, so the affected
+    columns surface at the first stage whose block reaches past ell.
     """
-    return _build_system(spec, ell, t, hypothesis_prefix, anchor=ell)
+    return _build_system(spec, ell, t, hypothesis_prefix)
 
 
-def system_structure(spec: CodeSpec, ell: int, t: int,
-                     anchored: bool = True) -> tuple:
+def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     """Hypothesis-independent part of the stage-t systems, memoized.
 
     Returns (cols, Q, offset_rows); offsets for a concrete prefix are
@@ -150,16 +139,15 @@ def system_structure(spec: CodeSpec, ell: int, t: int,
     """
     if not 1 <= t <= spec.n:
         raise ValueError(f"stage {t} out of range")
-    anchor = ell if anchored else ell + 1
     i = ell + 1
-    key = ("sys", anchored, ell, t)
+    key = ("sys", ell, t)
     cached = spec._cache.get(key)
     if cached is None:
-        lo, hi = _block(anchor, t)
-        prev_lo, prev_hi = _block(anchor, t - 1)
+        lo, hi = _block(ell, t)
+        prev_lo, prev_hi = _block(ell, t - 1)
         L = future_constraints(spec, i).L
         cols = tuple(k for k in L if lo <= k < hi and not prev_lo <= k < prev_hi)
-        Q = _system_coeffs(spec, anchor, i, t, cols)
+        Q = _system_coeffs(spec, ell, i, t, cols)
         offset_rows = spec.H[:i, list(cols)].copy()
         cached = (cols, Q, offset_rows)
         spec._cache[key] = cached
@@ -173,22 +161,20 @@ def _row_supports(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
 
-def check_lists(spec: CodeSpec, ell: int, t: int,
-                anchored: bool = True) -> tuple:
+def check_lists(spec: CodeSpec, ell: int, t: int) -> tuple:
     """(vn_of, checks_of) of the stage-t systems, memoized: the variables of
     each check and the checks of each block variable, ascending."""
-    key = ("lists", anchored, ell, t)
+    key = ("lists", ell, t)
     if key not in spec._cache:
-        Q = system_structure(spec, ell, t, anchored)[1]
+        Q = system_structure(spec, ell, t)[1]
         spec._cache[key] = (_row_supports(Q.T), _row_supports(Q))
     return spec._cache[key]
 
 
-def _build_system(spec, ell, t, hypothesis_prefix, anchor) -> InstantConstraintSystem:
+def _build_system(spec, ell, t, hypothesis_prefix) -> InstantConstraintSystem:
     i = ell + 1
-    anchored = anchor == ell
-    cols, Q, offset_rows = system_structure(spec, ell, t, anchored)
-    vn_of = check_lists(spec, ell, t, anchored)[0]
+    cols, Q, offset_rows = system_structure(spec, ell, t)
+    vn_of = check_lists(spec, ell, t)[0]
     prefix = np.asarray(hypothesis_prefix, dtype=np.uint8)
     if prefix.shape != (i,):
         raise ValueError(f"hypothesis prefix must cover indices 0..{ell}")

@@ -13,7 +13,7 @@ update rules across trials and is cross-checked against this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class HypothesisReport:
     r: int
     symbol: int
     iterations_used: int
-    trace: tuple[str, ...] = field(default=())
 
 
 def processing_index(spec: CodeSpec, i: int) -> int:
@@ -192,8 +191,7 @@ def sc_decode_bit(spec: CodeSpec, graph: InstantGraph, hyp: Hypothesis) -> int:
 
 
 def bp_scc_check(spec: CodeSpec, graph: InstantGraph, hyp: Hypothesis,
-                 i_max: int = 1, use_fccn: bool = True,
-                 trace: bool = False) -> HypothesisReport:
+                 i_max: int = 1, use_fccn: bool = True) -> HypothesisReport:
     """Check hypothesis H_{i,b}: sweep, compare the processing symbol, repeat.
 
     r = 0 exactly when a conflict is detected, either as an eta symbol
@@ -202,25 +200,12 @@ def bp_scc_check(spec: CodeSpec, graph: InstantGraph, hyp: Hypothesis,
     yields r = 1 with the erasure surfaced for the search layer.
     """
     prescribed = int(hyp.prefix[hyp.ell])
-    lines = []
     for it in range(1, i_max + 1):
-        conflict = _sweep(graph, use_fccn)
-        if trace:
-            lines.extend(_render_stage(graph, t) for t in range(len(graph.alpha)))
-        if conflict:
-            return HypothesisReport(r=0, symbol=CONFLICT, iterations_used=it,
-                                    trace=tuple(lines))
+        if _sweep(graph, use_fccn):
+            return HypothesisReport(r=0, symbol=CONFLICT, iterations_used=it)
         symbol = graph.alpha[0][0]
         if symbol == prescribed:
-            return HypothesisReport(r=1, symbol=symbol, iterations_used=it,
-                                    trace=tuple(lines))
+            return HypothesisReport(r=1, symbol=symbol, iterations_used=it)
         if symbol != ERASURE:
-            return HypothesisReport(r=0, symbol=symbol, iterations_used=it,
-                                    trace=tuple(lines))
-    return HypothesisReport(r=1, symbol=ERASURE, iterations_used=i_max,
-                            trace=tuple(lines))
-
-
-def _render_stage(graph: InstantGraph, t: int) -> str:
-    from .symbols import render
-    return f"t={t}: " + "".join(render(s) for s in graph.alpha[t])
+            return HypothesisReport(r=0, symbol=symbol, iterations_used=it)
+    return HypothesisReport(r=1, symbol=ERASURE, iterations_used=i_max)

@@ -1,7 +1,7 @@
 """Dense GF(2) matrix helpers on top of numpy uint8 arrays.
 
 Matrices are row-major numpy arrays with entries in {0, 1} and dtype uint8.
-Index sets are always ascending. Serialization is a plain text format:
+Index sets are always ascending. format_matrix writes a plain text form:
 first line "rows cols", then one line of 0/1 characters per row.
 """
 
@@ -16,11 +16,8 @@ __all__ = [
     "kron_power",
     "mat_mul",
     "mat_mul_f32",
-    "submatrix",
-    "min_nonzero_row_weight",
     "gf2_rank",
     "format_matrix",
-    "parse_matrix",
 ]
 
 KERNEL = np.array([[1, 0], [1, 1]], dtype=np.uint8)
@@ -55,22 +52,6 @@ def mat_mul_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (prod.astype(np.int64) & 1).astype(np.uint8)
 
 
-def submatrix(m: np.ndarray, rows, cols) -> np.ndarray:
-    """Submatrix with the given ascending row and column index sets."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    return np.ascontiguousarray(m[np.ix_(rows, cols)])
-
-
-def min_nonzero_row_weight(m: np.ndarray) -> int:
-    """Minimum Hamming weight over the nonzero rows of m."""
-    weights = m.sum(axis=1)
-    weights = weights[weights > 0]
-    if weights.size == 0:
-        raise ValueError("matrix has no nonzero rows")
-    return int(weights.min())
-
-
 def gf2_rank(m: np.ndarray) -> int:
     """Rank over GF(2), by elimination on rows packed into python ints."""
     pivots: dict[int, int] = {}
@@ -91,16 +72,3 @@ def format_matrix(m: np.ndarray) -> str:
     lines = [f"{m.shape[0]} {m.shape[1]}"]
     lines.extend("".join("1" if v else "0" for v in row) for row in m)
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    rows, cols = (int(t) for t in lines[0].split())
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for i, ln in enumerate(lines[1:]):
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad row {i}: {ln!r}")
-        out[i] = [c == "1" for c in ln]
-    return out

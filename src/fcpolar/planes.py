@@ -1,9 +1,12 @@
-"""Vectorized erasure-symbol arithmetic on boolean planes.
+"""The one vectorized form of the erasure-symbol operators.
 
-A batch of symbols is held as three same-shaped boolean arrays (V, E, H):
-H marks conflicts, E marks erasures, V carries the bit value where neither
-flag is set. The operators reproduce box_plus / box_dot elementwise, so the
-batch engines agree with the scalar reference symbol for symbol.
+A batch of symbols is held as three same-shaped arrays (V, E, H): H marks
+conflicts, E marks erasures, V carries the bit value where neither flag is
+set. plus, plus_bits and dot reproduce box_plus / box_dot elementwise using
+only &, |, ^ and ~, so the same functions serve boolean planes (one symbol
+per element) and the uint64 words of the bitboard layout (64 symbols per
+element, unused high bits kept zero). Every engine but the scalar reference
+calls these three, and the scalar tables in symbols are their oracle.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ def plus(a: Planes, b: Planes) -> Planes:
 
 
 def plus_bits(a: Planes, bits: np.ndarray) -> Planes:
-    """box_plus with a plane of concrete bits (no erasures, no conflicts)."""
+    """box_plus with concrete bits (no erasures, no conflicts); bits must
+    have the planes' dtype."""
     av, ae, ah = a
-    return (av ^ bits.astype(bool)) & ~ae & ~ah, ae, ah
+    return (av ^ bits) & ~ae & ~ah, ae, ah
 
 
 def dot(a: Planes, b: Planes) -> Planes:
@@ -44,7 +48,7 @@ def dot(a: Planes, b: Planes) -> Planes:
     clash = ~ae & ~ah & ~be & ~bh & (av ^ bv)
     h = ah | bh | clash
     e = ae & be & ~h
-    v = np.where(ae, bv, av) & ~e & ~h
+    v = ((bv & ae) | (av & ~ae)) & ~e & ~h
     return v, e, h
 
 
@@ -60,18 +64,3 @@ def any_conflict(p: Planes) -> np.ndarray:
     """Per-row conflict indicator (reduces all but the first axis)."""
     h = p[2]
     return h.any(axis=tuple(range(1, h.ndim)))
-
-
-def update_partial_sums(ps: dict[int, np.ndarray], i: int, value: np.ndarray) -> None:
-    """Fold a committed bit into the per-stage partial-sum planes.
-
-    ps[t] holds the stage-t transform of the most recently completed left
-    block, which is exactly the beta needed when the path next descends
-    right at stage t. value has shape (rows,).
-    """
-    carry = value.astype(bool).reshape(-1, 1)
-    t = 0
-    while (i >> t) & 1:
-        carry = np.concatenate([ps[t] ^ carry, carry], axis=1)
-        t += 1
-    ps[t] = carry

@@ -7,8 +7,8 @@ decoupled from the channel. The final pick among parity-consistent
 survivors is uniform as well. visited_nodes sums the list size over all N
 steps.
 
-Per-path symbol planes are bit-packed into uint64 words (value, erased,
-conflict), and the SC recursion only recomputes the stages whose block
+Per-path symbol planes live in the bitboard word layout, one row per
+path, and bitboard.refresh only recomputes the stages whose block
 actually moved at each bit, so a full decode costs about 2N stage blocks
 per path instead of N log N.
 """
@@ -17,96 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bitboard import pack_rows, refresh, update_partial_sums
 from .codes import CodeSpec
+from .planes import Planes
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 from .search import DecodeOutcome
 
 __all__ = ["decode_scl"]
 
 _ONE = np.uint64(1)
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-# A stage-t block holds 2^t symbols in ceil(2^t / 64) words per plane,
-# little-endian within each word; unused high bits stay zero.
-
-PackedPlanes = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _mask(width: int) -> np.uint64:
-    return _FULL if width >= 64 else np.uint64((1 << width) - 1)
-
-
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector into a (1, W) little-endian uint64 row."""
-    width = max(64, len(bits))
-    padded = np.zeros(width, dtype=np.uint64)
-    padded[: len(bits)] = np.asarray(bits, dtype=np.uint64)
-    shifts = np.arange(64, dtype=np.uint64)
-    return np.bitwise_or.reduce(padded.reshape(-1, 64) << shifts, axis=1)[None, :]
-
-
-def _split(p: PackedPlanes, t: int) -> tuple[PackedPlanes, PackedPlanes]:
-    """Halve a stage-(t+1) block into its stage-t left and right children."""
-    half = 1 << t
-    if half >= 64:
-        w = half // 64
-        return (tuple(x[:, :w] for x in p), tuple(x[:, w:] for x in p))
-    m = _mask(half)
-    sh = np.uint64(half)
-    return (tuple(x & m for x in p), tuple((x >> sh) & m for x in p))
-
-
-def _plus(a: PackedPlanes, b: PackedPlanes) -> PackedPlanes:
-    av, ae, ah = a
-    bv, be, bh = b
-    h = ah | bh
-    e = (ae | be) & ~h
-    return (av ^ bv) & ~e & ~h, e, h
-
-
-def _plus_bits(a: PackedPlanes, bits: np.ndarray) -> PackedPlanes:
-    av, ae, ah = a
-    return (av ^ bits) & ~ae & ~ah, ae, ah
-
-
-def _dot(a: PackedPlanes, b: PackedPlanes) -> PackedPlanes:
-    av, ae, ah = a
-    bv, be, bh = b
-    clash = ~ae & ~ah & ~be & ~bh & (av ^ bv)
-    h = ah | bh | clash
-    e = ae & be & ~h
-    v = ((bv & ae) | (av & ~ae)) & ~e & ~h
-    return v, e, h
-
-
-def _refresh(alpha: list, ps: dict[int, np.ndarray], i: int, n: int) -> None:
-    """Recompute the stage blocks that moved when the leaf advanced to i."""
-    top = n - 1 if i == 0 else min(_ntz(i), n - 1)
-    for t in range(top, -1, -1):
-        a, c = _split(alpha[t + 1], t)
-        if (i >> t) & 1 == 0:
-            alpha[t] = _plus(a, c)
-        else:
-            alpha[t] = _dot(_plus_bits(a, ps[t]), c)
-
-
-def _ntz(i: int) -> int:
-    return (i & -i).bit_length() - 1
-
-
-def _update_partial_sums(ps: dict[int, np.ndarray], i: int,
-                         value: np.ndarray) -> None:
-    carry = value.astype(np.uint64).reshape(-1, 1)
-    t = 0
-    while (i >> t) & 1:
-        half = 1 << t
-        left = ps[t] ^ carry
-        if half >= 64:
-            carry = np.concatenate([left, carry], axis=1)
-        else:
-            carry = left | (carry << np.uint64(half))
-        t += 1
-    ps[t] = carry
 
 
 def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
@@ -117,16 +36,15 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
     if len(y_sym) != spec.N:
         raise ValueError("y must have length N")
     n = spec.n
-    alpha: list[PackedPlanes | None] = [None] * (n + 1)
-    alpha[n] = (_pack_bits(y_sym == 1), _pack_bits(y_sym == 2),
-                _pack_bits(y_sym == 3))
+    alpha: list[Planes | None] = [None] * (n + 1)
+    alpha[n] = tuple(pack_rows(y_sym[None, :] == s) for s in (1, 2, 3))
     u = np.zeros((1, spec.N), dtype=np.uint8)
     ps: dict[int, np.ndarray] = {}
     a_set = set(spec.A)
     visited = 0
 
     for i in range(spec.N):
-        _refresh(alpha, ps, i, n)
+        refresh(alpha, ps, i, n)
         lv, le, lh = alpha[0]
         val = (lv[:, 0] & _ONE).astype(bool)
         erased = (le[:, 0] & _ONE).astype(bool)
@@ -170,7 +88,7 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
             alpha[t] = (p[0][keep_idx], p[1][keep_idx], p[2][keep_idx])
         for t in list(ps):
             ps[t] = ps[t][keep_idx]
-        _update_partial_sums(ps, i, new_vals)
+        update_partial_sums(ps, i, new_vals)
         visited += u.shape[0]
 
     ok = (u.astype(np.int64) @ spec.H_prime.astype(np.int64) % 2 == 0).all(axis=1)

@@ -22,7 +22,7 @@ from .decoders import (Hypothesis, bp_scc_check, build_hypothesis, make_graph,
 from .rng import STREAM_COIN, keyed_bit
 
 __all__ = ["BranchCheckpoint", "DecodeOutcome", "decode_sc", "decode_with_fc",
-           "count_visits", "CoinSource"]
+           "CoinSource"]
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class CoinSource:
         k = self._counts.get(i, 0)
         self._counts[i] = k + 1
         return keyed_bit(self.seed, STREAM_COIN, self.trial, i, k)
-
-
-def count_visits(outcome: DecodeOutcome) -> int:
-    return outcome.visited_nodes
 
 
 def _forced_value(spec: CodeSpec, committed: list[int], i: int) -> int:

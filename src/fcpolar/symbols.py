@@ -15,11 +15,6 @@ ERASURE = 2
 CONFLICT = 3
 
 SYMBOLS = (ZERO, ONE, ERASURE, CONFLICT)
-_RENDER = ("0", "1", "e", "!")
-
-
-def render(sym: int) -> str:
-    return _RENDER[sym]
 
 
 def box_plus(a: int, b: int) -> int:

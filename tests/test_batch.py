@@ -1,30 +1,30 @@
 """Vectorized decoders must agree bit-for-bit with the scalar engines."""
+import itertools
+
 import numpy as np
 import pytest
 
-from fcpolar import batch
+from fcpolar import batch, bitboard, planes
 from fcpolar.codes import build_nr_code
+from fcpolar.decoders import processing_index
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
 
 
-def _rows_to_symbols(yp):
-    return batch.planes_to_symbol_rows(yp)
-
-
 @pytest.mark.parametrize("p", [0.25, 0.55])
 def test_sc_batch_matches_scalar(ex1, p):
-    T = 80
-    trials = np.arange(T)
-    msgs = batch.sample_messages(ex1, seed=1, trials=trials)
-    _, x = batch.encode_batch(ex1, msgs)
-    erased = batch.sample_erasures(ex1, p, seed=1, trials=trials)
-    yp = batch.channel_planes(x, erased)
-    out = batch.decode_sc_batch(ex1, yp, seed=1, trials=trials)
-    rows = _rows_to_symbols(yp)
-    for t in range(T):
-        ref = decode_sc(ex1, rows[t], seed=1, trial=t)
-        assert np.array_equal(out.u_hat[t], ref.u_hat), t
+    # NR(128, 64) runs the multi-word blocks of the word layout
+    for spec, T in ((ex1, 80), (build_nr_code(128, 64), 24)):
+        trials = np.arange(T)
+        msgs = batch.sample_messages(spec, seed=1, trials=trials)
+        _, x = batch.encode_batch(spec, msgs)
+        erased = batch.sample_erasures(spec, p, seed=1, trials=trials)
+        yp = batch.channel_planes(x, erased)
+        out = batch.decode_sc_batch(spec, yp, seed=1, trials=trials)
+        rows = planes.to_symbols(yp)
+        for t in range(T):
+            ref = decode_sc(spec, rows[t], seed=1, trial=t)
+            assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
 
 
 @pytest.mark.parametrize("engine,i_max,sbj", [
@@ -42,46 +42,64 @@ def test_fc_batch_matches_scalar(ex1, nr16, engine, i_max, sbj):
         _, x = batch.encode_batch(spec, msgs)
         erased = batch.sample_erasures(spec, p, seed=2, trials=trials)
         yp = batch.channel_planes(x, erased)
-        rows = _rows_to_symbols(yp)
-        refs = [decode_with_fc(spec, rows[t], engine=engine, i_max=i_max,
-                               sbj=sbj, seed=2, trial=t) for t in range(T)]
-        for kernel in ("auto", "planes"):
-            out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
-                                        sbj=sbj, seed=2, trials=trials,
-                                        kernel=kernel)
-            for t, ref in enumerate(refs):
-                key = (spec.N, kernel, t)
-                assert out.success[t] == (ref.status == "success"), key
-                assert out.visits[t] == ref.visited_nodes, key
-                if ref.status == "success":
-                    assert np.array_equal(out.u_hat[t], ref.u_hat), key
+        rows = planes.to_symbols(yp)
+        out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
+                                    sbj=sbj, seed=2, trials=trials)
+        for t in range(T):
+            ref = decode_with_fc(spec, rows[t], engine=engine, i_max=i_max,
+                                 sbj=sbj, seed=2, trial=t)
+            assert out.success[t] == (ref.status == "success"), (spec.N, t)
+            assert out.visits[t] == ref.visited_nodes, (spec.N, t)
+            if ref.status == "success":
+                assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
 
 
-@pytest.mark.parametrize("N,K,p,T,seed,kernels", [
-    (64, 32, 0.25, 24, 1, ("auto", "planes")),
-    (128, 64, 0.32, 10, 0, ("planes",)),
-    (256, 128, 0.35, 3, 0, ("planes",)),
+def test_check_engines_agree(ex1, nr16, nr64):
+    # The bool-plane and packed checks on the same channel rows and true
+    # prefixes, at every information bit: b = 0 and 1 make some hypotheses
+    # wrong, and the erasure rates leave work for the FCCN pass.
+    for spec, p in ((ex1, 0.5), (nr16, 0.4), (nr64, 0.3)):
+        trials = np.arange(64)
+        u, x = batch.encode_batch(spec, batch.sample_messages(spec, 3, trials))
+        yp = batch.channel_planes(x, batch.sample_erasures(spec, p, 3, trials))
+        yv, ye = (bitboard.pack_rows(plane)[:, 0] for plane in yp[:2])
+        for i in spec.A:
+            ell = processing_index(spec, i)
+            for b, use_fccn, i_max in itertools.product((0, 1), (False, True),
+                                                        (1, 3)):
+                ubuf = batch._extend_prefix(spec, u, i, ell, b)
+                want = batch._check_batch(spec, yp, ubuf, i, ell, use_fccn,
+                                          i_max)
+                got = bitboard.check_batch64(spec, yv, ye, ubuf, ell,
+                                             use_fccn, i_max)
+                key = (spec.N, i, b, use_fccn, i_max)
+                for w, g in zip(want, got):
+                    assert np.array_equal(w, g), key
+
+
+@pytest.mark.parametrize("N,K,p,T,seed", [
+    (64, 32, 0.25, 24, 1),
+    (128, 64, 0.32, 10, 0),
+    (256, 128, 0.35, 3, 0),
 ])
-def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed, kernels):
+def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed):
     # Each case has rows that dead-end in the straight-line pass, so the
     # packed lockstep search (N=64) or the scalar fallback (N>64) runs.
     spec = build_nr_code(N, K)
     trials = np.arange(T)
     _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))
     yp = batch.channel_planes(x, batch.sample_erasures(spec, p, seed, trials))
-    rows = _rows_to_symbols(yp)
-    refs = [decode_with_fc(spec, rows[t], engine="bp_scc", sbj=True, seed=seed,
-                           trial=t) for t in range(T)]
-    for kernel in kernels:
-        out = batch.decode_fc_batch(spec, yp, sbj=True, seed=seed,
-                                    trials=trials, kernel=kernel)
-        assert out.backjumps.any(), kernel
-        for t, ref in enumerate(refs):
-            assert out.success[t] == (ref.status == "success"), (kernel, t)
-            assert out.visits[t] == ref.visited_nodes, (kernel, t)
-            assert out.backjumps[t] == ref.backjumps, (kernel, t)
-            if ref.status == "success":
-                assert np.array_equal(out.u_hat[t], ref.u_hat), (kernel, t)
+    rows = planes.to_symbols(yp)
+    out = batch.decode_fc_batch(spec, yp, sbj=True, seed=seed, trials=trials)
+    assert out.backjumps.any()
+    for t in range(T):
+        ref = decode_with_fc(spec, rows[t], engine="bp_scc", sbj=True,
+                             seed=seed, trial=t)
+        assert out.success[t] == (ref.status == "success"), t
+        assert out.visits[t] == ref.visited_nodes, t
+        assert out.backjumps[t] == ref.backjumps, t
+        if ref.status == "success":
+            assert np.array_equal(out.u_hat[t], ref.u_hat), t
 
 
 def test_sampling_is_reproducible(ex1):
@@ -111,7 +129,7 @@ def test_channel_planes_round_trip(ex1):
     _, x = batch.encode_batch(ex1, msgs)
     erased = batch.sample_erasures(ex1, 0.5, seed=5, trials=trials)
     yp = batch.channel_planes(x, erased)
-    rows = batch.planes_to_symbol_rows(yp)
+    rows = planes.to_symbols(yp)
     assert rows.shape == x.shape
     assert np.array_equal(rows == ERASURE, erased)
     keep = ~erased

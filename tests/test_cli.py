@@ -187,3 +187,32 @@ def test_config_count_below_one_rejected(tmp_path, capsys):
         _run(["--config", str(cfg), "simulate", "--n", "4", "--k", "6"])
     assert exc.value.code == 2
     assert "config imax: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--k", "6", "--crc", "none", "--trials", "5"],
+    ["de", "--n", "4", "--k", "6", "--crc", "none", "--decoder", "sc"],
+    ["bounds", "--n", "4", "--k", "6"],
+    ["mlbound", "--n", "4", "--k", "6", "--crc", "none", "--trials", "5"],
+    ["toy-compare", "--esn0-grid", "2.0", "--trials", "5"],
+    ["dump-matrices"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_with_message(argv, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--out", str(path)])
+    assert str(exc.value.code).startswith(f"cannot write {path}: ")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("bogus_key = 3", "config bogus_key: not a flag of simulate"),
+    ("decoder = viterbi", "config decoder: invalid choice 'viterbi'"),
+    ("seed = x", "config seed: invalid literal"),
+], ids=["unknown-key", "bad-choice", "bad-int"])
+def test_config_rejects_what_the_flag_rejects(line, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        _run(["--config", str(cfg), "simulate", "--n", "4", "--k", "6"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

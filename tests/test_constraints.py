@@ -5,7 +5,7 @@ import pytest
 from fcpolar.codes import CodeSpec, _assemble, input_word
 from fcpolar.constraints import (attached_systems, check_lists,
                                  future_constraints, global_Q, instant_Q_full,
-                                 instant_Q_subgraph, system_structure)
+                                 system_structure)
 from fcpolar.gf2 import kron_power, mat_mul
 
 
@@ -44,19 +44,17 @@ def check_theorems(spec: CodeSpec, u: np.ndarray):
         coeffs, offsets = instant_Q_full(spec, i)
         lhs = (mat_mul(u[None, :i], offsets) ^ mat_mul(x[None, :], coeffs))
         assert not lhs.any(), f"whole-codeword system violated at i={i}"
-    # stage-block form, both anchorings
+    # stage-block form on the decoding-path block T(ell, t)
     for ell in range(spec.N):
         prefix = u[:ell + 1]
         for t in range(1, spec.n + 1):
-            for builder, anchor in ((attached_systems, ell),
-                                    (instant_Q_subgraph, ell + 1)):
-                sys_ = builder(spec, ell, t, prefix)
-                if not sys_.cols:
-                    continue
-                lo = (anchor >> t) << t
-                xb = _stage_values(spec, u, lo, lo + (1 << t), t)
-                lhs = sys_.phi ^ mat_mul(xb[None, :], sys_.Q)[0]
-                assert not lhs.any(), (ell, t, anchor)
+            sys_ = attached_systems(spec, ell, t, prefix)
+            if not sys_.cols:
+                continue
+            lo = (ell >> t) << t
+            xb = _stage_values(spec, u, lo, lo + (1 << t), t)
+            lhs = sys_.phi ^ mat_mul(xb[None, :], sys_.Q)[0]
+            assert not lhs.any(), (ell, t)
 
 
 def test_theorems_on_example1(ex1, all_ex1_messages):
@@ -111,23 +109,21 @@ def test_system_structure_memoized(nr64):
 
 
 def test_structure_matches_integer_products_and_lists(nr64):
-    for anchored in (True, False):
-        for ell in range(nr64.N):
-            anchor = ell if anchored else ell + 1
-            for t in range(1, nr64.n + 1):
-                cols, Q, _ = system_structure(nr64, ell, t, anchored)
-                lo = (anchor >> t) << t
-                rows = list(range(max(lo, ell + 1), lo + (1 << t)))
-                want = mat_mul(kron_power(t)[:, [k - lo for k in rows]],
-                               nr64.H[np.ix_(rows, list(cols))])
-                assert np.array_equal(Q, want), (anchored, ell, t)
-                vn_of, checks_of = check_lists(nr64, ell, t, anchored)
-                assert vn_of == tuple(
-                    tuple(int(k) for k in np.flatnonzero(Q[:, j]))
-                    for j in range(len(cols)))
-                assert checks_of == tuple(
-                    tuple(int(j) for j in np.flatnonzero(Q[k, :]))
-                    for k in range(Q.shape[0]))
+    for ell in range(nr64.N):
+        for t in range(1, nr64.n + 1):
+            cols, Q, _ = system_structure(nr64, ell, t)
+            lo = (ell >> t) << t
+            rows = list(range(max(lo, ell + 1), lo + (1 << t)))
+            want = mat_mul(kron_power(t)[:, [k - lo for k in rows]],
+                           nr64.H[np.ix_(rows, list(cols))])
+            assert np.array_equal(Q, want), (ell, t)
+            vn_of, checks_of = check_lists(nr64, ell, t)
+            assert vn_of == tuple(
+                tuple(int(k) for k in np.flatnonzero(Q[:, j]))
+                for j in range(len(cols)))
+            assert checks_of == tuple(
+                tuple(int(j) for j in np.flatnonzero(Q[k, :]))
+                for k in range(Q.shape[0]))
 
 
 def test_degenerate_offset_rejected(ex1):

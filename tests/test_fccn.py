@@ -70,7 +70,7 @@ def test_closed_form_round_matches_member_loop(case):
     for w, g in zip(want, got):
         assert np.array_equal(w[clean], g[clean])
 
-    words = tuple(bitboard.pack_rows(p) for p in state)
-    packed = bitboard._fccn_pass64(words, bitboard.pack_rows(Q.T), phi)
+    words = tuple(bitboard.pack_rows(p)[:, 0] for p in state)
+    packed = bitboard._fccn_pass64(words, bitboard.pack_rows(Q.T)[:, 0], phi)
     for w, g in zip(packed, got):
-        assert np.array_equal(bitboard.unpack_rows(w, width).astype(bool), g)
+        assert np.array_equal(bitboard.unpack_rows(w[:, None], width), g)

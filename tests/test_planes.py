@@ -1,13 +1,30 @@
-"""Boolean-plane symbol arithmetic must mirror the scalar operator tables."""
+"""The shared symbol operators on boolean planes and on packed uint64 words
+must mirror the scalar operator tables; the word layout must round-trip."""
 import numpy as np
 
-from fcpolar import planes
+from fcpolar import bitboard, planes
+from fcpolar.gf2 import kron_power, mat_mul
 from fcpolar.symbols import BOX_DOT, BOX_PLUS
 
 
 def _all_pairs():
     a, b = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
     return a.ravel().astype(np.uint8), b.ravel().astype(np.uint8)
+
+
+def _both_layouts(op, *operands):
+    """op on symbol vectors, evaluated on boolean planes and on packed words
+    (the 16 pairs tiled to 160 symbols span three words, the last partly
+    used); returns both results as symbols."""
+    operands = [np.tile(s, 10) for s in operands]
+    width = operands[0].size
+    on_planes = op(*(planes.from_symbols(s) for s in operands))
+    words = op(*(tuple(bitboard.pack_rows(x[None, :])
+                       for x in planes.from_symbols(s)) for s in operands))
+    for w in words:  # unused high bits stay zero
+        assert np.array_equal(bitboard.pack_rows(bitboard.unpack_rows(w, width)), w)
+    unpacked = tuple(bitboard.unpack_rows(w, width)[0].astype(bool) for w in words)
+    return planes.to_symbols(on_planes), planes.to_symbols(unpacked)
 
 
 def test_symbol_round_trip():
@@ -17,28 +34,27 @@ def test_symbol_round_trip():
 
 def test_plus_matches_table():
     a, b = _all_pairs()
-    got = planes.to_symbols(planes.plus(planes.from_symbols(a),
-                                        planes.from_symbols(b)))
-    want = np.asarray(BOX_PLUS, dtype=np.uint8)[a, b]
-    assert np.array_equal(got, want)
+    want = np.tile(np.asarray(BOX_PLUS, dtype=np.uint8)[a, b], 10)
+    for got in _both_layouts(planes.plus, a, b):
+        assert np.array_equal(got, want)
 
 
 def test_dot_matches_table():
     a, b = _all_pairs()
-    got = planes.to_symbols(planes.dot(planes.from_symbols(a),
-                                       planes.from_symbols(b)))
-    want = np.asarray(BOX_DOT, dtype=np.uint8)[a, b]
-    assert np.array_equal(got, want)
+    want = np.tile(np.asarray(BOX_DOT, dtype=np.uint8)[a, b], 10)
+    for got in _both_layouts(planes.dot, a, b):
+        assert np.array_equal(got, want)
 
 
 def test_plus_bits_is_plus_with_concrete_plane():
+    # bits enter as the value plane of a concrete operand, in the same dtype
     a, _ = _all_pairs()
     for bit in (0, 1):
         bits = np.full(a.shape, bit, dtype=np.uint8)
-        got = planes.to_symbols(planes.plus_bits(planes.from_symbols(a), bits))
-        want = planes.to_symbols(planes.plus(planes.from_symbols(a),
-                                             planes.from_symbols(bits)))
-        assert np.array_equal(got, want)
+        got = _both_layouts(lambda x, y: planes.plus_bits(x, y[0]), a, bits)
+        want = _both_layouts(planes.plus, a, bits)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[0])
 
 
 def test_any_conflict_reduces_rows():
@@ -57,24 +73,32 @@ def test_take_and_copy_are_independent():
     assert np.array_equal(planes.to_symbols(sub), [[1, 2]])
 
 
+def test_split_join_round_trip():
+    rng = np.random.default_rng(1)
+    for t in range(8):  # block widths 2..256, one to four words
+        half = 1 << t
+        bits = [rng.integers(0, 2, size=(5, 2 * half)).astype(bool)
+                for _ in range(3)]
+        block = tuple(bitboard.pack_rows(b) for b in bits)
+        left, right = bitboard.split(block, t)
+        for b, lw, rw in zip(bits, left, right):
+            assert np.array_equal(lw, bitboard.pack_rows(b[:, :half])), t
+            assert np.array_equal(rw, bitboard.pack_rows(b[:, half:])), t
+        for got, want in zip(bitboard.join(left, right, t), block):
+            assert np.array_equal(got, want), t
+
+
 def test_update_partial_sums_tracks_kron_transform():
-    # committing bits 0..i keeps ps[t] equal to the stage-t transform of
-    # the block that a right-descent at stage t would feed back
-    from fcpolar.gf2 import kron_power, mat_mul
+    # folding bit i completes a left block of width 2^t, t the trailing ones
+    # of i; ps[t] must then hold that block's stage-t transform. N = 256
+    # reaches two- and four-word blocks.
     rng = np.random.default_rng(0)
-    u = rng.integers(0, 2, size=(3, 8)).astype(np.uint8)
+    N = 256
+    u = rng.integers(0, 2, size=(3, N)).astype(np.uint8)
     ps = {}
-    for i in range(8):
-        planes.update_partial_sums(ps, i, u[:, i])
-        t = 0
-        j = i
-        while (j >> t) & 1:
-            t += 1
-        t += 0
+    for i in range(N):
+        bitboard.update_partial_sums(ps, i, u[:, i])
+        t = (~i & (i + 1)).bit_length() - 1
         width = 1 << t
-        if i + 1 < 8 and width in (1, 2, 4):
-            lo = ((i + 1) >> t << t) - width
-            if lo >= 0 and (i + 1) % width == 0:
-                block = u[:, lo:lo + width]
-                want = mat_mul(block, kron_power(t)).astype(bool)
-                assert np.array_equal(ps[t], want)
+        want = mat_mul(u[:, i + 1 - width:i + 1], kron_power(t))
+        assert np.array_equal(bitboard.unpack_rows(ps[t], width), want), i

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 
 from fcpolar.codes import build_example1, encode, input_word
-from fcpolar.search import count_visits, decode_sc, decode_with_fc
+from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
 
 
@@ -19,7 +19,7 @@ def test_sc_noiseless_exact(ex1, all_ex1_messages):
         out = decode_sc(ex1, encode(ex1, msg))
         assert out.status == "success"
         assert np.array_equal(out.u_hat, input_word(ex1, msg))
-        assert count_visits(out) == ex1.N
+        assert out.visited_nodes == ex1.N
 
 
 def test_sc_all_erased_success_rate(ex1):
@@ -57,7 +57,7 @@ def test_fc_noiseless_visits_formula(ex1, all_ex1_messages):
             out = decode_with_fc(ex1, x, engine=engine, i_max=2, sbj=True)
             assert out.status == "success"
             assert np.array_equal(out.u_hat, u)
-            assert count_visits(out) == expected
+            assert out.visited_nodes == expected
             assert out.backjumps == 0
 
 

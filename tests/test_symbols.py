@@ -2,7 +2,7 @@
 import itertools
 
 from fcpolar.symbols import (BOX_DOT, BOX_PLUS, CONFLICT, ERASURE, ONE,
-                             SYMBOLS, ZERO, box_dot, box_plus, render)
+                             SYMBOLS, ZERO, box_dot, box_plus)
 
 # Frozen truth tables, rows indexed by a, columns by b, order (0, 1, e, !).
 EXPECTED_PLUS = (
@@ -62,7 +62,3 @@ def test_conflict_needs_two_concrete_unequal():
     assert box_dot(ONE, ZERO) == CONFLICT
     assert box_dot(ZERO, ZERO) == ZERO
     assert box_dot(ONE, ONE) == ONE
-
-
-def test_render():
-    assert [render(s) for s in SYMBOLS] == ["0", "1", "e", "!"]
