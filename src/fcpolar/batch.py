@@ -3,16 +3,18 @@
 The sweep math is the vector form of the scalar engines and reproduces
 them bit for bit, because every random draw (message bits, erasures, coin
 flips) is keyed by (trial, position, count) rather than consumed from a
-sequential stream. All of it runs on the planes operators.
+sequential stream. All of it runs on the planes operators over the
+bitboard word layout.
 
 Plain SC is the SCL loop with one path per row: bitboard.refresh
 advances the SC recursion on the word layout at every bit, and a keyed
 coin decides wherever the leaf is erased or in conflict.
 Hypothesis checks (SCC, BP-SCC, and the no-backjump first pass of the
-stack search) run on boolean planes, or on one uint64 word per row when
-N <= 64. Under backjumping, trials that hit a dead end are re-decoded
-together by a lockstep stack search on the packed kernel (codes up to
-N=64), or one at a time by the scalar search for longer codes.
+stack search) all go through _check_batch, which sets up each stage's FCCN
+round and runs bitboard.check_batch64, the one stage sweep, on the packed
+channel words. Under backjumping, trials that hit a dead end are re-decoded
+together by a lockstep stack search on the same check (codes up to N=64),
+or one at a time by the scalar search for longer codes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import bitboard, planes
 from .codes import CodeSpec
 from .constraints import system_structure
 from .decoders import processing_index
-from .gf2 import kron_power, mat_mul_f32
+from .gf2 import mat_mul_f32
 from .rng import (STREAM_CHANNEL, STREAM_COIN, STREAM_MESSAGE,
                   keyed_bit_array, keyed_uniform_array)
 from .search import decode_with_fc
@@ -97,113 +99,56 @@ def _extend_prefix(spec: CodeSpec, committed: np.ndarray, i: int, ell: int,
     return ubuf
 
 
-def _erased_planes(rows: int, width: int) -> planes.Planes:
-    return (np.zeros((rows, width), dtype=bool),
-            np.ones((rows, width), dtype=bool),
-            np.zeros((rows, width), dtype=bool))
-
-
-def _fccn_pass_batch(state: planes.Planes, structure, phi: np.ndarray) -> None:
-    """One extrinsic check-to-variable round over all rows, without loops.
+def _fccn_pass_batch(state: planes.Planes, Q: np.ndarray,
+                     phi: np.ndarray) -> planes.Planes:
+    """One FCCN round by three float32 products with Q, on a word triple.
 
     Per check j at round start: a_j = members' parity XOR phi_j, c_j = erased
     members. A known member becomes a conflict iff a check has c_j = 0 and
     a_j = 1; an erased one takes a_j from checks with c_j = 1 (a conflict if
     both values arrive, erased if none). Merging all messages at once is
     exact because the combine operator is commutative and associative, and
-    the float32 products are exact below 2^24. Rows already holding a
-    conflict get garbage, but the global conflict scan has failed them.
+    the float32 products are exact below 2^24. The value and erasure words
+    are unpacked for the products and the three predicate planes packed
+    back. Rows already holding a conflict get garbage, but the sweep's
+    conflict scan fails them.
     """
-    Q = structure[1].astype(np.float32)
-    V, E, H = state
+    V, E = (bitboard.unpack_rows(p, Q.shape[0]) for p in state[:2])
     a = mat_mul_f32(V, Q).astype(bool) ^ phi
     c = E.astype(np.float32) @ Q
     single = c == 1
     preds = np.concatenate([(c == 0) & a, single & a, single & ~a])
-    clash, got1, got0 = (preds.astype(np.float32) @ Q.T > 0).reshape(3, *V.shape)
-    got1 &= E
-    H |= clash | (got1 & got0)
-    V[:] = (V & ~clash) | (got1 & ~got0)
-    E &= ~(got1 | got0)
+    hits = bitboard.pack_rows(preds.astype(np.float32) @ Q.T > 0)
+    return bitboard.merge_round(state, *hits.reshape(3, *state[0].shape))
 
 
-def _check_batch(spec: CodeSpec, yp: planes.Planes, ubuf: np.ndarray, i: int,
-                 ell: int, use_fccn: bool, i_max: int):
+def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
+                 ubuf: np.ndarray, ell: int, use_fccn: bool, i_max: int):
     """Run one hypothesis check for every row; returns (r, eps, iters).
 
-    r is True where the check passed; eps flags rows whose processing
-    symbol stayed erased through i_max sweeps (passed with the erasure
-    surfaced); iters is the sweep count at resolution.
+    yv, ye are the rows' packed channel words. This builds the FCCN round of
+    every stage that holds future constraints and runs the sweep and verdict
+    in bitboard.check_batch64. The round is the popcount under member masks
+    for N <= 64 and the BLAS products above; each is faster on its side. The
+    round functions are looked up when called, so wrappers around them see
+    every round.
     """
-    rows = ubuf.shape[0]
-    n = spec.n
-    state: list = [None] * (n + 1)
-    state[n] = planes.copy(yp)
-    for t in range(n):
-        state[t] = _erased_planes(rows, 1 << t)
-
-    betas = {}
-    for t in range(n):
-        if (ell >> t) & 1:
-            lo = (ell >> (t + 1)) << (t + 1)
-            betas[t] = mat_mul_f32(ubuf[:, lo:lo + (1 << t)],
-                                   kron_power(t)).astype(bool)
-    structures = {}
-    phis = {}
-    if use_fccn:
-        for t in range(1, n + 1):
-            structure = system_structure(spec, ell, t)
-            if structure[0]:
-                structures[t] = structure
-                phis[t] = mat_mul_f32(ubuf, structure[2]).astype(bool)
-
-    prescribed = ubuf[:, ell].astype(bool)
-    r = np.full(rows, -1, dtype=np.int8)
-    iters = np.zeros(rows, dtype=np.int64)
-    fail = np.zeros(rows, dtype=bool)
-    for it in range(1, i_max + 1):
-        for t in range(n - 1, -1, -1):
-            if t + 1 in structures:
-                _fccn_pass_batch(state[t + 1], structures[t + 1], phis[t + 1])
-                fail |= planes.any_conflict(state[t + 1])
-            half = 1 << t
-            a = planes.take(state[t + 1], (slice(None), slice(0, half)))
-            c = planes.take(state[t + 1], (slice(None), slice(half, 2 * half)))
-            old = state[t]
-            if (ell >> t) & 1 == 0:
-                child = planes.dot(old, planes.plus(a, c))
-                na = planes.dot(a, planes.plus(old, c))
-                nc = planes.dot(c, planes.plus(old, a))
-            else:
-                bt = betas[t]
-                child = planes.dot(old, planes.dot(planes.plus_bits(a, bt), c))
-                na = planes.dot(planes.plus_bits(old, bt), a)
-                nc = planes.dot(old, c)
-            state[t] = child
-            state[t + 1] = tuple(np.concatenate(pair, axis=1)
-                                 for pair in zip(na, nc))
-            fail |= planes.any_conflict(child) | planes.any_conflict(state[t + 1])
-
-        lv, le, lh = state[0]
-        open_rows = r == -1
-        hit = open_rows & fail
-        r[hit] = 0
-        iters[hit] = it
-        open_rows &= ~hit
-        concrete = open_rows & ~le[:, 0] & ~lh[:, 0]
-        good = concrete & (lv[:, 0] == prescribed)
-        r[good] = 1
-        iters[good] = it
-        bad = concrete & (lv[:, 0] != prescribed)
-        r[bad] = 0
-        iters[bad] = it
-        if not (r == -1).any():
-            break
-
-    eps = r == -1
-    r[eps] = 1
-    iters[eps] = i_max
-    return r == 1, eps, iters
+    rounds = {}
+    for t in range(1, spec.n + 1) if use_fccn else ():
+        if spec.N <= 64:
+            masks, offsets = bitboard._bb_checks(spec, ell, t)
+        else:
+            _, Q, offsets = system_structure(spec, ell, t)
+        if not offsets.shape[1]:
+            continue
+        phi = mat_mul_f32(ubuf, offsets).astype(bool)
+        if spec.N <= 64:
+            rounds[t] = (lambda s, m=masks, f=phi:
+                         bitboard._fccn_pass64(s, m, f))
+        else:
+            rounds[t] = (lambda s, q=Q.astype(np.float32), f=phi:
+                         _fccn_pass_batch(s, q, f))
+    return bitboard.check_batch64(spec, yv, ye, ubuf, ell, rounds, i_max)
 
 
 def decode_sc_batch(spec: CodeSpec, yp: planes.Planes, seed: int,
@@ -242,12 +187,12 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
     Without backjumping this is the whole decode: rows whose both checks
     fail at some bit are failures. With sbj the vectorized pass handles
     the straight-line part and dead-ended rows are re-decoded by the stack
-    search (batched on the bit-packed kernel for N <= 64, scalar
-    otherwise); the traversal is deterministic given the channel output,
-    so the replay walks the identical path before branching into recovery.
+    search (a lockstep batch for N <= 64, the scalar search otherwise);
+    the traversal is deterministic given the channel output, so the replay
+    walks the identical path before branching into recovery.
 
-    Checks run on the packed kernel when every block fits one uint64
-    (N <= 64) and on boolean planes otherwise; both give identical outcomes.
+    The channel planes are packed to words once; every check runs on them
+    through _check_batch, at every N.
     """
     if engine not in ("scc", "bp_scc", "bpscc"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -255,16 +200,10 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
     rows = yp[0].shape[0]
     trials = np.arange(rows) if trials is None else np.asarray(trials)
     trials = trials.astype(np.uint64)
-    packed = spec.N <= 64
-    if packed:
-        yv, ye = bitboard.pack_rows(yp[0])[:, 0], bitboard.pack_rows(yp[1])[:, 0]
+    yv, ye = bitboard.pack_rows(yp[0]), bitboard.pack_rows(yp[1])
 
-    def run_check(sel, ubuf, i, ell):
-        if packed:
-            return bitboard.check_batch64(spec, yv[sel], ye[sel], ubuf, ell,
-                                          use_fccn, i_max)
-        return _check_batch(spec, planes.take(yp, sel), ubuf, i, ell,
-                            use_fccn, i_max)
+    def run_check(sel, ubuf, ell):
+        return _check_batch(spec, yv[sel], ye[sel], ubuf, ell, use_fccn, i_max)
 
     committed = np.zeros((rows, spec.N), dtype=np.uint8)
     visits = np.zeros(rows, dtype=np.int64)
@@ -281,7 +220,7 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
         if r0_rows.size == 0:
             break
         ub0 = _extend_prefix(spec, committed[r0_rows], i, ell, 0)
-        ok0, _, it0 = run_check(r0_rows, ub0, i, ell)
+        ok0, _, it0 = run_check(r0_rows, ub0, ell)
         visits[r0_rows] += span
         checks[r0_rows] += 1
         iters_sum[r0_rows] += it0
@@ -293,7 +232,7 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
         if need1.size:
             r1_rows = r0_rows[need1]
             ub1 = _extend_prefix(spec, committed[r1_rows], i, ell, 1)
-            ok1, _, it1 = run_check(r1_rows, ub1, i, ell)
+            ok1, _, it1 = run_check(r1_rows, ub1, ell)
             visits[r1_rows] += span
             checks[r1_rows] += 1
             iters_sum[r1_rows] += it1
@@ -311,7 +250,7 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
                        iters_sum=iters_sum, checks=checks)
     if sbj and not alive.all():
         dead = np.flatnonzero(~alive)
-        if packed:
+        if spec.N <= 64:
             got, u_got, v_got, bj_got = _dfs_recover64(
                 spec, yv[dead], ye[dead], use_fccn, i_max)
             out.success[dead] = got
@@ -375,8 +314,8 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
                 continue
             i, ell = info[k], ell_of[k]
             ub0 = _extend_prefix(spec, committed[sel], i, ell, 0)
-            ok0 = bitboard.check_batch64(spec, yv[sel], ye[sel], ub0, ell,
-                                         use_fccn, i_max)[0]
+            ok0 = _check_batch(spec, yv[sel], ye[sel], ub0, ell, use_fccn,
+                               i_max)[0]
             visits[sel] += spans[k]
             checks[sel] += 1
             p0 = sel[ok0]
@@ -390,8 +329,8 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
             if f0.size == 0:
                 continue
             ub1 = _extend_prefix(spec, committed[f0], i, ell, 1)
-            ok1 = bitboard.check_batch64(spec, yv[f0], ye[f0], ub1, ell,
-                                         use_fccn, i_max)[0]
+            ok1 = _check_batch(spec, yv[f0], ye[f0], ub1, ell, use_fccn,
+                               i_max)[0]
             visits[f0] += spans[k]
             checks[f0] += 1
             p1 = f0[ok1]

@@ -1,20 +1,20 @@
-"""The uint64 word layout of symbol planes, and the packed check kernel.
+"""The uint64 word layout of symbol planes, and the one stage sweep.
 
 A stage-t block holds 2^t symbols in ceil(2^t / 64) uint64 words per plane
 (value, erased, conflict), little-endian within each word and across
-words; unused high bits stay zero. pack_rows, mask, split, join, refresh
-and update_partial_sums are the whole layout: the SC recursion of
-batch.decode_sc_batch and of scl runs on it for any N, with the
-planes.plus / plus_bits / dot operators applied to words.
+words; unused high bits stay zero. pack_rows, unpack_rows, mask, split,
+join, refresh and update_partial_sums are the whole layout: the SC
+recursion of batch.decode_sc_batch and of scl runs on it for any N, with
+the planes.plus / plus_bits / dot operators applied to words.
 
-For N <= 64 every block fits one word, so the check kernel keeps one
-uint64 per row and plane and reproduces batch._check_batch verdicts
-exactly; the batch module dispatches here for small codes and tests
-compare the two engines check for check.
-The FCCN round has no loops: bitwise_counts under each check's member mask
-give its parity a_j and erasure count c_j, and the closed form of
-batch._fccn_pass_batch (exact: the combine operator is commutative and
-associative) maps them to members. At N = 64 it beats the bool-plane products.
+check_batch64 is the sweep and verdict of every batched hypothesis check
+(SCC, BP-SCC and the lockstep stack search), at every N. Its caller,
+batch._check_batch, hands it the FCCN round of each stage; both rounds take
+and return word triples and end in merge_round. _fccn_pass64 is the round
+for N <= 64: bitwise_counts under each check's member masks give its parity
+a_j and erasure count c_j, and the masks each predicate selects OR-reduce
+to the members' messages (exact: the combine operator is commutative and
+associative). The BLAS round for longer codes is batch._fccn_pass_batch.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .planes import Planes, dot, plus, plus_bits
 
 U64 = np.uint64
 _ONE = U64(1)
-_SHIFTS = np.arange(64, dtype=U64)
 
 
 def mask(width: int) -> np.uint64:
@@ -46,8 +45,8 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
 
 def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
     """Inverse of pack_rows: (rows, W) words to a (rows, width) 0/1 array."""
-    bits = (words[:, :, None] >> _SHIFTS) & _ONE
-    return bits.reshape(words.shape[0], -1)[:, :width].astype(np.uint8)
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little")
 
 
 def split(p: Planes, t: int) -> tuple[Planes, Planes]:
@@ -101,62 +100,77 @@ def update_partial_sums(ps: dict[int, np.ndarray], i: int,
 
 
 def _bb_checks(spec: CodeSpec, ell: int, t: int):
-    """Stage-t (member masks, offset rows), memoized; bit k of masks[j] is
-    set iff block variable k is in check j (zero masks are inert)."""
+    """Stage-t (member masks, offset rows), memoized; masks[j] is the
+    (W,) word form of check j's members (zero masks are inert)."""
     key = ("bb", ell, t)
     cached = spec._cache.get(key)
     if cached is None:
         _, Q, offsets = system_structure(spec, ell, t)
-        cached = (pack_rows(Q.T)[:, 0], offsets)
+        cached = (pack_rows(Q.T), offsets)
         spec._cache[key] = cached
     return cached
 
 
-def _fccn_pass64(state, masks, phi):
-    """One FCCN round on words; the masks each predicate selects OR-reduce."""
+def merge_round(state: Planes, clash, got1, got0) -> Planes:
+    """Land one FCCN round's messages on a word triple.
+
+    clash marks known members that one of their checks contradicts; got1 and
+    got0 mark members some check hands the value 1 or 0. An erased member
+    takes the value that arrives, and a conflict if both do; conflicts stay.
+    """
     v, e, h = state
-    cnt = np.bitwise_count(e[:, None] & masks)
-    a = (np.bitwise_count(v[:, None] & masks) & 1).astype(bool) ^ phi
+    got1 = got1 & e
+    return ((v & ~clash) | (got1 & ~got0), e & ~(got1 | got0),
+            h | clash | (got1 & got0))
+
+
+def _fccn_pass64(state: Planes, masks: np.ndarray, phi: np.ndarray) -> Planes:
+    """One FCCN round by popcount under the (checks, W) member masks.
+
+    Per check j: a_j = members' parity XOR phi_j, c_j = erased members; a
+    known member clashes under a check with c_j = 0 and a_j = 1, an erased
+    one gets a_j from checks with c_j = 1. Rows already holding a conflict
+    get garbage, but the sweep's conflict scan fails them.
+    """
+    v, e, h = state
+    cnt = np.bitwise_count(e[:, None] & masks).sum(axis=2)
+    odd = np.bitwise_count(v[:, None] & masks).sum(axis=2) & 1
+    a = odd.astype(bool) ^ phi
     single = cnt == 1
     preds = np.stack([(cnt == 0) & a, single & a, single & ~a])
-    clash, got1, got0 = np.bitwise_or.reduce(np.where(preds, masks, U64(0)),
-                                            axis=2)
-    got1 &= e
-    h = h | clash | (got1 & got0)
-    return (v & ~clash) | (got1 & ~got0), e & ~(got1 | got0), h
+    return merge_round(state, *np.bitwise_or.reduce(
+        np.where(preds[..., None], masks, U64(0)), axis=2))
 
 
 def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
-                  ubuf: np.ndarray, ell: int, use_fccn: bool, i_max: int):
-    """One hypothesis check per row on packed planes; returns (r, eps, iters).
+                  ubuf: np.ndarray, ell: int, rounds: dict, i_max: int):
+    """The stage sweep and verdict of one hypothesis check per row.
 
-    Verdict semantics match batch._check_batch: r is True where the check
-    passed, eps flags rows whose processing symbol stayed erased through
-    i_max sweeps, iters is the sweep count at resolution.
+    yv and ye are the channel's value and erasure words, (rows, W) for the
+    length-N block; ubuf holds the hypothesis prefixes 0..ell. rounds maps a
+    stage t to its FCCN round, run on the stage-t block before each descent
+    through it. Returns (r, eps, iters): r is True where the check passed,
+    eps flags rows whose processing symbol stayed erased through i_max
+    sweeps, iters is the sweep count at resolution.
+
+    Conflicts are scanned once per sweep, over all n+1 stages: every
+    operator and both rounds only OR into the conflict plane, so a conflict
+    raised anywhere in the sweep is still there at its end.
     """
     rows = ubuf.shape[0]
     n = spec.n
-    zeros = np.zeros(rows, dtype=U64)
     state: list = [None] * (n + 1)
-    state[n] = (yv.copy(), ye.copy(), zeros.copy())
+    state[n] = (yv, ye, np.zeros_like(yv))
     for t in range(n):
-        state[t] = (zeros.copy(), np.full(rows, mask(1 << t), dtype=U64),
-                    zeros.copy())
+        zeros = np.zeros((rows, max(1, (1 << t) >> 6)), dtype=U64)
+        state[t] = (zeros, np.full_like(zeros, mask(1 << t)), zeros)
 
     betas = {}
     for t in range(n):
         if (ell >> t) & 1:
             lo = (ell >> (t + 1)) << (t + 1)
             betas[t] = pack_rows(mat_mul_f32(ubuf[:, lo:lo + (1 << t)],
-                                             kron_power(t)))[:, 0]
-    entries = {}
-    phis = {}
-    if use_fccn:
-        for t in range(1, n + 1):
-            masks, offsets = _bb_checks(spec, ell, t)
-            if masks.size:
-                entries[t] = masks
-                phis[t] = mat_mul_f32(ubuf, offsets).astype(bool)
+                                             kron_power(t)))
 
     prescribed = ubuf[:, ell].astype(U64)
     r = np.full(rows, -1, dtype=np.int8)
@@ -164,10 +178,8 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     fail = np.zeros(rows, dtype=bool)
     for it in range(1, i_max + 1):
         for t in range(n - 1, -1, -1):
-            if t + 1 in entries:
-                state[t + 1] = _fccn_pass64(state[t + 1], entries[t + 1],
-                                            phis[t + 1])
-                fail |= state[t + 1][2] != 0
+            if t + 1 in rounds:
+                state[t + 1] = rounds[t + 1](state[t + 1])
             a, c = split(state[t + 1], t)
             old = state[t]
             if (ell >> t) & 1 == 0:
@@ -181,9 +193,9 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
                 nc = dot(old, c)
             state[t] = child
             state[t + 1] = join(na, nc, t)
-            fail |= (child[2] | state[t + 1][2]) != 0
+        fail |= np.hstack([s[2] for s in state]).any(axis=1)
 
-        lv, le, lh = state[0]
+        lv, le, lh = (p[:, 0] for p in state[0])
         open_rows = r == -1
         hit = open_rows & fail
         r[hit] = 0

@@ -65,6 +65,8 @@ def ml_bound_sim(spec: CodeSpec, p: float, trials: int, seed: int = 0) -> float:
     (both codewords have the same likelihood), so the rate of such events
     lower-bounds the ML error rate.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erasure probability {p} out of range")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     ids = np.arange(trials)

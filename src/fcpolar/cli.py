@@ -165,11 +165,24 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, step = (float(t) for t in parts)
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
+    if start > stop:
+        raise argparse.ArgumentTypeError(
+            f"empty grid {text!r}: start above stop")
     grid = []
     v = start
     while v <= stop + 1e-9:
         grid.append(round(v, 12))
         v += step
+    return grid
+
+
+def _p_grid(text: str) -> list[float]:
+    """Argument type of --p-grid: a grid of erasure probabilities in [0, 1]."""
+    grid = _parse_grid(text)
+    for p in grid:
+        if not 0.0 <= p <= 1.0:
+            raise argparse.ArgumentTypeError(
+                f"erasure probability {p:g} out of range [0, 1]")
     return grid
 
 
@@ -346,8 +359,8 @@ def main(argv=None) -> int:
     sim.add_argument("--decoder", default="bpscc-sbj",
                      choices=("sc", "scc", "bpscc", "bpscc-sbj", "scl"))
     sim.add_argument("--imax", type=_count, default=1)
-    sim.add_argument("--list-size", type=int, default=32)
-    sim.add_argument("--p-grid", type=_parse_grid, default=[0.5])
+    sim.add_argument("--list-size", type=_count, default=32)
+    sim.add_argument("--p-grid", type=_p_grid, default=[0.5])
     sim.add_argument("--trials", type=_count, default=10000)
     sim.add_argument("--max-errors", type=_count)
     sim.add_argument("--seed", type=int, default=0)
@@ -358,19 +371,19 @@ def main(argv=None) -> int:
     _add_code_args(dep)
     dep.add_argument("--decoder", default="bpscc1",
                      choices=("sc", "scc", "bpscc1"))
-    dep.add_argument("--p-grid", type=_parse_grid, default=[0.5])
+    dep.add_argument("--p-grid", type=_p_grid, default=[0.5])
     dep.add_argument("--out")
     dep.set_defaults(func=_cmd_de, seed=0)
 
     bnd = sub.add_parser("bounds", help="DT and MC reference curves")
     _add_code_args(bnd)
-    bnd.add_argument("--p-grid", type=_parse_grid, default=[0.5])
+    bnd.add_argument("--p-grid", type=_p_grid, default=[0.5])
     bnd.add_argument("--out")
     bnd.set_defaults(func=_cmd_bounds, seed=0)
 
     mlb = sub.add_parser("mlbound", help="simulation-based ML lower bound")
     _add_code_args(mlb)
-    mlb.add_argument("--p-grid", type=_parse_grid, default=[0.5])
+    mlb.add_argument("--p-grid", type=_p_grid, default=[0.5])
     mlb.add_argument("--trials", type=_count, default=10000)
     mlb.add_argument("--seed", type=int, default=0)
     mlb.add_argument("--out")

@@ -2,11 +2,15 @@
 
 A batch of symbols is held as three same-shaped arrays (V, E, H): H marks
 conflicts, E marks erasures, V carries the bit value where neither flag is
-set. plus, plus_bits and dot reproduce box_plus / box_dot elementwise using
-only &, |, ^ and ~, so the same functions serve boolean planes (one symbol
-per element) and the uint64 words of the bitboard layout (64 symbols per
-element, unused high bits kept zero). Every engine but the scalar reference
-calls these three, and the scalar tables in symbols are their oracle.
+set. Planes are valid when every symbol sets at most one of the three (it
+is 0, 1, erased or a conflict); the operators map valid planes to valid
+planes, and dot relies on it. plus, plus_bits and dot reproduce box_plus /
+box_dot elementwise using only &, |, ^ and ~, so the same functions serve
+boolean planes (one symbol per element) and the uint64 words of the
+bitboard layout (64 symbols per element, unused high bits kept zero). Every
+engine but the scalar reference calls these three on words; boolean planes
+remain the channel's form (batch.channel_planes) and the tests' way in, and
+the scalar tables in symbols are the operators' oracle.
 """
 
 from __future__ import annotations
@@ -43,24 +47,13 @@ def plus_bits(a: Planes, bits: np.ndarray) -> Planes:
 
 
 def dot(a: Planes, b: Planes) -> Planes:
+    """box_dot; a concrete pair that disagrees clashes into a conflict.
+
+    Relies on valid operands: where a symbol is erased its value bit is 0,
+    so (av | (bv & ae)) is the one surviving value, and two erasures never
+    meet a conflict.
+    """
     av, ae, ah = a
     bv, be, bh = b
-    clash = ~ae & ~ah & ~be & ~bh & (av ^ bv)
-    h = ah | bh | clash
-    e = ae & be & ~h
-    v = ((bv & ae) | (av & ~ae)) & ~e & ~h
-    return v, e, h
-
-
-def copy(p: Planes) -> Planes:
-    return p[0].copy(), p[1].copy(), p[2].copy()
-
-
-def take(p: Planes, sel) -> Planes:
-    return p[0][sel], p[1][sel], p[2][sel]
-
-
-def any_conflict(p: Planes) -> np.ndarray:
-    """Per-row conflict indicator (reduces all but the first axis)."""
-    h = p[2]
-    return h.any(axis=tuple(range(1, h.ndim)))
+    h = ah | bh | (~(ae | ah | be | bh) & (av ^ bv))
+    return (av | (bv & ae)) & ~h, ae & be, h

@@ -1,12 +1,12 @@
 """Vectorized decoders must agree bit-for-bit with the scalar engines."""
-import itertools
-
 import numpy as np
 import pytest
 
 from fcpolar import batch, bitboard, planes
 from fcpolar.codes import build_nr_code
+from fcpolar.constraints import system_structure
 from fcpolar.decoders import processing_index
+from fcpolar.gf2 import mat_mul_f32
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
 
@@ -54,27 +54,57 @@ def test_fc_batch_matches_scalar(ex1, nr16, engine, i_max, sbj):
                 assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
 
 
+def _round_maps(spec, ubuf, ell):
+    """Both FCCN rounds of every stage with future constraints, as
+    check_batch64 takes them: (popcount rounds, BLAS rounds)."""
+    popcount, blas = {}, {}
+    for t in range(1, spec.n + 1):
+        _, Q, offsets = system_structure(spec, ell, t)
+        if not offsets.shape[1]:
+            continue
+        phi = mat_mul_f32(ubuf, offsets).astype(bool)
+        masks = bitboard.pack_rows(Q.T)
+        popcount[t] = lambda s, m=masks, f=phi: bitboard._fccn_pass64(s, m, f)
+        blas[t] = (lambda s, q=Q.astype(np.float32), f=phi:
+                   batch._fccn_pass_batch(s, q, f))
+    return popcount, blas
+
+
 def test_check_engines_agree(ex1, nr16, nr64):
-    # The bool-plane and packed checks on the same channel rows and true
-    # prefixes, at every information bit: b = 0 and 1 make some hypotheses
-    # wrong, and the erasure rates leave work for the FCCN pass.
-    for spec, p in ((ex1, 0.5), (nr16, 0.4), (nr64, 0.3)):
+    # The popcount and BLAS rounds through the one sweep, on the same
+    # channel rows and true prefixes at every information bit (every third
+    # from N=128 on): b = 0 and 1 make some hypotheses wrong, and the
+    # erasure rates leave work for the rounds. _check_batch, which picks a
+    # round by N, must agree with both, and where a code has rounds at all
+    # (NR16 without CRC has none) they must move some verdict.
+    for spec, p in ((ex1, 0.5), (nr16, 0.4), (nr64, 0.3),
+                    (build_nr_code(128, 64), 0.3),
+                    (build_nr_code(256, 128), 0.3)):
         trials = np.arange(64)
         u, x = batch.encode_batch(spec, batch.sample_messages(spec, 3, trials))
         yp = batch.channel_planes(x, batch.sample_erasures(spec, p, 3, trials))
-        yv, ye = (bitboard.pack_rows(plane)[:, 0] for plane in yp[:2])
-        for i in spec.A:
+        yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+        moved = has_rounds = False
+        for i in spec.A[::3] if spec.N >= 128 else spec.A:
             ell = processing_index(spec, i)
-            for b, use_fccn, i_max in itertools.product((0, 1), (False, True),
-                                                        (1, 3)):
+            for b in (0, 1):
                 ubuf = batch._extend_prefix(spec, u, i, ell, b)
-                want = batch._check_batch(spec, yp, ubuf, i, ell, use_fccn,
-                                          i_max)
-                got = bitboard.check_batch64(spec, yv, ye, ubuf, ell,
-                                             use_fccn, i_max)
-                key = (spec.N, i, b, use_fccn, i_max)
-                for w, g in zip(want, got):
-                    assert np.array_equal(w, g), key
+                popcount, blas = _round_maps(spec, ubuf, ell)
+                has_rounds |= bool(blas)
+                for i_max in (1, 3):
+                    want = bitboard.check_batch64(spec, yv, ye, ubuf, ell,
+                                                  blas, i_max)
+                    key = (spec.N, i, b, i_max)
+                    for got in (bitboard.check_batch64(spec, yv, ye, ubuf, ell,
+                                                       popcount, i_max),
+                                batch._check_batch(spec, yv, ye, ubuf, ell,
+                                                   True, i_max)):
+                        for w, g in zip(want, got):
+                            assert np.array_equal(w, g), key
+                    bare = bitboard.check_batch64(spec, yv, ye, ubuf, ell, {},
+                                                  i_max)
+                    moved |= not all(map(np.array_equal, want, bare))
+        assert moved == has_rounds, spec.N
 
 
 @pytest.mark.parametrize("N,K,p,T,seed", [

@@ -104,3 +104,5 @@ def test_validation():
 def test_ml_sim_validation(nr16):
     with pytest.raises(ValueError):
         ml_bound_sim(nr16, 0.4, 0)
+    with pytest.raises(ValueError):
+        ml_bound_sim(nr16, 1.5, 10)

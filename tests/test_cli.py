@@ -61,6 +61,8 @@ def test_parse_grid():
         cli._parse_grid("0.1:0.5")
     with pytest.raises(Exception):
         cli._parse_grid("0.5:0.1:-0.2")
+    with pytest.raises(Exception):
+        cli._parse_grid("0.5:0.3:0.1")
 
 
 def test_config_defaults_and_cli_override(tmp_path, capsys):
@@ -187,6 +189,50 @@ def test_config_count_below_one_rejected(tmp_path, capsys):
         _run(["--config", str(cfg), "simulate", "--n", "4", "--k", "6"])
     assert exc.value.code == 2
     assert "config imax: must be at least 1" in capsys.readouterr().err
+
+
+_BAD_VALUES = [
+    ("simulate", "p_grid", "0.5:1.5:0.5",
+     "erasure probability 1.5 out of range [0, 1]"),
+    ("simulate", "p_grid", "0.5:0.3:0.1", "empty grid '0.5:0.3:0.1'"),
+    ("simulate", "p_grid", "-0.1", "erasure probability -0.1 out of range"),
+    ("de", "p_grid", "1.5", "erasure probability 1.5 out of range"),
+    ("bounds", "p_grid", "1.5:2:0.5", "erasure probability 1.5 out of range"),
+    ("mlbound", "p_grid", "1.5:2:0.5", "erasure probability 1.5 out of range"),
+    ("mlbound", "p_grid", "0.4:0.2:0.1", "empty grid"),
+    ("simulate", "list_size", "0", "must be at least 1, got 0"),
+]
+_BAD_IDS = [f"{c}-{k}={v}" for c, k, v, _ in _BAD_VALUES]
+
+
+@pytest.mark.parametrize("command,key,value,message", _BAD_VALUES,
+                         ids=_BAD_IDS)
+def test_bad_values_rejected_while_parsing(command, key, value, message,
+                                           tmp_path, capsys):
+    # Exit 2 before any trial runs, and nothing is written.
+    out = tmp_path / "x.csv"
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        _run([command, "--n", "4", "--k", "6", f"{flag}={value}",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value,message", _BAD_VALUES,
+                         ids=_BAD_IDS)
+def test_bad_config_values_rejected(command, key, value, message, tmp_path,
+                                    capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        _run(["--config", str(cfg), command, "--n", "4", "--k", "6",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"config {key}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

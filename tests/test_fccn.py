@@ -1,4 +1,4 @@
-"""The loop-free FCCN round of both check engines against the per-member merge."""
+"""Both loop-free FCCN rounds against the per-member merge, on word triples."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,10 +40,11 @@ def fccn_rounds(draw):
     Q's columns are drawn from a small pool that holds an empty column, so
     empty and duplicate checks are common. Symbols are 0, 1, erasure or
     conflict, so at most one plane is set per symbol; the first half of the
-    rows holds no conflict, the rows the round must get right.
+    rows holds no conflict, the rows the round must get right. Widths run
+    from 2 to 256 symbols, so blocks span one to four words.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    width = 1 << draw(st.integers(1, 6))
+    width = 1 << draw(st.integers(1, 8))
     rows = draw(st.integers(1, 12))
     pool = rng.random((width, draw(st.integers(1, 6)))) < draw(
         st.sampled_from([0.1, 0.3, 0.6]))
@@ -62,15 +63,17 @@ def fccn_rounds(draw):
 def test_closed_form_round_matches_member_loop(case):
     Q, state, phi = case
     width = Q.shape[0]
-    want = planes.copy(state)
+    want = tuple(p.copy() for p in state)
     loop_fccn_pass(want, Q, phi)
-    got = planes.copy(state)
-    batch._fccn_pass_batch(got, ((), Q, None), phi)
-    clean = ~planes.any_conflict(state)
+    words = tuple(bitboard.pack_rows(p) for p in state)
+    blas = batch._fccn_pass_batch(words, Q.astype(np.float32), phi)
+    got = tuple(bitboard.unpack_rows(w, width).astype(bool) for w in blas)
+    clean = ~state[2].any(axis=1)
     for w, g in zip(want, got):
         assert np.array_equal(w[clean], g[clean])
 
-    words = tuple(bitboard.pack_rows(p)[:, 0] for p in state)
-    packed = bitboard._fccn_pass64(words, bitboard.pack_rows(Q.T)[:, 0], phi)
-    for w, g in zip(packed, got):
-        assert np.array_equal(bitboard.unpack_rows(w[:, None], width), g)
+    popcount = bitboard._fccn_pass64(words, bitboard.pack_rows(Q.T), phi)
+    for b, p in zip(blas, popcount):  # every row, unused high bits included
+        assert np.array_equal(b, p)
+    for w, p in zip(words, state):  # the rounds leave their input alone
+        assert np.array_equal(w, bitboard.pack_rows(p))

@@ -57,22 +57,6 @@ def test_plus_bits_is_plus_with_concrete_plane():
         assert np.array_equal(got[1], want[0])
 
 
-def test_any_conflict_reduces_rows():
-    syms = np.array([[0, 1, 2], [0, 3, 1], [2, 2, 2]], dtype=np.uint8)
-    assert np.array_equal(planes.any_conflict(planes.from_symbols(syms)),
-                          [False, True, False])
-
-
-def test_take_and_copy_are_independent():
-    syms = np.array([[0, 1, 2, 3]], dtype=np.uint8)
-    p = planes.from_symbols(syms)
-    q = planes.copy(p)
-    q[0][0, 0] = True
-    assert not p[0][0, 0]
-    sub = planes.take(p, (slice(None), slice(1, 3)))
-    assert np.array_equal(planes.to_symbols(sub), [[1, 2]])
-
-
 def test_split_join_round_trip():
     rng = np.random.default_rng(1)
     for t in range(8):  # block widths 2..256, one to four words
