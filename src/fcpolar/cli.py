@@ -187,7 +187,8 @@ def _p_grid(text: str) -> list[float]:
 
 
 def _count(text: str) -> int:
-    """Argument type of the count flags: an integer of at least 1."""
+    """Argument type of the count and code-size flags: an integer of at
+    least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
@@ -210,15 +211,20 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _build_spec(args) -> CodeSpec:
+def _code_size(args) -> tuple[int, int]:
     if args.n is None or args.k is None:
         raise SystemExit("--n and --k are required for this command")
-    return build_nr_code(1 << args.n, args.k, crc=args.crc)
+    return 1 << args.n, args.k
+
+
+def _build_spec(args) -> CodeSpec:
+    N, K = _code_size(args)
+    return build_nr_code(N, K, crc=args.crc)
 
 
 def _add_code_args(sub):
-    sub.add_argument("--n", type=int, help="log2 of the block length N")
-    sub.add_argument("--k", type=int, help="number of information bits")
+    sub.add_argument("--n", type=_count, help="log2 of the block length N")
+    sub.add_argument("--k", type=_count, help="number of information bits")
     sub.add_argument("--crc", choices=("nr11", "none"), default="nr11")
 
 
@@ -258,7 +264,9 @@ def _cmd_de(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    N, K = 1 << args.n, args.k
+    N, K = _code_size(args)
+    if K > N:
+        raise ValueError(f"K = {K} exceeds N = {N}")
     lines = ["p,dt,mc"]
     for p in args.p_grid:
         lines.append(f"{p:.6g},{bounds.dt_bound(N, K, p):.8g},"
@@ -325,7 +333,7 @@ def _cmd_build_code(args) -> int:
 
 
 def _cmd_dump_fc(args) -> int:
-    spec = _build_spec(args) if args.n else build_example1()
+    spec = build_example1() if args.n is None else _build_spec(args)
     targets = [args.i] if args.i is not None else list(spec.A)
     for i in targets:
         fc = future_constraints(spec, i)
@@ -337,7 +345,7 @@ def _cmd_dump_fc(args) -> int:
 
 
 def _cmd_dump_matrices(args) -> int:
-    spec = _build_spec(args) if args.n else build_example1()
+    spec = build_example1() if args.n is None else _build_spec(args)
     from .constraints import global_Q
     sections = [("T", spec.T), ("H", spec.H), ("G", spec.generator),
                 ("TG", mat_mul(spec.T, spec.generator)),

@@ -201,6 +201,10 @@ _BAD_VALUES = [
     ("mlbound", "p_grid", "1.5:2:0.5", "erasure probability 1.5 out of range"),
     ("mlbound", "p_grid", "0.4:0.2:0.1", "empty grid"),
     ("simulate", "list_size", "0", "must be at least 1, got 0"),
+    ("bounds", "k", "0", "must be at least 1, got 0"),
+    ("de", "n", "-1", "must be at least 1, got -1"),
+    ("dump-matrices", "n", "0", "must be at least 1, got 0"),
+    ("simulate", "k", "-2", "must be at least 1, got -2"),
 ]
 _BAD_IDS = [f"{c}-{k}={v}" for c, k, v, _ in _BAD_VALUES]
 
@@ -232,6 +236,24 @@ def test_bad_config_values_rejected(command, key, value, message, tmp_path,
               "--out", str(out)])
     assert exc.value.code == 2
     assert f"config {key}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--p-grid", "0.3"], "--n and --k are required"),
+    (["bounds", "--n", "3"], "--n and --k are required"),
+    (["dump-matrices", "--n", "2"], "--n and --k are required"),
+], ids=["bounds-no-size", "bounds-no-k", "dump-matrices-no-k"])
+def test_missing_code_size_exits_with_message(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert str(exc.value.code).startswith(message)
+
+
+def test_bounds_reject_k_above_n(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert _run(["bounds", "--n", "3", "--k", "9", "--out", str(out)]) == 1
+    assert "error: K = 9 exceeds N = 8" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,14 +6,108 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fcpolar.codes import encode, input_word
-from fcpolar.de import (channel_pmf, de_run, point_mass, psi_boxdot,
-                        psi_boxplus)
+from fcpolar.de import (channel_pmf, de_fccn_update, de_run, fccn_plan,
+                        point_mass, psi_boxdot, psi_boxplus)
 from fcpolar.decoders import bp_scc_check, build_hypothesis, make_graph
-from fcpolar.symbols import BOX_DOT, BOX_PLUS, ERASURE
+from fcpolar.symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE
 
 pmf_strategy = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4
 ).filter(lambda v: sum(v) > 0).map(lambda v: np.array(v) / sum(v))
+
+_ONE_HOT_PLUS = (np.asarray(BOX_PLUS)[:, :, None] == np.arange(4)).astype(float)
+_ONE_HOT_DOT = (np.asarray(BOX_DOT)[:, :, None] == np.arange(4)).astype(float)
+_SWAP01 = np.array([1, 0, 2, 3])
+
+
+def _einsum_plus(p1, p2):
+    return np.einsum("a,b,abs->s", p1, p2, _ONE_HOT_PLUS)
+
+
+def _einsum_dot(p1, p2, b=0):
+    return np.einsum("a,b,abs->s", p1[_SWAP01] if b else p1, p2, _ONE_HOT_DOT)
+
+
+def _fccn_update_loop(pmfs, vn_of, phi):
+    """The per-VN loop the batched round replaces, on einsum pushforwards:
+    for each VN k, in ascending check order, fold the point mass at phi_j
+    with the other members of j; the first check of largest conflict mass
+    wins."""
+    checks_of = [[j for j, members in enumerate(vn_of) if k in members]
+                 for k in range(len(pmfs))]
+    out = pmfs.copy()
+    for k, incident in enumerate(checks_of):
+        if not incident:
+            continue
+        best = None
+        for j in incident:
+            q = point_mass(int(phi[j]))
+            for l in vn_of[j]:
+                if l != k:
+                    q = _einsum_plus(q, pmfs[l])
+            if best is None or q[CONFLICT] > best[CONFLICT]:
+                best = q
+        out[k] = _einsum_dot(pmfs[k], best, 0)
+    return out
+
+
+@st.composite
+def fccn_cases(draw):
+    """Random check lists over m VNs (empty checks, VNs in several checks),
+    PMFs and offsets. A copy of a check with the flipped offset sends the
+    same conflict mass with 0 and 1 swapped, so the tie rule decides."""
+    m = draw(st.integers(1, 9))
+    vn_of = [sorted(draw(st.sets(st.integers(0, m - 1))))
+             for _ in range(draw(st.integers(0, 6)))]
+    phi = [draw(st.integers(0, 1)) for _ in vn_of]
+    for _ in range(draw(st.integers(0, 2)) if vn_of else 0):
+        j = draw(st.integers(0, len(vn_of) - 1))
+        at = draw(st.integers(0, len(vn_of)))
+        vn_of.insert(at, vn_of[j])
+        phi.insert(at, 1 - phi[j])
+    pmfs = np.array([draw(pmf_strategy) for _ in range(m)])
+    if draw(st.booleans()):
+        # no conflict mass anywhere: every message ties at zero
+        pmfs[:, CONFLICT] = 0.0
+    return pmfs, tuple(map(tuple, vn_of)), np.array(phi, dtype=np.int64)
+
+
+@given(fccn_cases())
+def test_batched_fccn_round_matches_loop(case):
+    pmfs, vn_of, phi = case
+    expected = _fccn_update_loop(pmfs, vn_of, phi)
+    batched = pmfs.copy()
+    de_fccn_update(batched, fccn_plan(vn_of), phi)
+    assert np.array_equal(batched, expected)
+
+
+def test_fccn_tie_goes_to_smallest_check():
+    # checks 0 and 1 have the same members and opposite offsets: their
+    # messages to VN 0 tie in conflict mass but differ, and check 0 wins
+    pmfs = np.array([[0.5, 0.1, 0.3, 0.1], [0.2, 0.3, 0.4, 0.1]])
+    for phi in ([0, 1], [1, 0]):
+        batched = pmfs.copy()
+        de_fccn_update(batched, fccn_plan(((0, 1), (0, 1))), np.array(phi))
+        wins = _einsum_dot(pmfs[0], _einsum_plus(point_mass(phi[0]), pmfs[1]))
+        loses = _einsum_dot(pmfs[0], _einsum_plus(point_mass(phi[1]), pmfs[1]))
+        assert np.array_equal(batched[0], wins)
+        assert not np.array_equal(batched[0], loses)
+
+
+@given(st.lists(st.tuples(pmf_strategy, pmf_strategy, st.integers(0, 1)),
+                min_size=1, max_size=8))
+def test_psi_rows_match_einsum_row_by_row(rows):
+    # the batched pushforwards keep the einsum's summation order exactly,
+    # with a per-row bit b for psi_boxdot
+    p1, p2, b = (np.array(col) for col in zip(*rows))
+    plus, dot = psi_boxplus(p1, p2), psi_boxdot(p1, p2, b)
+    for r in range(len(rows)):
+        assert np.array_equal(plus[r], _einsum_plus(p1[r], p2[r]))
+        assert np.array_equal(dot[r], _einsum_dot(p1[r], p2[r], b[r]))
+        assert np.array_equal(plus[r], psi_boxplus(p1[r], p2[r]))
+        assert np.array_equal(dot[r], psi_boxdot(p1[r], p2[r], b[r]))
+    assert np.array_equal(psi_boxplus(p1[0], p2),
+                          psi_boxplus(p1[[0] * len(rows)], p2))
 
 
 @given(pmf_strategy, pmf_strategy)

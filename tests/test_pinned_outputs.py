@@ -1,14 +1,23 @@
-"""cli.run_point rows pinned exactly: a change to an engine must not move them.
+"""cli.run_point rows and de.de_run outputs pinned exactly: a change to an
+engine must not move them.
 
 The rows were recorded before the check engines shared one stage sweep.
 Each decoder runs at N=64, 128 and 256 (NR codes, CRC11, SCL with L=8) on
 points where rows dead-end and, under SBJ, backjump; every field is compared
 exactly, floats included, so any changed trial outcome shows.
+
+The density-evolution outputs were recorded before the PMFs became (m, 4)
+arrays with one batched FCCN round: P_B exactly, and the per-bit values
+P_b(i) by the SHA-256 of their little-endian float64 bytes, so a change in
+the last bit of any one of them shows.
 """
+import hashlib
+
 import pytest
 
 from fcpolar.cli import run_point
 from fcpolar.codes import build_nr_code
+from fcpolar.de import de_run
 
 FIELDS = ('p', 'bler', 'stderr', 'avg_visits', 'avg_iters', 'trials', 'errors',
           'dead_ends', 'coin_misses', 'avg_backjumps')
@@ -59,13 +68,46 @@ PINNED = [
      1.0, 4, 1, 1, 0, 0.0)),
 ]
 
+# ((N, K, decoder, p), (P_B, first 32 hex digits of SHA-256 of P_b(i)))
+PINNED_DE = [
+    ((64, 32, 'sc', 0.3), (0.6669394018473959, 'c0e110045c21ff7dbb6d0d6827ba3e80')),
+    ((64, 32, 'sc', 0.4), (0.9644599565079891, 'b8714c4c09ea1d0cd10a9729031214ff')),
+    ((64, 32, 'scc', 0.3), (0.6515066756302365, 'ef0db170ec66461cf6e9405f0c1e7f40')),
+    ((64, 32, 'scc', 0.4), (0.9627212476147518, 'f0a700bc996eeb07fa722b00605a91a5')),
+    ((64, 32, 'bpscc1', 0.3), (0.5354640787868423, '9d0141a18963e7884f1daa31c0b71055')),
+    ((64, 32, 'bpscc1', 0.4), (0.9182848868094043, 'c4e5adac67662db97997c4bea4c975ef')),
+    ((128, 64, 'sc', 0.3), (0.4334755391600621, '5219ab674b422f2a8244b523b3959bbb')),
+    ((128, 64, 'sc', 0.4), (0.9292899414438685, 'e365c8dd39aa3f7eee626b0774314954')),
+    ((128, 64, 'scc', 0.3), (0.37155011714604813, 'bb303117bc89598a55fc502f40c133a6')),
+    ((128, 64, 'scc', 0.4), (0.9191269541719468, '7df688b470ef8b919f37c487018bcb96')),
+    ((128, 64, 'bpscc1', 0.3), (0.14850731859893784, '4a13dac934f8e97f4fc59fefc75c175d')),
+    ((128, 64, 'bpscc1', 0.4), (0.7978143320766069, '746ff52a13999a3243fe2cb6f10aff73')),
+    ((256, 128, 'sc', 0.3), (0.14812507534129626, 'ba7a029e8a93479e7aa4d30cfd8d8620')),
+    ((256, 128, 'sc', 0.4), (0.8380685258357212, 'fc1b76442ea1241097f48741cfe5edca')),
+    ((256, 128, 'scc', 0.3), (0.09546704538131712, '3416a540a082b72a3a86cf373bb1f7a0')),
+    ((256, 128, 'scc', 0.4), (0.8032381278340708, '9ca82a33b84c23dab9be947582f6d973')),
+]
+
 _SPECS = {}
+
+
+def _spec(N, K):
+    return _SPECS.get(N) or _SPECS.setdefault(N, build_nr_code(N, K))
 
 
 @pytest.mark.parametrize("case,row", PINNED, ids=[
     f"{c[2]}-N{c[0]}-imax{c[5]}" for c, _ in PINNED])
 def test_run_point_rows_are_pinned(case, row):
     N, K, decoder, p, trials, i_max, seed = case
-    spec = _SPECS.get(N) or _SPECS.setdefault(N, build_nr_code(N, K))
+    spec = _spec(N, K)
     assert run_point(spec, decoder, p, trials, seed, i_max=i_max,
                      list_size=8) == dict(zip(FIELDS, row))
+
+
+@pytest.mark.parametrize("case,pinned", PINNED_DE, ids=[
+    f"de-{c[2]}-N{c[0]}-p{c[3]}" for c, _ in PINNED_DE])
+def test_de_outputs_are_pinned(case, pinned):
+    N, K, decoder, p = case
+    per_bit, bler = de_run(_spec(N, K), decoder, p)
+    digest = hashlib.sha256(per_bit.astype("<f8").tobytes()).hexdigest()
+    assert (bler, digest[:32]) == pinned
