@@ -7,7 +7,9 @@ build-code, dump-fc, and dump-matrices.
 
 Every random quantity is keyed by (seed, substream, trial, position), so
 a (config, seed) pair fully determines every trial regardless of
-chunking, and rerunning a point reproduces the CSV byte for byte. The
+chunking, and rerunning a point reproduces the CSV byte for byte. Each
+decoder takes a whole chunk of trials per call; SCL holds its lists on
+(trial, path) rows, so its chunks are list_size times shorter. The
 per-point stop rule finishes at min(trials, first trial reaching
 max-errors block errors), evaluating trials in index order.
 """
@@ -37,14 +39,18 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
               max_errors: int | None = None) -> dict:
     """Simulate one channel point; returns the summary row plus metadata.
 
-    Trials are evaluated in index order in chunks; once the cumulative
-    block-error count reaches max_errors the point is cut at exactly that
-    trial, so the result is identical to a sequential trial loop.
+    Trials are evaluated in index order in chunks, one decoder call per
+    chunk: _CHUNK trials, or _CHUNK // list_size for SCL, whose rows are
+    (trial, path) pairs. Once the cumulative block-error count reaches
+    max_errors the point is cut at exactly that trial, so the result is
+    identical to a sequential trial loop.
     """
     if decoder not in ("sc", "scc", "bpscc", "bpscc-sbj", "scl"):
         raise ValueError(f"unknown decoder {decoder!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} out of range")
+    if decoder == "scl" and list_size < 1:
+        raise ValueError("list size must be at least 1")
     a_cols = list(spec.A)
     err_flags = []
     dead_flags = []
@@ -52,9 +58,11 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     backjump_parts = []
     iters_total = 0
     checks_total = 0
+    # an SCL trial takes up to list_size rows of its chunk
+    chunk = max(1, _CHUNK // list_size) if decoder == "scl" else _CHUNK
     done = 0
     while done < trials:
-        ids = np.arange(done, min(done + _CHUNK, trials))
+        ids = np.arange(done, min(done + chunk, trials))
         msg = batch.sample_messages(spec, seed, ids)
         u, x = batch.encode_batch(spec, msg)
         erased = batch.sample_erasures(spec, p, seed, ids)
@@ -62,7 +70,13 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
         if decoder == "sc":
             out = batch.decode_sc_batch(spec, yp, seed, ids)
         elif decoder == "scl":
-            out = _decode_scl_chunk(spec, yp, list_size, seed, ids)
+            res = decode_scl(spec, planes.to_symbols(yp), list_size,
+                             seed=seed, trial=ids)
+            ones = np.ones(ids.size, dtype=np.int64)
+            out = batch.BatchOutcome(
+                success=res.success, u_hat=res.u_hat,
+                visits=res.visited_nodes, backjumps=np.zeros_like(ones),
+                iters_sum=ones, checks=ones)
         else:
             engine = "scc" if decoder == "scc" else "bp_scc"
             out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
@@ -105,25 +119,6 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
         "coin_misses": int((err & ~dead).sum()),
         "avg_backjumps": float(backjumps.mean()),
     }
-
-
-def _decode_scl_chunk(spec, yp, list_size, seed, ids) -> batch.BatchOutcome:
-    y_sym = planes.to_symbols(yp)
-    rows = y_sym.shape[0]
-    out = batch.BatchOutcome(
-        success=np.zeros(rows, dtype=bool),
-        u_hat=np.zeros((rows, spec.N), dtype=np.uint8),
-        visits=np.zeros(rows, dtype=np.int64),
-        backjumps=np.zeros(rows, dtype=np.int64),
-        iters_sum=np.ones(rows, dtype=np.int64),
-        checks=np.ones(rows, dtype=np.int64))
-    for r in range(rows):
-        res = decode_scl(spec, y_sym[r], list_size, seed=seed, trial=int(ids[r]))
-        out.success[r] = res.status == "success"
-        if res.u_hat is not None:
-            out.u_hat[r] = res.u_hat
-        out.visits[r] = res.visited_nodes
-    return out
 
 
 def emit_results(rows: list[dict], out_path: str | None, meta: dict) -> str:

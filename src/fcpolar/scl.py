@@ -1,102 +1,166 @@
 """Successive-cancellation list decoding on the BEC with random pruning.
 
 Paths fork wherever the SC recursion leaves an information bit erased and
-die on conflicts; when the list overflows the cap L, a uniformly random
-L-subset survives (instead of giving up), using a pruning RNG substream
-decoupled from the channel. The final pick among parity-consistent
-survivors is uniform as well. visited_nodes sums the list size over all N
-steps.
+die on conflicts; when a trial's list overflows the cap L, a uniformly
+random L-subset survives (instead of giving up), using a pruning RNG
+substream decoupled from the channel. The final pick among a trial's
+parity-consistent survivors is uniform as well. visited_nodes sums the
+trial's list size over the bits decoded; a trial whose list dies stops
+counting there.
 
-Per-path symbol planes live in the bitboard word layout, one row per
-path, and bitboard.refresh only recomputes the stages whose block
-actually moved at each bit, so a full decode costs about 2N stage blocks
-per path instead of N log N.
+One call decodes a batch of trials. The row axis is (trial, path): tid
+holds each row's trial, in ascending order, and within a trial the rows
+keep the list's path order. At an information bit a trial's candidates
+are its single paths, then its 0-forks, then its 1-forks, each in path
+order. A trial with more than L candidates keeps the L smallest priorities
+keyed_uniform_array(seed, STREAM_PRUNE, trial, i, candidate index), taken
+per trial by one sort on (tid, priority); equal priorities go to the lower
+candidate index, and two only tie if their 64-bit hashes agree in the top
+53 bits. Every draw is keyed by the trial id, so a trial's outcome does not
+depend on the rest of the batch.
+
+Per-path symbol planes live in the bitboard word layout, one row per path,
+and bitboard.refresh only recomputes the stages whose block moved at each
+bit. After a prune, a stage block is gathered onto the surviving rows only
+while it will still be read before it is recomputed; the channel block is
+taken from the trial's row when it is read. Committed bits are packed into
+uint64 words, so a dynamic frozen bit is the parity of its T column under
+the word mask.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .bitboard import pack_rows, refresh, update_partial_sums
+from .bitboard import pack_rows, refresh, unpack_rows, update_partial_sums
 from .codes import CodeSpec
-from .planes import Planes
+from .gf2 import mat_mul_f32
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
-from .search import DecodeOutcome
 
-__all__ = ["decode_scl"]
+__all__ = ["SclOutcome", "decode_scl"]
 
-_ONE = np.uint64(1)
+U64 = np.uint64
+_ONE = U64(1)
+
+
+@dataclass
+class SclOutcome:
+    success: np.ndarray        # (trials,) bool, a consistent path survived
+    u_hat: np.ndarray          # (trials, N) uint8, the pick; zeros on failure
+    visited_nodes: np.ndarray  # (trials,) int64, summed list sizes
 
 
 def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
-               trial: int = 0) -> DecodeOutcome:
+               trial=None) -> SclOutcome:
+    """List-decode each row of y, a (trials, N) or (N,) symbol array.
+
+    trial gives each row's trial id, the key of its random draws (an int for
+    a 1-D y; the default numbers the rows from 0).
+    """
     if L < 1:
         raise ValueError("list size must be at least 1")
-    y_sym = np.asarray(list(y))
-    if len(y_sym) != spec.N:
+    y = np.asarray(y)
+    if y.ndim == 1:
+        y = y[None, :]
+    if y.ndim != 2 or y.shape[1] != spec.N:
         raise ValueError("y must have length N")
-    n = spec.n
-    alpha: list[Planes | None] = [None] * (n + 1)
-    alpha[n] = tuple(pack_rows(y_sym[None, :] == s) for s in (1, 2, 3))
-    u = np.zeros((1, spec.N), dtype=np.uint8)
+    B, N, n = y.shape[0], spec.N, spec.n
+    trials = np.arange(B) if trial is None else np.atleast_1d(trial)
+    if trials.shape != (B,):
+        raise ValueError("need one trial id per row of y")
+    trials = trials.astype(U64)
+
+    channel = tuple(pack_rows(y == s) for s in (1, 2, 3))
+    alpha: list = [None] * (n + 1)
     ps: dict[int, np.ndarray] = {}
-    a_set = set(spec.A)
-    visited = 0
+    tid = np.arange(B)
+    u = np.zeros((B, -(-N // 64)), dtype=U64)
+    t_cols = pack_rows(np.triu(spec.T, 1).T)
+    dynamic = t_cols.any(axis=1)
+    info = np.zeros(N, dtype=bool)
+    info[list(spec.A)] = True
+    visited = np.zeros(B, dtype=np.int64)
 
-    for i in range(spec.N):
+    for i in range(N):
+        if i in (0, N >> 1):  # the only bits whose refresh reads alpha[n]
+            alpha[n] = tuple(p[tid] for p in channel)
         refresh(alpha, ps, i, n)
-        lv, le, lh = alpha[0]
-        val = (lv[:, 0] & _ONE).astype(bool)
-        erased = (le[:, 0] & _ONE).astype(bool)
-        conflict = (lh[:, 0] & _ONE).astype(bool)
-
-        if i in a_set:
-            fork = erased & ~conflict
-            single = ~erased & ~conflict
-            keep_idx = np.concatenate([np.flatnonzero(single),
-                                       np.flatnonzero(fork), np.flatnonzero(fork)])
-            new_vals = np.concatenate([
-                val[single].astype(np.uint8),
-                np.zeros(fork.sum(), dtype=np.uint8),
-                np.ones(fork.sum(), dtype=np.uint8)])
+        # a stage-0 word is one symbol, 0 or 1 in each plane
+        val, erased, conflict = (p[:, 0] for p in alpha[0])
+        forks = info[i] and erased.any()
+        if forks:
+            single = np.flatnonzero((erased | conflict) == 0)
+            fork = np.flatnonzero(erased & ~conflict)
+            src = np.concatenate([single, fork, fork])
+            bits = np.concatenate([val[single], np.zeros(fork.size, U64),
+                                   np.ones(fork.size, U64)])
+            order = np.argsort(tid[src], kind="stable")
+            src, bits = src[order], bits[order]
         else:
-            col = spec.T[:i, i]
-            if i and col.any():
-                forced = ((u[:, :i].astype(np.int64) @ col.astype(np.int64)) & 1
-                          ).astype(np.uint8)
-            else:
-                forced = np.zeros(u.shape[0], dtype=np.uint8)
-            dead = conflict | (~erased & (val != forced.astype(bool)))
-            keep_idx = np.flatnonzero(~dead)
-            new_vals = forced[keep_idx]
+            live = conflict == 0
+            if not info[i]:
+                forced = np.zeros_like(val)
+                if dynamic[i]:
+                    forced = np.bitwise_count(u & t_cols[i]).sum(
+                        axis=1, dtype=U64) & _ONE
+                live &= (erased != 0) | (val == forced)
+                val = forced
+            src = np.flatnonzero(live)
+            bits = val[src]
 
-        if keep_idx.size == 0:
-            return DecodeOutcome(status="failure", u_hat=None,
-                                 visited_nodes=visited, backjumps=0)
-        if keep_idx.size > L:
-            rows = keep_idx.size
-            priority = keyed_uniform_array(
-                seed, np.full(rows, STREAM_PRUNE), np.full(rows, trial),
-                np.full(rows, i), np.arange(rows))
-            keep = np.sort(np.argsort(priority)[:L])
-            keep_idx = keep_idx[keep]
-            new_vals = new_vals[keep]
-        u = u[keep_idx]
-        u[:, i] = new_vals
-        for t in range(n + 1):
-            p = alpha[t]
-            alpha[t] = (p[0][keep_idx], p[1][keep_idx], p[2][keep_idx])
-        for t in list(ps):
-            ps[t] = ps[t][keep_idx]
-        update_partial_sums(ps, i, new_vals)
-        visited += u.shape[0]
+        ctid = tid[src]
+        counts = np.bincount(ctid, minlength=B)
+        if counts.max(initial=0) > L:
+            keep = _prune(seed, trials, i, ctid, counts, L)
+            src, bits, ctid = src[keep], bits[keep], ctid[keep]
+            counts = np.minimum(counts, L)
+        visited += counts
+        if src.size == 0:
+            return SclOutcome(success=np.zeros(B, dtype=bool),
+                              u_hat=np.zeros((B, N), dtype=np.uint8),
+                              visited_nodes=visited)
+        if forks or src.size < tid.size:  # else src is every row, in order
+            tid = ctid
+            u = u[src]
+            # stage t is read by the first later refresh at a bit
+            # i' = 2^(t-1) mod 2^t unless one at i' = 0 mod 2^t recomputes
+            # it first; ps[t] is read later only while bit t of i is set
+            for t in range(1, n):
+                if 0 < (i + 1) % (1 << t) <= 1 << (t - 1):
+                    alpha[t] = tuple(p[src] for p in alpha[t])
+            for t in ps:
+                if (i >> t) & 1:
+                    ps[t] = ps[t][src]
+        u[:, i >> 6] |= bits << U64(i & 63)
+        update_partial_sums(ps, i, bits)
 
-    ok = (u.astype(np.int64) @ spec.H_prime.astype(np.int64) % 2 == 0).all(axis=1)
-    survivors = np.flatnonzero(ok)
-    if survivors.size == 0:
-        return DecodeOutcome(status="failure", u_hat=None,
-                             visited_nodes=visited, backjumps=0)
-    pick = survivors[int(keyed_array(seed, STREAM_PRUNE, trial, spec.N, 0)
-                         % np.uint64(survivors.size))]
-    return DecodeOutcome(status="success", u_hat=u[pick].copy(),
-                         visited_nodes=visited, backjumps=0)
+    words = unpack_rows(u, N)
+    good = np.flatnonzero(~mat_mul_f32(words, spec.H_prime).any(axis=1))
+    survivors = np.bincount(tid[good], minlength=B)
+    success = survivors > 0
+    won = np.flatnonzero(success)
+    pick = (keyed_array(seed, STREAM_PRUNE, trials[won], N, 0)
+            % survivors[won].astype(U64)).astype(np.int64)
+    first = np.cumsum(survivors) - survivors
+    u_hat = np.zeros((B, N), dtype=np.uint8)
+    u_hat[won] = words[good[first[won] + pick]]
+    return SclOutcome(success=success, u_hat=u_hat, visited_nodes=visited)
+
+
+def _prune(seed: int, trials: np.ndarray, i: int, ctid: np.ndarray,
+           counts: np.ndarray, L: int) -> np.ndarray:
+    """Keep mask over the candidates (sorted by trial, candidate order
+    within a trial): each trial with more than L keeps its L smallest
+    keyed priorities."""
+    keep = np.ones(ctid.size, dtype=bool)
+    over = np.flatnonzero(counts[ctid] > L)
+    otid = ctid[over]
+    cand = over - (np.cumsum(counts) - counts)[otid]
+    priority = keyed_uniform_array(seed, STREAM_PRUNE, trials[otid], i, cand)
+    order = np.lexsort((priority, otid))
+    # otid is sorted, so the k-th entry in (trial, priority) order has the
+    # k-th entry's trial and rank cand[k] within it
+    keep[over[order[cand >= L]]] = False
+    return keep

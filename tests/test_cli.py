@@ -30,10 +30,25 @@ def test_simulate_csv_reproducible(tmp_path):
 
 
 def test_chunking_does_not_change_results(nr16, monkeypatch):
-    ref = cli.run_point(nr16, "scc", 0.45, 500, seed=3, i_max=1)
-    monkeypatch.setattr(cli, "_CHUNK", 7)
-    small = cli.run_point(nr16, "scc", 0.45, 500, seed=3, i_max=1)
+    # an SCL chunk holds _CHUNK // list_size trials: one trial at _CHUNK = 3
+    cases = [("scc", 500, {}), ("sc", 150, {}), ("scl", 150, {"list_size": 4}),
+             ("scl", 150, {"list_size": 2, "max_errors": 10})]
+    ref = [cli.run_point(nr16, d, 0.45, n, seed=3, **kw) for d, n, kw in cases]
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    small = [cli.run_point(nr16, d, 0.45, n, seed=3, **kw)
+             for d, n, kw in cases]
     assert ref == small
+    assert ref[-1]["errors"] == 10
+
+
+def test_scl_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    argv = ["simulate", "--n", "4", "--k", "6", "--crc", "none",
+            "--decoder", "scl", "--list-size", "3", "--p-grid", "0.4:0.5:0.05",
+            "--trials", "100", "--seed", "5", "--out"]
+    assert _run(argv + [str(tmp_path / "a.csv")]) == 0
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    assert _run(argv + [str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_max_errors_cuts_like_sequential_loop(nr16):
@@ -52,6 +67,8 @@ def test_run_point_validation(nr16):
         cli.run_point(nr16, "viterbi", 0.5, 10, seed=0)
     with pytest.raises(ValueError):
         cli.run_point(nr16, "sc", 1.5, 10, seed=0)
+    with pytest.raises(ValueError):
+        cli.run_point(nr16, "scl", 0.5, 10, seed=0, list_size=0)
 
 
 def test_parse_grid():

@@ -4,7 +4,9 @@ engine must not move them.
 The rows were recorded before the check engines shared one stage sweep.
 Each decoder runs at N=64, 128 and 256 (NR codes, CRC11, SCL with L=8) on
 points where rows dead-end and, under SBJ, backjump; every field is compared
-exactly, floats included, so any changed trial outcome shows.
+exactly, floats included, so any changed trial outcome shows. The SCL rows
+at L = 1 to 32 and N up to 1024 were recorded before the list decode was
+batched across trials.
 
 The density-evolution outputs were recorded before the PMFs became (m, 4)
 arrays with one batched FCCN round: P_B exactly, and the per-bit values
@@ -68,6 +70,36 @@ PINNED = [
      1.0, 4, 1, 1, 0, 0.0)),
 ]
 
+# SCL rows at list sizes 1, 4, 8 and 32 (NR codes, CRC11), recorded before
+# the list decode ran on (trial, path) rows: on every point some list
+# overflows and some whole list dies, the L=8 row has coin misses, and the
+# last row is cut by max_errors.
+# ((N, K, list_size, p, trials, seed, max_errors), row values in FIELDS order)
+PINNED_SCL = [
+    ((64, 32, 1, 0.35, 24, 1, None), (0.35, 0.7916666666666666,
+     0.08289816934939807, 43.0, 1.0, 24, 19, 19, 0, 0.0)),
+    ((64, 32, 4, 0.4, 24, 1, None), (0.4, 0.5416666666666666,
+     0.10170707302692229, 135.20833333333334, 1.0, 24, 13, 13, 0, 0.0)),
+    ((64, 32, 32, 0.45, 24, 1, None), (0.45, 0.4583333333333333,
+     0.10170707302692229, 836.7083333333334, 1.0, 24, 11, 11, 0, 0.0)),
+    ((64, 32, 8, 0.5, 48, 1, None), (0.5, 0.8958333333333334,
+     0.04409175381666768, 316.0416666666667, 1.0, 48, 43, 41, 2, 0.0)),
+    ((256, 128, 1, 0.35, 24, 1, None), (0.35, 0.20833333333333334,
+     0.08289816934939807, 215.58333333333334, 1.0, 24, 5, 5, 0, 0.0)),
+    ((256, 128, 4, 0.4, 24, 1, None), (0.4, 0.3333333333333333,
+     0.09622504486493763, 307.2916666666667, 1.0, 24, 8, 8, 0, 0.0)),
+    ((256, 128, 32, 0.45, 24, 1, None), (0.45, 0.3333333333333333,
+     0.09622504486493763, 1816.2916666666667, 1.0, 24, 8, 8, 0, 0.0)),
+    ((1024, 512, 1, 0.4, 24, 1, None), (0.4, 0.5833333333333334,
+     0.10063456073742666, 599.125, 1.0, 24, 14, 14, 0, 0.0)),
+    ((1024, 512, 4, 0.42, 24, 1, None), (0.42, 0.20833333333333334,
+     0.08289816934939807, 1082.7083333333333, 1.0, 24, 5, 5, 0, 0.0)),
+    ((1024, 512, 32, 0.45, 24, 1, None), (0.45, 0.375, 0.09882117688026186,
+     3082.75, 1.0, 24, 9, 9, 0, 0.0)),
+    ((64, 32, 4, 0.4, 200, 2, 5), (0.4, 0.8333333333333334,
+     0.15214515486254612, 140.33333333333334, 1.0, 6, 5, 5, 0, 0.0)),
+]
+
 # ((N, K, decoder, p), (P_B, first 32 hex digits of SHA-256 of P_b(i)))
 PINNED_DE = [
     ((64, 32, 'sc', 0.3), (0.6669394018473959, 'c0e110045c21ff7dbb6d0d6827ba3e80')),
@@ -102,6 +134,15 @@ def test_run_point_rows_are_pinned(case, row):
     spec = _spec(N, K)
     assert run_point(spec, decoder, p, trials, seed, i_max=i_max,
                      list_size=8) == dict(zip(FIELDS, row))
+
+
+@pytest.mark.parametrize("case,row", PINNED_SCL, ids=[
+    f"scl-N{c[0]}-L{c[2]}-p{c[3]}" + ("-cut" if c[6] else "")
+    for c, _ in PINNED_SCL])
+def test_scl_rows_are_pinned(case, row):
+    N, K, list_size, p, trials, seed, max_errors = case
+    assert run_point(_spec(N, K), "scl", p, trials, seed, list_size=list_size,
+                     max_errors=max_errors) == dict(zip(FIELDS, row))
 
 
 @pytest.mark.parametrize("case,pinned", PINNED_DE, ids=[

@@ -2,10 +2,150 @@
 import numpy as np
 import pytest
 
-from fcpolar.codes import encode, input_word
+from fcpolar import batch, planes
+from fcpolar.bitboard import pack_rows, refresh, update_partial_sums
+from fcpolar.codes import build_nr_code, encode, input_word
 from fcpolar.gf2 import gf2_rank, kron_power, mat_mul
+from fcpolar.rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 from fcpolar.scl import decode_scl
 from fcpolar.symbols import ERASURE
+
+_ONE = np.uint64(1)
+
+
+def reference_scl(spec, y, L, seed, trial):
+    """One trial's list decode, the list held as rows of one batch.
+
+    The oracle of the batched decoder: candidates in the order single
+    paths, 0-forks, 1-forks; an overflowing list keeps the L smallest
+    keyed priorities. Returns (success, u_hat or None, visited, whether
+    the list ever overflowed).
+    """
+    n = spec.n
+    alpha = [None] * (n + 1)
+    alpha[n] = tuple(pack_rows(np.asarray(y)[None, :] == s) for s in (1, 2, 3))
+    u = np.zeros((1, spec.N), dtype=np.uint8)
+    ps = {}
+    a_set = set(spec.A)
+    visited = 0
+    overflowed = False
+
+    for i in range(spec.N):
+        refresh(alpha, ps, i, n)
+        lv, le, lh = alpha[0]
+        val = (lv[:, 0] & _ONE).astype(bool)
+        erased = (le[:, 0] & _ONE).astype(bool)
+        conflict = (lh[:, 0] & _ONE).astype(bool)
+
+        if i in a_set:
+            fork = erased & ~conflict
+            single = ~erased & ~conflict
+            keep_idx = np.concatenate([np.flatnonzero(single),
+                                       np.flatnonzero(fork), np.flatnonzero(fork)])
+            new_vals = np.concatenate([
+                val[single].astype(np.uint8),
+                np.zeros(fork.sum(), dtype=np.uint8),
+                np.ones(fork.sum(), dtype=np.uint8)])
+        else:
+            col = spec.T[:i, i]
+            if i and col.any():
+                forced = ((u[:, :i].astype(np.int64) @ col.astype(np.int64)) & 1
+                          ).astype(np.uint8)
+            else:
+                forced = np.zeros(u.shape[0], dtype=np.uint8)
+            dead = conflict | (~erased & (val != forced.astype(bool)))
+            keep_idx = np.flatnonzero(~dead)
+            new_vals = forced[keep_idx]
+
+        if keep_idx.size == 0:
+            return False, None, visited, overflowed
+        if keep_idx.size > L:
+            overflowed = True
+            rows = keep_idx.size
+            priority = keyed_uniform_array(
+                seed, np.full(rows, STREAM_PRUNE), np.full(rows, trial),
+                np.full(rows, i), np.arange(rows))
+            keep = np.sort(np.argsort(priority, kind="stable")[:L])
+            keep_idx = keep_idx[keep]
+            new_vals = new_vals[keep]
+        u = u[keep_idx]
+        u[:, i] = new_vals
+        for t in range(n + 1):
+            p = alpha[t]
+            alpha[t] = (p[0][keep_idx], p[1][keep_idx], p[2][keep_idx])
+        for t in list(ps):
+            ps[t] = ps[t][keep_idx]
+        update_partial_sums(ps, i, new_vals)
+        visited += u.shape[0]
+
+    ok = (u.astype(np.int64) @ spec.H_prime.astype(np.int64) % 2 == 0).all(axis=1)
+    survivors = np.flatnonzero(ok)
+    if survivors.size == 0:
+        return False, None, visited, overflowed
+    pick = survivors[int(keyed_array(seed, STREAM_PRUNE, trial, spec.N, 0)
+                         % np.uint64(survivors.size))]
+    return True, u[pick].copy(), visited, overflowed
+
+
+_CODES = {
+    "ex1": None,
+    "nr16": None,
+    "nr128": (128, 64),
+    "nr256": (256, 128),
+}
+
+
+@pytest.fixture(scope="module")
+def codes(ex1, nr16):
+    built = {name: build_nr_code(*size) for name, size in _CODES.items()
+             if size}
+    return {**built, "ex1": ex1, "nr16": nr16}
+
+
+def _mixed_batch(spec, seed, light, heavy):
+    """Channel outputs whose trials overflow the list, never fork, or die.
+
+    Five row kinds, five rows each, shuffled: erased at the light rate; at
+    the heavy rate; not erased; not erased with the last position flipped,
+    which flips every input bit, so the list dies at bit 0; erased at the
+    light rate with the last position flipped. Trial ids are distinct and
+    not in row order.
+    """
+    rng = np.random.default_rng(seed)
+    kind = rng.permutation(np.arange(25) % 5)
+    ids = rng.permutation(1000)[:25]
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, ids))
+    rate = np.array([light, heavy, 0.0, 0.0, light])[kind]
+    erased = rng.random(x.shape) < rate[:, None]
+    flip = kind >= 3
+    erased[flip, -1] = False
+    x[flip, -1] ^= 1
+    return planes.to_symbols(batch.channel_planes(x, erased)), ids
+
+
+@pytest.mark.parametrize("name,light,heavy", [
+    ("ex1", 0.5, 0.75), ("nr16", 0.5, 0.75), ("nr128", 0.3, 0.4),
+    ("nr256", 0.3, 0.4)])
+@pytest.mark.parametrize("L", [1, 2, 8, "2^K"])
+def test_batch_matches_per_trial_reference(codes, name, light, heavy, L):
+    spec = codes[name]
+    L = 2 ** spec.K if L == "2^K" else L
+    y, ids = _mixed_batch(spec, spec.N + len(str(L)), light, heavy)
+    out = decode_scl(spec, y, L, seed=11, trial=ids)
+    visited, overflowed = [], []
+    for r in range(len(ids)):
+        ok, u_hat, v, over = reference_scl(spec, y[r], L, seed=11,
+                                           trial=int(ids[r]))
+        visited.append(v)
+        overflowed.append(over)
+        assert out.success[r] == ok
+        assert out.visited_nodes[r] == v
+        expect = u_hat if ok else np.zeros(spec.N, dtype=np.uint8)
+        assert np.array_equal(out.u_hat[r], expect)
+    # the batch mixes trials that never fork, die early, and overflow
+    assert spec.N in visited
+    assert 0 in visited
+    assert any(overflowed) == (L < 2 ** spec.K)
 
 
 def _message_to_codeword_map(spec):
@@ -13,25 +153,34 @@ def _message_to_codeword_map(spec):
     return mat_mul(embed, mat_mul(spec.T, kron_power(spec.n)))
 
 
+def _received(spec, rng, p, count):
+    """count (message, erasure mask, y) draws, one trial at a time."""
+    msgs, ers, ys = [], [], []
+    for _ in range(count):
+        msg = rng.integers(0, 2, size=spec.K).astype(np.uint8)
+        x = encode(spec, msg)
+        er = rng.random(spec.N) < p
+        msgs.append(msg)
+        ers.append(er)
+        ys.append(np.where(er, ERASURE, x).astype(np.uint8))
+    return msgs, ers, np.array(ys)
+
+
 def test_noiseless_exact_single_path(ex1, all_ex1_messages):
-    for msg in all_ex1_messages:
-        out = decode_scl(ex1, encode(ex1, msg), L=8)
-        assert out.status == "success"
-        assert np.array_equal(out.u_hat, input_word(ex1, msg))
-        # the list never forks without erasures: one path, N steps
-        assert out.visited_nodes == ex1.N
+    y = np.array([encode(ex1, msg) for msg in all_ex1_messages])
+    out = decode_scl(ex1, y, L=8)
+    assert out.success.all()
+    for msg, u_hat in zip(all_ex1_messages, out.u_hat):
+        assert np.array_equal(u_hat, input_word(ex1, msg))
+    # the list never forks without erasures: one path, N steps
+    assert (out.visited_nodes == ex1.N).all()
 
 
 def test_success_is_valid_input_word(nr16):
-    rng = np.random.default_rng(1)
-    for t in range(100):
-        msg = rng.integers(0, 2, size=nr16.K).astype(np.uint8)
-        x = encode(nr16, msg)
-        er = rng.random(nr16.N) < 0.5
-        y = np.where(er, ERASURE, x).astype(np.uint8)
-        out = decode_scl(nr16, y, L=4, seed=2, trial=t)
-        if out.status == "success":
-            assert not mat_mul(out.u_hat[None, :], nr16.H_prime).any()
+    _, _, y = _received(nr16, np.random.default_rng(1), 0.5, 100)
+    out = decode_scl(nr16, y, L=4, seed=2, trial=np.arange(100))
+    assert out.success.any()
+    assert not mat_mul(out.u_hat[out.success], nr16.H_prime).any()
 
 
 def test_unpruned_list_is_maximum_likelihood(nr16):
@@ -40,16 +189,12 @@ def test_unpruned_list_is_maximum_likelihood(nr16):
     # with probability 2^-d, d the rank deficiency of the message map
     # restricted to unerased positions
     M = _message_to_codeword_map(nr16)
-    rng = np.random.default_rng(3)
+    msgs, ers, y = _received(nr16, np.random.default_rng(3), 0.45, 400)
+    out = decode_scl(nr16, y, L=64, seed=5, trial=np.arange(400))
     hits, mean, var = 0, 0.0, 0.0
-    for t in range(400):
-        msg = rng.integers(0, 2, size=nr16.K).astype(np.uint8)
-        x = encode(nr16, msg)
-        er = rng.random(nr16.N) < 0.45
-        y = np.where(er, ERASURE, x).astype(np.uint8)
-        out = decode_scl(nr16, y, L=64, seed=5, trial=t)
-        ok = out.status == "success" and np.array_equal(out.u_hat,
-                                                        input_word(nr16, msg))
+    for t, (msg, er) in enumerate(zip(msgs, ers)):
+        ok = out.success[t] and np.array_equal(out.u_hat[t],
+                                               input_word(nr16, msg))
         d = nr16.K - gf2_rank(M[:, ~er])
         q = 2.0 ** (-d)
         hits += ok
@@ -59,30 +204,20 @@ def test_unpruned_list_is_maximum_likelihood(nr16):
 
 
 def test_pruning_only_hurts(nr16):
-    rng = np.random.default_rng(4)
-    wins = {2: 0, 64: 0}
-    for t in range(300):
-        msg = rng.integers(0, 2, size=nr16.K).astype(np.uint8)
-        x = encode(nr16, msg)
-        er = rng.random(nr16.N) < 0.45
-        y = np.where(er, ERASURE, x).astype(np.uint8)
-        u = input_word(nr16, msg)
-        for L in wins:
-            out = decode_scl(nr16, y, L=L, seed=6, trial=t)
-            wins[L] += (out.status == "success"
-                        and np.array_equal(out.u_hat, u))
+    msgs, _, y = _received(nr16, np.random.default_rng(4), 0.45, 300)
+    u = np.array([input_word(nr16, msg) for msg in msgs])
+    wins = {}
+    for L in (2, 64):
+        out = decode_scl(nr16, y, L=L, seed=6, trial=np.arange(300))
+        wins[L] = int((out.success & (out.u_hat == u).all(axis=1)).sum())
     assert wins[64] >= wins[2]
 
 
 def test_visits_sum_list_sizes(nr16):
-    rng = np.random.default_rng(7)
-    for t in range(50):
-        msg = rng.integers(0, 2, size=nr16.K).astype(np.uint8)
-        x = encode(nr16, msg)
-        er = rng.random(nr16.N) < 0.5
-        y = np.where(er, ERASURE, x).astype(np.uint8)
-        out = decode_scl(nr16, y, L=4, seed=8, trial=t)
-        assert nr16.N <= out.visited_nodes <= nr16.N * 4
+    _, _, y = _received(nr16, np.random.default_rng(7), 0.5, 50)
+    out = decode_scl(nr16, y, L=4, seed=8, trial=np.arange(50))
+    visited = out.visited_nodes
+    assert ((nr16.N <= visited) & (visited <= nr16.N * 4)).all()
 
 
 def test_deterministic_per_trial(nr16):
@@ -90,10 +225,11 @@ def test_deterministic_per_trial(nr16):
     x = encode(nr16, msg)
     y = np.where(np.arange(16) % 2 == 0, ERASURE, x).astype(np.uint8)
     a = decode_scl(nr16, y, L=4, seed=9, trial=3)
-    b = decode_scl(nr16, y, L=4, seed=9, trial=3)
-    assert a.status == b.status and a.visited_nodes == b.visited_nodes
-    if a.status == "success":
-        assert np.array_equal(a.u_hat, b.u_hat)
+    b = decode_scl(nr16, np.stack([x, y, y]), L=4, seed=9,
+                   trial=np.array([7, 3, 5]))
+    assert a.success[0] == b.success[1]
+    assert a.visited_nodes[0] == b.visited_nodes[1]
+    assert np.array_equal(a.u_hat[0], b.u_hat[1])
 
 
 def test_all_paths_dead_is_failure(ex1):
@@ -102,7 +238,8 @@ def test_all_paths_dead_is_failure(ex1):
     y = encode(ex1, msg)
     y[7] ^= 1  # not a codeword any more
     out = decode_scl(ex1, y, L=8)
-    assert out.status == "failure"
+    assert not out.success[0]
+    assert not out.u_hat.any()
 
 
 def test_bad_list_size_rejected(ex1):
@@ -110,3 +247,5 @@ def test_bad_list_size_rejected(ex1):
         decode_scl(ex1, np.zeros(8, dtype=np.uint8), L=0)
     with pytest.raises(ValueError):
         decode_scl(ex1, np.zeros(4, dtype=np.uint8), L=2)
+    with pytest.raises(ValueError):
+        decode_scl(ex1, np.zeros((3, 8), dtype=np.uint8), L=2, trial=[0, 1])
