@@ -7,8 +7,8 @@ join, refresh and update_partial_sums are the whole layout: the SC
 recursion of batch.decode_sc_batch and of scl runs on it for any N, with
 the planes.plus / plus_bits / dot operators applied to words.
 
-check_batch64 is the sweep and verdict of every batched hypothesis check
-(SCC, BP-SCC and the lockstep stack search), at every N. Its caller,
+check_batch64 is the sweep and verdict of every hypothesis check that the
+batched stack search of SCC and BP-SCC runs, at every N. Its caller,
 batch._check_batch, hands it the FCCN round of each stage; both rounds take
 and return word triples and end in merge_round. _fccn_pass64 is the round
 for N <= 64: bitwise_counts under each check's member masks give its parity

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, batch, bounds, de, oracle, planes
+from . import __version__, batch, de, planes
 from .codes import CodeSpec, build_example1, build_nr_code
 from .constraints import future_constraints
 from .gf2 import format_matrix, mat_mul
@@ -259,6 +259,7 @@ def _cmd_de(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
     N, K = _code_size(args)
     if K > N:
         raise ValueError(f"K = {K} exceeds N = {N}")
@@ -271,6 +272,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_mlbound(args) -> int:
+    from . import bounds
     spec = _build_spec(args)
     lines = ["p,ml_bound,trials"]
     for p in args.p_grid:
@@ -281,6 +283,7 @@ def _cmd_mlbound(args) -> int:
 
 
 def _cmd_toy_compare(args) -> int:
+    from . import oracle
     spec = build_example1()
     ids = np.arange(args.trials)
     msg = batch.sample_messages(spec, args.seed, ids)

@@ -127,7 +127,17 @@ def attached_systems(spec: CodeSpec, ell: int, t: int,
     next one, which the stage-t sweep never touches, so the affected
     columns surface at the first stage whose block reaches past ell.
     """
-    return _build_system(spec, ell, t, hypothesis_prefix)
+    i = ell + 1
+    cols, Q, offset_rows = system_structure(spec, ell, t)
+    vn_of = check_lists(spec, ell, t)[0]
+    prefix = np.asarray(hypothesis_prefix, dtype=np.uint8)
+    if prefix.shape != (i,):
+        raise ValueError(f"hypothesis prefix must cover indices 0..{ell}")
+    phi = mat_mul(prefix[None, :], offset_rows)[0] if cols else np.zeros(0, dtype=np.uint8)
+    for j, neighbors in enumerate(vn_of):
+        if not neighbors and phi[j]:
+            raise AssertionError("degenerate instant system with nonzero offset")
+    return InstantConstraintSystem(t=t, cols=cols, Q=Q, phi=phi, vn_of=vn_of)
 
 
 def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
@@ -169,17 +179,3 @@ def check_lists(spec: CodeSpec, ell: int, t: int) -> tuple:
         Q = system_structure(spec, ell, t)[1]
         spec._cache[key] = (_row_supports(Q.T), _row_supports(Q))
     return spec._cache[key]
-
-
-def _build_system(spec, ell, t, hypothesis_prefix) -> InstantConstraintSystem:
-    i = ell + 1
-    cols, Q, offset_rows = system_structure(spec, ell, t)
-    vn_of = check_lists(spec, ell, t)[0]
-    prefix = np.asarray(hypothesis_prefix, dtype=np.uint8)
-    if prefix.shape != (i,):
-        raise ValueError(f"hypothesis prefix must cover indices 0..{ell}")
-    phi = mat_mul(prefix[None, :], offset_rows)[0] if cols else np.zeros(0, dtype=np.uint8)
-    for j, neighbors in enumerate(vn_of):
-        if not neighbors and phi[j]:
-            raise AssertionError("degenerate instant system with nonzero offset")
-    return InstantConstraintSystem(t=t, cols=cols, Q=Q, phi=phi, vn_of=vn_of)

@@ -1,13 +1,15 @@
-"""Sequential estimation over the binary decision tree.
+"""Sequential estimation over the binary decision tree, one trial at a time.
 
 decode_sc walks the tree once, committing every level; decode_with_fc runs
 the hypothesis-check traversal shared by SCC and BP-SCC, optionally with
-stack-based backjumping (SBJ). Node visits are counted as decision-tree
-levels traversed: a check of H_{i,b} walks the levels from just past the
-previous processing index through ell_i, so a full pass over the block
-touches all N levels and the opportunistic scheme averages 3N/2 checks'
-worth of levels on a noiseless channel. A resumed checkpoint costs one
-visit.
+stack-based backjumping (SBJ). They are the scalar references: the batch
+engines (batch.decode_sc_batch and the stack search behind
+batch.decode_fc_batch) are tested against them row by row. Node visits
+are counted as decision-tree levels traversed: a check of H_{i,b} walks
+the levels from just past the previous processing index through ell_i,
+so a full pass over the block touches all N levels and the opportunistic
+scheme averages 3N/2 checks' worth of levels on a noiseless channel. A
+resumed checkpoint costs one visit.
 """
 
 from __future__ import annotations

@@ -50,8 +50,76 @@ def test_fc_batch_matches_scalar(ex1, nr16, engine, i_max, sbj):
                                  sbj=sbj, seed=2, trial=t)
             assert out.success[t] == (ref.status == "success"), (spec.N, t)
             assert out.visits[t] == ref.visited_nodes, (spec.N, t)
+            assert out.backjumps[t] == ref.backjumps, (spec.N, t)
             if ref.status == "success":
                 assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
+
+
+def _nr_batch(N, K, p, seed, trials):
+    """A keyed NR + CRC11 batch: (spec, channel planes)."""
+    spec = build_nr_code(N, K)
+    trials = np.asarray(trials)
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))
+    return spec, batch.channel_planes(
+        x, batch.sample_erasures(spec, p, seed, trials))
+
+
+@pytest.mark.parametrize("engine,i_max,sbj", [
+    ("scc", 1, False),
+    ("bp_scc", 1, False),
+    ("bp_scc", 3, False),
+    ("bp_scc", 3, True),
+])
+@pytest.mark.parametrize("N,K,trials", [
+    (128, 64, range(6)),
+    (256, 128, [0, 1, 5, 10]),
+])
+def test_search_matches_scalar_on_longer_codes(N, K, trials, engine, i_max,
+                                               sbj):
+    # Past N=64 the checks take the BLAS round. Each batch has rows that
+    # fail both hypotheses at some bit: without sbj they fail with an empty
+    # stack, with sbj they backjump.
+    spec, yp = _nr_batch(N, K, 0.35, 0, trials)
+    rows = planes.to_symbols(yp)
+    out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max, sbj=sbj)
+    assert out.backjumps.any() if sbj else not out.success.all()
+    for r, t in enumerate(trials):
+        ref = decode_with_fc(spec, rows[r], engine=engine, i_max=i_max,
+                             sbj=sbj, trial=t)
+        key = (engine, i_max, sbj, t)
+        assert out.success[r] == (ref.status == "success"), key
+        assert out.visits[r] == ref.visited_nodes, key
+        assert out.backjumps[r] == ref.backjumps, key
+        if ref.status == "success":
+            assert np.array_equal(out.u_hat[r], ref.u_hat), key
+
+
+@pytest.mark.parametrize("sbj", [False, True])
+@pytest.mark.parametrize("N,K,p,T", [(64, 32, 0.3, 32), (256, 128, 0.35, 16)])
+def test_outcomes_do_not_depend_on_batch_makeup(N, K, p, T, sbj):
+    # The same rows as one batch, in reverse order and as two halves: rows
+    # that wait for others, or are decoded alone, take the same path.
+    spec, yp = _nr_batch(N, K, p, 0, np.arange(T))
+
+    def decode(order):
+        out = batch.decode_fc_batch(spec, tuple(pl[order] for pl in yp),
+                                    i_max=3, sbj=sbj)
+        back = np.argsort(order)
+        return {f: getattr(out, f)[back] for f in (
+            "success", "u_hat", "visits", "backjumps", "iters_sum", "checks")}
+
+    rows = np.arange(T)
+    whole = decode(rows)
+    assert whole["backjumps"].any() if sbj else not whole["success"].all()
+    halves = [decode(rows[:T // 2]), decode(rows[T // 2:])]
+    split = {f: np.concatenate([h[f] for h in halves]) for f in whole}
+    for got in (decode(rows[::-1]), split):
+        for f, want in whole.items():
+            if f == "u_hat":
+                ok = whole["success"]
+                assert np.array_equal(got[f][ok], want[ok]), (N, f)
+            else:
+                assert np.array_equal(got[f], want), (N, f)
 
 
 def _round_maps(spec, ubuf, ell):
@@ -113,8 +181,8 @@ def test_check_engines_agree(ex1, nr16, nr64):
     (256, 128, 0.35, 3, 0),
 ])
 def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed):
-    # Each case has rows that dead-end in the straight-line pass, so the
-    # packed lockstep search (N=64) or the scalar fallback (N>64) runs.
+    # Each case has rows that fail both hypotheses at some bit, so the
+    # batched stack search backjumps, at N=64 and past it alike.
     spec = build_nr_code(N, K)
     trials = np.arange(T)
     _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))

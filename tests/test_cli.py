@@ -1,5 +1,8 @@
 """Command-line harness: reproducibility, config layering, output formats."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,29 @@ from fcpolar.codes import build_nr_code
 
 def _run(argv):
     return cli.main(argv)
+
+
+def test_cli_import_leaves_scipy_stats_and_special_out(tmp_path):
+    # Only bounds, mlbound and toy-compare need scipy.stats/scipy.special;
+    # importing the CLI must not load them, and those commands must still
+    # load what they need when run.
+    script = f"""
+import sys
+import fcpolar.cli as cli
+loaded = [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]
+assert not loaded, loaded
+assert cli.main(["bounds", "--n", "4", "--k", "8", "--p-grid", "0.3",
+                 "--out", {str(tmp_path / "b.csv")!r}]) == 0
+assert cli.main(["toy-compare", "--esn0-grid", "2.0", "--trials", "20",
+                 "--out", {str(tmp_path / "t.csv")!r}]) == 0
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "b.csv").read_text().startswith("p,dt,mc\n")
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 2
 
 
 def test_simulate_csv_reproducible(tmp_path):
