@@ -11,10 +11,10 @@ advances the SC recursion on the word layout at every bit, and a keyed
 coin decides wherever the leaf is erased or in conflict.
 SCC and BP-SCC, with or without stack-based backjumping (SBJ), are one
 stack search over all rows (_dfs_recover64); without SBJ every stack
-stays empty. Its hypothesis checks go through _check_batch, which sets up
-each stage's FCCN round and runs bitboard.check_batch64, the one stage
-sweep, on the packed channel words. search.decode_with_fc is the scalar
-reference the search is tested against.
+stays empty. Each search step checks both hypotheses of its rows in one
+_check_batch call, which binds each stage's memoized FCCN round and runs
+bitboard.check_batch64, the one stage sweep, on the packed channel words.
+search.decode_with_fc is the scalar reference the search is tested against.
 """
 
 from __future__ import annotations
@@ -128,32 +128,53 @@ def _fccn_pass_batch(state: planes.Planes, Q: np.ndarray,
     return bitboard.merge_round(state, *hits.reshape(3, *state[0].shape))
 
 
+def _round_plan(spec: CodeSpec, ell: int):
+    """The FCCN rounds of a check at processing index ell, memoized.
+
+    Returns ([(t, operand)] for every stage t that holds future constraints,
+    their offset rows side by side, the column bounds between stages). The
+    operand is the member masks of bitboard._fccn_pass64 for N <= 64 and the
+    float32 Q of _fccn_pass_batch above; each is faster on its side.
+    """
+    key = ("rounds", ell)
+    plan = spec._cache.get(key)
+    if plan is None:
+        stages, offsets = [], []
+        for t in range(1, spec.n + 1):
+            if spec.N <= 64:
+                op, off = bitboard._bb_checks(spec, ell, t)
+            else:
+                _, Q, off = system_structure(spec, ell, t)
+                op = Q.astype(np.float32)
+            if off.shape[1]:
+                stages.append((t, op))
+                offsets.append(off)
+        bounds = np.cumsum([off.shape[1] for off in offsets])[:-1]
+        plan = (stages, np.hstack(offsets) if offsets else None, bounds)
+        spec._cache[key] = plan
+    return plan
+
+
 def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
                  ubuf: np.ndarray, ell: int, use_fccn: bool, i_max: int):
     """Run one hypothesis check for every row; returns (r, eps, iters).
 
-    yv, ye are the rows' packed channel words. This builds the FCCN round of
-    every stage that holds future constraints and runs the sweep and verdict
-    in bitboard.check_batch64. The round is the popcount under member masks
-    for N <= 64 and the BLAS products above; each is faster on its side. The
+    yv, ye are the rows' packed channel words. This binds each stage's FCCN
+    round from _round_plan to the rows' offsets phi (one product for all
+    stages) and runs the sweep and verdict in bitboard.check_batch64. The
     round functions are looked up when called, so wrappers around them see
     every round.
     """
     rounds = {}
-    for t in range(1, spec.n + 1) if use_fccn else ():
-        if spec.N <= 64:
-            masks, offsets = bitboard._bb_checks(spec, ell, t)
-        else:
-            _, Q, offsets = system_structure(spec, ell, t)
-        if not offsets.shape[1]:
-            continue
-        phi = mat_mul_f32(ubuf, offsets).astype(bool)
-        if spec.N <= 64:
-            rounds[t] = (lambda s, m=masks, f=phi:
-                         bitboard._fccn_pass64(s, m, f))
-        else:
-            rounds[t] = (lambda s, q=Q.astype(np.float32), f=phi:
-                         _fccn_pass_batch(s, q, f))
+    stages, offsets, bounds = _round_plan(spec, ell) if use_fccn else ([],) * 3
+    if stages:
+        phis = np.split(mat_mul_f32(ubuf, offsets).astype(bool), bounds, axis=1)
+        for (t, op), phi in zip(stages, phis):
+            if spec.N <= 64:
+                rounds[t] = (lambda s, m=op, f=phi:
+                             bitboard._fccn_pass64(s, m, f))
+            else:
+                rounds[t] = (lambda s, q=op, f=phi: _fccn_pass_batch(s, q, f))
     return bitboard.check_batch64(spec, yv, ye, ubuf, ell, rounds, i_max)
 
 
@@ -206,14 +227,19 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     """The stack search for every row at once.
 
     Each step takes the rows at one information position k and checks
-    H_{k,0}; rows that pass commit 0 and, under sbj, push k. The rest check
-    H_{k,1} and commit 1 if it passes. A row that fails both pops its most
-    recent checkpoint k' and commits 1 at spec.A[k'] unchecked, or fails if
-    its stack is empty; without sbj every stack stays empty. No bit below
-    spec.A[k'] changes while k' is on the stack, so a checkpoint is its
-    position alone. Rows never interact and the check is deterministic, so
-    each row walks the scalar search's path exactly; the order of the steps
-    only decides which rows share a check call.
+    H_{k,0} and H_{k,1} for all of them in one _check_batch call, on twice
+    the rows. Rows that pass H_{k,0} commit 0 and, under sbj, push k; their
+    H_{k,1} verdicts are dropped. The rest commit 1 if H_{k,1} passes. The
+    counts (visits, iters_sum, checks, the budget) take H_{k,1} only where
+    H_{k,0} failed, as the scalar search runs it. One call per step costs
+    far less than two, since a check's time is mostly per call. A row that
+    fails both pops its most recent checkpoint k' and commits 1 at
+    spec.A[k'] unchecked, or fails if its stack is empty; without sbj every
+    stack stays empty. No bit below spec.A[k'] changes while k' is on the
+    stack, so a checkpoint is its position alone. Rows never interact and
+    the check is deterministic, so each row walks the scalar search's path
+    exactly; the order of the steps only decides which rows share a check
+    call.
 
     That order is a sweep led by the rows that backjumped in the last
     _RECENT steps: each step takes the lowest position above the previous
@@ -247,20 +273,30 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     visits, backjumps, iters_sum, checks, ran = (
         np.zeros(rows, dtype=np.int64) for _ in range(5))
 
-    def check(sel, k, b):
+    def check(sel, k):
+        # H_{k,0} and H_{k,1} of rows sel in one call; returns where H_{k,0}
+        # passed and where either did. H_{k,1} is speculative: it counts,
+        # and commits, only where H_{k,0} failed.
         i, ell = info[k], ell_of[k]
-        ubuf = _extend_prefix(spec, committed[sel], i, ell, b)
-        ok, _, it = _check_batch(spec, yv[sel], ye[sel], ubuf, ell, use_fccn,
-                                 i_max)
-        visits[sel] += spans[k]
-        ran[sel] += 1
+        m = sel.size
+        both = np.concatenate((sel, sel))
+        ubuf = _extend_prefix(spec, committed[both], i, ell,
+                              np.arange(2 * m) >= m)
+        ok, _, it = _check_batch(spec, yv[both], ye[both], ubuf, ell,
+                                 use_fccn, i_max)
+        ok0, ok1 = ok[:m], ok[m:] & ~ok[:m]
+        runs = 2 - ok0
+        visits[sel] += spans[k] * runs
+        ran[sel] += runs
         first = backjumps[sel] == 0
-        checks[sel[first]] += 1
-        iters_sum[sel[first]] += it[first]
-        passed = sel[ok]
-        committed[passed, i:ell + 1] = ubuf[ok, i:]
+        checks[sel[first]] += runs[first]
+        iters_sum[sel[first]] += (it[:m] + np.where(ok0, 0, it[m:]))[first]
+        win = ok0 | ok1
+        passed = sel[win]
+        committed[passed, i:ell + 1] = np.where(ok0[:, None], ubuf[:m],
+                                                ubuf[m:])[win, i:]
         pos[passed] = k + 1
-        return ok
+        return ok0, win
 
     live = np.arange(rows)
     last_bj = np.full(rows, -_RECENT)
@@ -274,15 +310,12 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         lead = (at > k) & (step - last_bj[live] < _RECENT)
         k = at[lead].min() if lead.any() else at.min()
         sel = live[at == k]
-        ok0 = check(sel, k, 0)
+        ok0, ok = check(sel, k)
         if sbj:
             p0 = sel[ok0]
             stack[p0, depth[p0]] = k
             depth[p0] += 1
-        f0 = sel[~ok0]
-        if f0.size == 0:
-            continue
-        dead = f0[~check(f0, k, 1)]
+        dead = sel[~ok]
         failed = dead[depth[dead] == 0]
         alive[failed] = False
         pos[failed] = K

@@ -153,6 +153,15 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     eps flags rows whose processing symbol stayed erased through i_max
     sweeps, iters is the sweep count at resolution.
 
+    Sweep 1 is the SC descent alone: each child is plus(a, c) at a 0-bit
+    of ell and dot(plus_bits(a, beta_t), c) at a 1-bit, and the parent
+    block keeps its halves (a, c). That is the full update, exactly: the
+    stage blocks below the channel start all-erased, dot(erased, x) is x,
+    and plus(erased, x) is erased except where x holds a conflict, so the
+    update would hand back (a, c) on every row without a conflict, and a
+    row with one fails at the end of the sweep anyway. Sweeps 2 to i_max
+    run the full update, which also sends each child back up.
+
     Conflicts are scanned once per sweep, over all n+1 stages: every
     operator and both rounds only OR into the conflict plane, so a conflict
     raised anywhere in the sweep is still there at its end.
@@ -161,9 +170,6 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     n = spec.n
     state: list = [None] * (n + 1)
     state[n] = (yv, ye, np.zeros_like(yv))
-    for t in range(n):
-        zeros = np.zeros((rows, max(1, (1 << t) >> 6)), dtype=U64)
-        state[t] = (zeros, np.full_like(zeros, mask(1 << t)), zeros)
 
     betas = {}
     for t in range(n):
@@ -181,6 +187,10 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
             if t + 1 in rounds:
                 state[t + 1] = rounds[t + 1](state[t + 1])
             a, c = split(state[t + 1], t)
+            if it == 1:
+                state[t] = (plus(a, c) if (ell >> t) & 1 == 0
+                            else dot(plus_bits(a, betas[t]), c))
+                continue
             old = state[t]
             if (ell >> t) & 1 == 0:
                 child = dot(old, plus(a, c))

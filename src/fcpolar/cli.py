@@ -42,8 +42,11 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     Trials are evaluated in index order in chunks, one decoder call per
     chunk: _CHUNK trials, or _CHUNK // list_size for SCL, whose rows are
     (trial, path) pairs. Once the cumulative block-error count reaches
-    max_errors the point is cut at exactly that trial, so the result is
-    identical to a sequential trial loop.
+    max_errors the point is cut at exactly that trial, every per-trial
+    count with it, so the result is identical to a sequential trial loop.
+    Under max_errors the chunks start at 64 trials and double up to that
+    size, so little is decoded past the cut; outcomes never depend on the
+    chunking.
     """
     if decoder not in ("sc", "scc", "bpscc", "bpscc-sbj", "scl"):
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -52,14 +55,11 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     if decoder == "scl" and list_size < 1:
         raise ValueError("list size must be at least 1")
     a_cols = list(spec.A)
-    err_flags = []
-    dead_flags = []
-    visits_parts = []
-    backjump_parts = []
-    iters_total = 0
-    checks_total = 0
+    parts: dict[str, list] = {k: [] for k in (
+        "err", "dead", "visits", "backjumps", "iters", "checks")}
     # an SCL trial takes up to list_size rows of its chunk
-    chunk = max(1, _CHUNK // list_size) if decoder == "scl" else _CHUNK
+    cap = max(1, _CHUNK // list_size) if decoder == "scl" else _CHUNK
+    chunk = cap if max_errors is None else min(64, cap)
     done = 0
     while done < trials:
         ids = np.arange(done, min(done + chunk, trials))
@@ -83,27 +83,24 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
                                         sbj=decoder == "bpscc-sbj", seed=seed,
                                         trials=ids)
         wrong = (out.u_hat[:, a_cols] != u[:, a_cols]).any(axis=1)
-        err = ~out.success | wrong
-        err_flags.append(err)
-        dead_flags.append(~out.success)
-        visits_parts.append(out.visits)
-        backjump_parts.append(out.backjumps)
-        iters_total += int(out.iters_sum.sum())
-        checks_total += int(out.checks.sum())
+        for k, v in (("err", ~out.success | wrong), ("dead", ~out.success),
+                     ("visits", out.visits), ("backjumps", out.backjumps),
+                     ("iters", out.iters_sum), ("checks", out.checks)):
+            parts[k].append(v)
         done = ids[-1] + 1
-        if max_errors is not None and np.concatenate(err_flags).sum() >= max_errors:
+        chunk = min(2 * chunk, cap)
+        if (max_errors is not None
+                and sum(e.sum() for e in parts["err"]) >= max_errors):
             break
 
-    err = np.concatenate(err_flags)
-    dead = np.concatenate(dead_flags)
-    visits = np.concatenate(visits_parts)
-    backjumps = np.concatenate(backjump_parts)
+    col = {k: np.concatenate(v) for k, v in parts.items()}
     if max_errors is not None:
-        reached = np.flatnonzero(np.cumsum(err) >= max_errors)
+        reached = np.flatnonzero(np.cumsum(col["err"]) >= max_errors)
         if reached.size:
-            cut = reached[0] + 1
-            err, dead = err[:cut], dead[:cut]
-            visits, backjumps = visits[:cut], backjumps[:cut]
+            col = {k: v[:reached[0] + 1] for k, v in col.items()}
+    err, dead = col["err"], col["dead"]
+    iters_total, checks_total = (int(col[k].sum())
+                                 for k in ("iters", "checks"))
     ran = err.size
     errors = int(err.sum())
     bler = errors / ran
@@ -111,13 +108,13 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
         "p": p,
         "bler": bler,
         "stderr": float(np.sqrt(bler * (1.0 - bler) / ran)),
-        "avg_visits": float(visits.mean()),
+        "avg_visits": float(col["visits"].mean()),
         "avg_iters": (iters_total / checks_total) if checks_total else 1.0,
         "trials": ran,
         "errors": errors,
         "dead_ends": int(dead.sum()),
         "coin_misses": int((err & ~dead).sum()),
-        "avg_backjumps": float(backjumps.mean()),
+        "avg_backjumps": float(col["backjumps"].mean()),
     }
 
 

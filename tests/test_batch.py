@@ -6,7 +6,7 @@ from fcpolar import batch, bitboard, planes
 from fcpolar.codes import build_nr_code
 from fcpolar.constraints import system_structure
 from fcpolar.decoders import processing_index
-from fcpolar.gf2 import mat_mul_f32
+from fcpolar.gf2 import kron_power, mat_mul_f32
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
 
@@ -173,6 +173,125 @@ def test_check_engines_agree(ex1, nr16, nr64):
                                                   i_max)
                     moved |= not all(map(np.array_equal, want, bare))
         assert moved == has_rounds, spec.N
+
+
+def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
+    """bitboard.check_batch64 with the full update in every sweep: the stage
+    blocks below the channel start all-erased and sweep 1 updates them both
+    ways, as later sweeps do. Returns (r, eps, iters) and the rows holding a
+    conflict above the leaf after sweep 1."""
+    rows, n = ubuf.shape[0], spec.n
+    U64 = np.uint64
+    state = [None] * (n + 1)
+    state[n] = (yv, ye, np.zeros_like(yv))
+    for t in range(n):
+        zeros = np.zeros((rows, max(1, (1 << t) >> 6)), dtype=U64)
+        state[t] = (zeros, np.full_like(zeros, bitboard.mask(1 << t)), zeros)
+    betas = {}
+    for t in range(n):
+        if (ell >> t) & 1:
+            lo = (ell >> (t + 1)) << (t + 1)
+            betas[t] = bitboard.pack_rows(mat_mul_f32(
+                ubuf[:, lo:lo + (1 << t)], kron_power(t)))
+    prescribed = ubuf[:, ell].astype(U64)
+    r = np.full(rows, -1, dtype=np.int8)
+    iters = np.zeros(rows, dtype=np.int64)
+    fail = np.zeros(rows, dtype=bool)
+    for it in range(1, i_max + 1):
+        for t in range(n - 1, -1, -1):
+            if t + 1 in rounds:
+                state[t + 1] = rounds[t + 1](state[t + 1])
+            a, c = bitboard.split(state[t + 1], t)
+            old = state[t]
+            if (ell >> t) & 1 == 0:
+                child = planes.dot(old, planes.plus(a, c))
+                na = planes.dot(a, planes.plus(old, c))
+                nc = planes.dot(c, planes.plus(old, a))
+            else:
+                bt = betas[t]
+                child = planes.dot(old, planes.dot(planes.plus_bits(a, bt), c))
+                na = planes.dot(planes.plus_bits(old, bt), a)
+                nc = planes.dot(old, c)
+            state[t] = child
+            state[t + 1] = bitboard.join(na, nc, t)
+        fail |= np.hstack([s[2] for s in state]).any(axis=1)
+        if it == 1:
+            early = np.hstack([s[2] for s in state[1:]]).any(axis=1)
+        lv, le, lh = (q[:, 0] & U64(1) for q in state[0])
+        open_rows = r == -1
+        hit = open_rows & fail
+        concrete = open_rows & ~hit & (le == 0) & (lh == 0)
+        good = concrete & (lv == prescribed)
+        r[hit | (concrete & ~good)] = 0
+        r[good] = 1
+        iters[hit | concrete] = it
+        if not (r == -1).any():
+            break
+    eps = r == -1
+    r[eps] = 1
+    iters[eps] = i_max
+    return r == 1, eps, iters, early
+
+
+@pytest.mark.parametrize("N,K,p,step", [(16, 5, 0.4, 1), (64, 32, 0.3, 1),
+                                        (256, 128, 0.3, 5)])
+def test_sweep_one_descent_matches_full_update(N, K, p, step):
+    # Sweep 1 of check_batch64 is the SC descent alone: it skips the upward
+    # update, exact because the blocks start all-erased and a row with a
+    # conflict fails in that sweep. True prefixes with b = 0 and 1 at every
+    # step-th information bit make some hypotheses wrong, so some rows
+    # clash above the leaf, where the skipped update would have acted.
+    spec = build_nr_code(N, K)
+    trials = np.arange(48)
+    u, x = batch.encode_batch(spec, batch.sample_messages(spec, 4, trials))
+    yp = batch.channel_planes(x, batch.sample_erasures(spec, p, 4, trials))
+    yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+    early = 0
+    for i in spec.A[::step]:
+        ell = processing_index(spec, i)
+        for b in (0, 1):
+            ubuf = batch._extend_prefix(spec, u, i, ell, b)
+            for rounds in (*_round_maps(spec, ubuf, ell), {}):
+                for i_max in (1, 2, 3):
+                    *want, clash = _full_update_check(spec, yv, ye, ubuf, ell,
+                                                      rounds, i_max)
+                    got = bitboard.check_batch64(spec, yv, ye, ubuf, ell,
+                                                 rounds, i_max)
+                    for w, g in zip(want, got):
+                        assert np.array_equal(w, g), (N, i, b, i_max)
+                    early += int(clash.sum())
+    assert early
+
+
+def test_speculative_hypothesis_is_not_counted(nr64, monkeypatch):
+    # All-zero codewords: H_{k,0} is true, so it passes on every row at every
+    # bit. Each search step still checks H_{k,1} in the same call (twice the
+    # rows), but checks and iters_sum count the one check the scalar search
+    # runs per bit: H_{k,0}, whose iterations a direct check gives.
+    spec, T = nr64, 32
+    erased = batch.sample_erasures(spec, 0.3, 0, np.arange(T))
+    yp = batch.channel_planes(np.zeros((T, spec.N), dtype=np.uint8), erased)
+    yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+    rows = []
+    real = batch._check_batch
+
+    def spy(spec, yv, ye, ubuf, *args):
+        rows.append(ubuf.shape[0])
+        return real(spec, yv, ye, ubuf, *args)
+
+    monkeypatch.setattr(batch, "_check_batch", spy)
+    out = batch.decode_fc_batch(spec, yp, i_max=3, sbj=True)
+    K = len(spec.A)
+    assert out.success.all() and not out.u_hat.any()
+    assert not out.backjumps.any()
+    assert sum(rows) == 2 * T * K
+    assert (out.checks == K).all()
+    assert (out.visits == spec.N).all()
+    want = sum(real(spec, yv, ye, np.zeros((T, ell + 1), dtype=np.uint8),
+                    ell, True, 3)[2]
+               for ell in (processing_index(spec, i) for i in spec.A))
+    assert np.array_equal(out.iters_sum, want)
+    assert want.sum() > T * K
 
 
 @pytest.mark.parametrize("N,K,p,T,seed", [

@@ -56,15 +56,33 @@ def test_simulate_csv_reproducible(tmp_path):
 
 
 def test_chunking_does_not_change_results(nr16, monkeypatch):
-    # an SCL chunk holds _CHUNK // list_size trials: one trial at _CHUNK = 3
-    cases = [("scc", 500, {}), ("sc", 150, {}), ("scl", 150, {"list_size": 4}),
-             ("scl", 150, {"list_size": 2, "max_errors": 10})]
-    ref = [cli.run_point(nr16, d, 0.45, n, seed=3, **kw) for d, n, kw in cases]
+    # an SCL chunk holds _CHUNK // list_size trials: one trial at _CHUNK = 3;
+    # the cut BP-SCC point runs chunks of 64 and 128 trials, then of 3
+    nr32 = build_nr_code(32, 16)
+    cases = [(nr16, "scc", 0.45, 500, {}), (nr16, "sc", 0.45, 150, {}),
+             (nr16, "scl", 0.45, 150, {"list_size": 4}),
+             (nr16, "scl", 0.45, 150, {"list_size": 2, "max_errors": 10}),
+             (nr32, "bpscc", 0.1, 3000, {"i_max": 3, "max_errors": 5})]
+    ref = [cli.run_point(c, d, p, n, seed=3, **kw) for c, d, p, n, kw in cases]
     monkeypatch.setattr(cli, "_CHUNK", 3)
-    small = [cli.run_point(nr16, d, 0.45, n, seed=3, **kw)
-             for d, n, kw in cases]
+    small = [cli.run_point(c, d, p, n, seed=3, **kw)
+             for c, d, p, n, kw in cases]
     assert ref == small
-    assert ref[-1]["errors"] == 10
+    assert ref[3]["errors"] == 10
+    assert ref[4]["errors"] == 5 and ref[4]["trials"] > 64 + 64
+
+
+@pytest.mark.parametrize("decoder,p", [("scc", 0.05), ("bpscc", 0.1),
+                                       ("bpscc-sbj", 0.3)])
+def test_max_errors_row_equals_run_up_to_the_cut(decoder, p):
+    # Every field of a cut point, avg_iters too, is that of a run of exactly
+    # the trials up to the cut: the trials decoded past it count nowhere.
+    spec = build_nr_code(32, 16)
+    cut = cli.run_point(spec, decoder, p, 3000, seed=3, i_max=3, max_errors=5)
+    assert cut["errors"] == 5 and cut["trials"] > 64
+    again = cli.run_point(spec, decoder, p, cut["trials"], seed=3, i_max=3)
+    for field, value in again.items():
+        assert cut[field] == value, field
 
 
 def test_scl_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
