@@ -3,7 +3,10 @@
 Subcommands: simulate (BLER/complexity curves), de (density evolution),
 bounds (DT and MC reference curves), mlbound (simulation-based ML lower
 bound), toy-compare (BI-AWGN MAP comparison on the worked example),
-build-code, dump-fc, and dump-matrices.
+build-code, dump-fc, and dump-matrices. `python -m fcpolar` runs the same
+command line. With --out, simulate and de also write a JSON sidecar,
+<out>.json: the version, the seed, the code hash and the configuration,
+and for simulate every row.
 
 Every random quantity is keyed by (seed, substream, trial, position), so
 a (config, seed) pair fully determines every trial regardless of
@@ -251,7 +254,7 @@ def _cmd_de(args) -> int:
         per_bit, bler = de.de_run(spec, args.decoder, p)
         lines.append(f"{p:.6g},{bler:.8g}," +
                      ",".join(f"{v:.8g}" for v in per_bit))
-    _write("\n".join(lines) + "\n", args.out)
+    _write("\n".join(lines) + "\n", args.out, _meta(spec, args))
     return 0
 
 

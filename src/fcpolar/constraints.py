@@ -145,7 +145,8 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
 
     Returns (cols, Q, offset_rows); offsets for a concrete prefix are
     prefix . offset_rows. The batch engines' FCCN round is products with Q;
-    the member lists the scalar engine and DE walk come from check_lists.
+    the member lists the scalar engine walks come from check_lists, and DE
+    reads the same lists off the support of Q.
     """
     if not 1 <= t <= spec.n:
         raise ValueError(f"stage {t} out of range")

@@ -8,6 +8,11 @@ forward-only per-bit run tracks the wrong-hypothesis check H_{i,1} under
 the all-zero-codeword convention and turns the per-bit pass probability
 into a block error estimate via the independence product.
 
+de_run sweeps a group of consecutive information bits in one pass: a
+stage holds one array for the whole group, bit by bit, and each step is
+one batched call for the group (one FCCN round on the union of the bits'
+checks, one ⊞ call and one ⊡ call down the tree).
+
 Every output is bit-identical to one np.einsum("a,b,abs->s", p1, p2, M)
 per pair of rows with the one-hot pushforward tensor M: output symbol s
 adds the products p1[a] * p2[b] of the pairs (a, b) that the operator
@@ -25,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import CodeSpec
-from .constraints import check_lists, system_structure
+from .constraints import system_structure
 from .decoders import build_hypothesis
 from .gf2 import kron_power
 from .symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE, SYMBOLS
@@ -70,16 +75,30 @@ _PLUS = _sum_plan(BOX_PLUS)
 _DOT = _sum_plan(BOX_DOT)
 
 
+# Rows per block of _pushforward and of the FCCN folds: a block's 16
+# products per row stay in cache, and a batched call holds no more at once.
+_BLOCK = 2048
+
+
 def _pushforward(p1: np.ndarray, p2: np.ndarray, plan) -> np.ndarray:
     """Rows of the PMF of table(a, b) for independent a ~ p1, b ~ p2. Each
     symbol's terms are added left to right; one add per step covers every
-    symbol that still has a term."""
+    symbol that still has a term. Rows go _BLOCK at a time."""
     a, b, steps, unrank = plan
-    prod = p1[..., a] * p2[..., b]
-    acc = prod[..., :4]
-    for start, width in steps:
-        acc[..., 4 - width:] += prod[..., start:start + width]
-    return acc[..., unrank]
+    shape = p1.shape
+    if p2.shape != shape:
+        shape = np.broadcast_shapes(shape, p2.shape)
+        p1, p2 = np.broadcast_to(p1, shape), np.broadcast_to(p2, shape)
+    p1, p2 = p1.reshape(-1, 4), p2.reshape(-1, 4)
+    out = np.empty(p1.shape)
+    for lo in range(0, len(out), _BLOCK):
+        prod = p1[lo:lo + _BLOCK, a]
+        prod *= p2[lo:lo + _BLOCK, b]
+        acc = prod[:, :4]
+        for start, width in steps:
+            acc[:, 4 - width:] += prod[:, start:start + width]
+        out[lo:lo + _BLOCK] = acc[:, unrank]
+    return out.reshape(shape)
 
 
 def point_mass(symbol: int) -> np.ndarray:
@@ -136,18 +155,26 @@ def fccn_plan(vn_of) -> FccnPlan:
     so the rows still folding at any step are a leading slice.
     """
     deg = np.fromiter(map(len, vn_of), dtype=np.int64, count=len(vn_of))
+    members = np.fromiter(chain.from_iterable(vn_of), dtype=np.int32,
+                          count=int(deg.sum()))
+    return _fccn_plan(deg, members)
+
+
+def _fccn_plan(deg: np.ndarray, members: np.ndarray) -> FccnPlan:
+    """fccn_plan of the checks with deg[j] members each, whose member lists
+    members holds one after the other."""
+    begin = np.cumsum(deg) - deg
     order = np.argsort(-deg, kind="stable")
     order = order[deg[order] > 0]
     deg = deg[order]
-    members = np.fromiter(chain.from_iterable(vn_of[j] for j in order),
-                          dtype=np.int32, count=int(deg.sum()))
     first = np.cumsum(deg) - deg
     top = int(deg[0]) if deg.size else 0
     prefix_rows = tuple(int(np.count_nonzero(deg > s)) for s in range(top))
     # pair (rank r, member i) starts from prefix fold i of check r, stored
     # at row offset[i] + r of the stacked prefix folds
     rank = np.repeat(np.arange(deg.size), deg)
-    i = np.arange(members.size) - first[rank]
+    i = np.arange(rank.size) - first[rank]
+    members = members[begin[order][rank] + i].astype(np.int32)
     left = deg[rank] - 1 - i
     by_left = np.argsort(-left, kind="stable")
     offset = np.cumsum((0,) + prefix_rows)
@@ -164,14 +191,6 @@ def fccn_plan(vn_of) -> FccnPlan:
                     vns=vn[by_vn][seg].astype(np.int32))
 
 
-def _plan(spec: CodeSpec, ell: int, t: int) -> FccnPlan:
-    """fccn_plan of the stage-t systems of step ell, memoized on the spec."""
-    key = ("de_fccn", ell, t)
-    if key not in spec._cache:
-        spec._cache[key] = fccn_plan(check_lists(spec, ell, t)[0])
-    return spec._cache[key]
-
-
 def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
     """Combine each attached VN with its most conflict-informative check.
 
@@ -182,27 +201,140 @@ def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
     round-start PMFs of the other members of j in ascending order (the
     running q is the first operand). Only the message with the largest
     conflict mass (ties to the smallest check index) is folded back into
-    pmfs[k] through psi_boxdot, to limit cycle effects. All pairs fold at
-    once, one psi_boxplus call per step.
+    pmfs[k] through psi_boxdot, to limit cycle effects. All pairs fold
+    together, one psi_boxplus call per step and block of _BLOCK pairs.
     """
     if not plan.vns.size:
         return
     rows = len(plan.order)
-    fold = np.zeros((rows, 4))
-    fold[np.arange(rows), phi[plan.order]] = 1.0
-    prefixes = [fold]
+    # prefix fold s of every check with more than s members, stacked
+    folds = np.zeros((len(plan.members), 4))
+    folds[np.arange(rows), phi[plan.order]] = 1.0
+    lo = 0
     for s, n in enumerate(plan.prefix_rows[1:]):
-        fold = psi_boxplus(fold[:n], pmfs[plan.members[plan.first[:n] + s]])
-        prefixes.append(fold)
-    q = np.concatenate(prefixes)[plan.start]
+        hi = lo + plan.prefix_rows[s]
+        folds[hi:hi + n] = psi_boxplus(
+            folds[lo:lo + n], pmfs[plan.members[plan.first[:n] + s]])
+        lo = hi
+    q = folds[plan.start]
+    del folds
     for s, n in enumerate(plan.active):
-        q[:n] = psi_boxplus(q[:n], pmfs[plan.members[plan.nxt[:n] + s]])
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            q[lo:hi] = psi_boxplus(
+                q[lo:hi], pmfs[plan.members[plan.nxt[lo:hi] + s]])
     conflict = q[plan.by_vn, CONFLICT]
     peak = np.maximum.reduceat(conflict, plan.seg)
     hits = np.flatnonzero(conflict == np.repeat(
         peak, np.diff(plan.seg, append=conflict.size)))
     best = q[plan.by_vn[hits[np.searchsorted(hits, plan.seg)]]]
     pmfs[plan.vns] = psi_boxdot(pmfs[plan.vns], best)
+
+
+# The rows one group of de_run may hold: each bit brings its N PMF rows at
+# stage n and the pairs of its largest FCCN round. A round holds two PMF
+# rows per pair of its group at once, so the budget bounds the memory of a
+# point; larger groups make fewer calls.
+_GROUP_ROWS = 16384
+
+
+class _Stage(NamedTuple):
+    """Stage t of a group's sweep in de_run."""
+    plan: FccnPlan | None  # union FCCN round at stage t + 1, if any checks
+    phi: np.ndarray | None  # its check offsets, bit by bit
+    plus: np.ndarray       # group places of the bits that take the ⊞ row
+    dot: np.ndarray        # group places of the bits that take the ⊡ row
+    beta: np.ndarray       # (len(dot), 2^t) partial sums of the ⊡ bits
+
+
+class _Group(NamedTuple):
+    """Consecutive information bits that de_run sweeps together."""
+    first: int             # place in A of the group's first bit
+    size: int
+    leaf: np.ndarray       # the hypothesized value of each bit at its leaf
+    stages: tuple          # _Stage for t = n - 1 down to 0
+
+
+def _hypothesis(spec: CodeSpec, decoder: str, i: int) -> tuple:
+    """(ell, prefix) of the H_{i,1} check of bit i with an all-zero past;
+    sc stops at bit i and forces no parity values."""
+    if decoder == "sc":
+        prefix = np.zeros(i + 1, dtype=np.uint8)
+        prefix[i] = 1
+        return i, prefix
+    hyp = build_hypothesis(spec, np.zeros(i, dtype=np.uint8), i, 1)
+    return hyp.ell, hyp.prefix
+
+
+def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
+    """Stage t of the sweep of bits, a list of (ell, prefix).
+
+    The union FCCN plan lists the bits' stage-(t + 1) checks in bit order,
+    each check's members ascending (the support of its column of Q) and
+    offset by the bit's place times 2^(t + 1). A VN's checks all come from
+    its own bit, in their own order, so its folds and its tie rule are
+    those of the bit's own plan.
+    """
+    plan = phi = None
+    if use_fccn:
+        deg, members, phis = [], [], []
+        for g, (ell, prefix) in enumerate(bits):
+            cols, Q, offsets = system_structure(spec, ell, t + 1)
+            if cols:
+                deg.append(np.count_nonzero(Q, axis=0))
+                members.append(np.nonzero(Q.T)[1] + (g << (t + 1)))
+                phis.append((prefix.astype(np.int64)
+                             @ offsets.astype(np.int64)) % 2)
+        if deg:
+            plan = _fccn_plan(np.concatenate(deg), np.concatenate(members))
+            phi = np.concatenate(phis)
+    half = 1 << t
+    side = np.array([(ell >> t) & 1 for ell, _ in bits], dtype=bool)
+    kron = kron_power(t).astype(np.int64)
+    beta = []
+    for ell, prefix in bits:
+        if (ell >> t) & 1:
+            lo = (ell >> (t + 1)) << (t + 1)
+            beta.append((prefix[lo:lo + half].astype(np.int64) @ kron) % 2)
+    return _Stage(plan=plan, phi=phi, plus=np.flatnonzero(~side),
+                  dot=np.flatnonzero(side),
+                  beta=np.array(beta, dtype=bool).reshape(-1, half))
+
+
+def _rows(spec: CodeSpec, ell: int, use_fccn: bool) -> int:
+    """The rows a bit with processing index ell brings to its group."""
+    if not use_fccn:
+        return spec.N
+    return spec.N + max(np.count_nonzero(system_structure(spec, ell, t)[1])
+                        for t in range(1, spec.n + 1))
+
+
+def _groups(spec: CodeSpec, decoder: str) -> tuple:
+    """The groups of de_run's sweep, memoized on the spec per decoder: runs
+    of consecutive bits of at most _GROUP_ROWS rows, or one bit."""
+    key = ("de_groups", decoder)
+    if key not in spec._cache:
+        use_fccn = decoder == "bpscc1"
+        bits = [_hypothesis(spec, decoder, i) for i in spec.A]
+        # the first bit opens a group
+        starts, held = [], _GROUP_ROWS
+        for k, (ell, _) in enumerate(bits):
+            rows = _rows(spec, ell, use_fccn)
+            if held + rows > _GROUP_ROWS:
+                starts.append(k)
+                held = 0
+            held += rows
+        groups = []
+        for first, end in zip(starts, starts[1:] + [len(bits)]):
+            group = bits[first:end]
+            groups.append(_Group(
+                first=first, size=len(group),
+                leaf=np.array([prefix[ell] for ell, prefix in group],
+                              dtype=np.int64),
+                stages=tuple(_stage(spec, group, t, use_fccn)
+                             for t in range(spec.n - 1, -1, -1))))
+        spec._cache[key] = tuple(groups)
+    return spec._cache[key]
 
 
 def de_run(spec: CodeSpec, decoder: str, p: float):
@@ -213,42 +345,38 @@ def de_run(spec: CodeSpec, decoder: str, p: float):
     itself and the parity values it forces, and the block error follows as
     1 - prod(1 - P_b(i)). sc skips both the parity span and the FCCNs; scc
     keeps the span but skips the FCCNs; bpscc1 runs one full sweep.
+
+    Consecutive bits are swept together, in groups of at most _GROUP_ROWS
+    rows (a bit over the budget goes alone). Stage t + 1 holds one
+    (bits * 2^(t + 1), 4) array for the group, bit by bit. Its FCCN round
+    is one de_fccn_update on the union plan of the bits' checks. The step
+    down to stage t is one psi_boxplus call on the bits whose processing
+    index has bit t clear and one psi_boxdot call, with each bit's partial
+    sums, on the others. Every row's arithmetic is that of a sweep of its
+    bit alone, so the outputs are those of one sweep per bit, bit for bit.
+    The plans are built on the first call and memoized on the spec.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} out of range")
     if decoder not in ("sc", "scc", "bpscc1"):
         raise ValueError(f"unknown decoder {decoder!r} for density evolution")
-    sc_mode = decoder == "sc"
-    use_fccn = decoder == "bpscc1"
-
-    per_bit = []
-    for i in spec.A:
-        if sc_mode:
-            ell = i
-            prefix = np.zeros(i + 1, dtype=np.uint8)
-            prefix[i] = 1
-        else:
-            hyp = build_hypothesis(spec, np.zeros(i, dtype=np.uint8), i, 1)
-            ell = hyp.ell
-            prefix = hyp.prefix
-        pmfs = np.tile(channel_pmf(p), (spec.N, 1))
-        for t in range(spec.n - 1, -1, -1):
-            if use_fccn:
-                cols, _, offsets = system_structure(spec, ell, t + 1)
-                if cols:
-                    phi = (prefix.astype(np.int64) @ offsets.astype(np.int64)) % 2
-                    de_fccn_update(pmfs, _plan(spec, ell, t + 1), phi)
-            half = 1 << t
-            if (ell >> t) & 1 == 0:
-                pmfs = psi_boxplus(pmfs[:half], pmfs[half:])
-            else:
-                lo = (ell >> (t + 1)) << (t + 1)
-                beta = (prefix[lo:lo + half].astype(np.int64)
-                        @ kron_power(t).astype(np.int64)) % 2
-                pmfs = psi_boxdot(pmfs[:half], pmfs[half:], beta)
-        leaf = pmfs[0]
-        per_bit.append(0.5 * (leaf[int(prefix[ell])] + leaf[ERASURE]))
-
-    per_bit = np.array(per_bit)
+    per_bit = np.empty(len(spec.A))
+    for group in _groups(spec, decoder):
+        size = group.size
+        pmfs = np.tile(channel_pmf(p), (size * spec.N, 1))
+        for t, stage in zip(range(spec.n - 1, -1, -1), group.stages):
+            if stage.plan is not None:
+                de_fccn_update(pmfs, stage.plan, stage.phi)
+            halves = pmfs.reshape(size, 2, 1 << t, 4)
+            pmfs = np.empty((size, 1 << t, 4))
+            plus, dot = stage.plus, stage.dot
+            if plus.size:
+                pmfs[plus] = psi_boxplus(halves[plus, 0], halves[plus, 1])
+            if dot.size:
+                pmfs[dot] = psi_boxdot(halves[dot, 0], halves[dot, 1],
+                                       stage.beta)
+            pmfs = pmfs.reshape(-1, 4)
+        per_bit[group.first:group.first + size] = 0.5 * (
+            pmfs[np.arange(size), group.leaf] + pmfs[:, ERASURE])
     bler = 1.0 - np.prod(1.0 - per_bit)
     return per_bit, float(bler)

@@ -154,6 +154,37 @@ def test_de_subcommand_matches_module(tmp_path):
     assert float(vals[2]) == pytest.approx(per_bit[0], rel=1e-6)
 
 
+def test_de_out_writes_a_deterministic_sidecar(tmp_path, capsys):
+    argv = ["de", "--n", "5", "--k", "16", "--decoder", "bpscc1",
+            "--p-grid", "0.3:0.4:0.05"]
+    assert _run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "de.csv"
+    sidecars = []
+    for _ in range(2):
+        assert _run(argv + ["--out", str(out)]) == 0
+        # the sidecar leaves the CSV as it was without --out
+        assert out.read_text() == printed
+        sidecars.append((tmp_path / "de.csv.json").read_bytes())
+    assert sidecars[0] == sidecars[1]
+    meta = json.loads(sidecars[0])
+    assert meta["code_hash"] == build_nr_code(32, 16).code_hash()
+    assert meta["version"] == cli.__version__
+    assert meta["config"]["p_grid"] == [0.3, 0.35, 0.4]
+
+
+def test_python_m_fcpolar_runs_the_cli(capsys):
+    argv = ["de", "--n", "5", "--k", "16", "--decoder", "scc",
+            "--p-grid", "0.3:0.5:0.1"]
+    assert _run(argv) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "fcpolar", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_bounds_subcommand_matches_module(tmp_path):
     out = tmp_path / "b.csv"
     assert _run(["bounds", "--n", "6", "--k", "32",

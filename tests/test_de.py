@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fcpolar.codes import encode, input_word
+from fcpolar import de
+from fcpolar.codes import build_nr_code, encode, input_word
+from fcpolar.constraints import check_lists, system_structure
 from fcpolar.de import (channel_pmf, de_fccn_update, de_run, fccn_plan,
                         point_mass, psi_boxdot, psi_boxplus)
 from fcpolar.decoders import bp_scc_check, build_hypothesis, make_graph
+from fcpolar.gf2 import kron_power
 from fcpolar.symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE
 
 pmf_strategy = st.lists(
@@ -79,6 +82,26 @@ def test_batched_fccn_round_matches_loop(case):
     batched = pmfs.copy()
     de_fccn_update(batched, fccn_plan(vn_of), phi)
     assert np.array_equal(batched, expected)
+
+
+def test_row_blocks_match_whole_calls(monkeypatch):
+    # 60 rows and a round of 12 checks over 30 VNs, first in one block,
+    # then in blocks of 7 rows: every row is the same
+    rng = np.random.default_rng(5)
+    p1, p2 = rng.dirichlet(np.ones(4), 60), rng.dirichlet(np.ones(4), 60)
+    b = rng.integers(0, 2, 60)
+    vn_of = tuple(tuple(sorted(rng.choice(30, rng.integers(1, 12), False)))
+                  for _ in range(12))
+    phi = rng.integers(0, 2, 12)
+    pmfs = rng.dirichlet(np.ones(4), 30)
+    whole = [psi_boxplus(p1, p2), psi_boxdot(p1, p2, b), pmfs.copy()]
+    de_fccn_update(whole[2], fccn_plan(vn_of), phi)
+    assert np.array_equal(whole[2], _fccn_update_loop(pmfs, vn_of, phi))
+    monkeypatch.setattr(de, "_BLOCK", 7)
+    blocks = [psi_boxplus(p1, p2), psi_boxdot(p1, p2, b), pmfs.copy()]
+    de_fccn_update(blocks[2], fccn_plan(vn_of), phi)
+    for x, y in zip(whole, blocks):
+        assert np.array_equal(x, y)
 
 
 def test_fccn_tie_goes_to_smallest_check():
@@ -254,3 +277,84 @@ def test_input_validation(ex1):
         de_run(ex1, "sc", 1.5)
     with pytest.raises(ValueError):
         de_run(ex1, "scl", 0.5)
+
+
+def _de_run_loop(spec, decoder, p):
+    """The per-bit sweep that the grouped de_run replaces: each information
+    bit runs its own n stages, with one FCCN round on its own checks per
+    stage."""
+    per_bit = []
+    for i in spec.A:
+        if decoder == "sc":
+            ell = i
+            prefix = np.zeros(i + 1, dtype=np.uint8)
+            prefix[i] = 1
+        else:
+            hyp = build_hypothesis(spec, np.zeros(i, dtype=np.uint8), i, 1)
+            ell, prefix = hyp.ell, hyp.prefix
+        pmfs = np.tile(channel_pmf(p), (spec.N, 1))
+        for t in range(spec.n - 1, -1, -1):
+            if decoder == "bpscc1":
+                cols, _, offsets = system_structure(spec, ell, t + 1)
+                if cols:
+                    phi = (prefix.astype(np.int64)
+                           @ offsets.astype(np.int64)) % 2
+                    key = ("reference_fccn_plan", ell, t + 1)
+                    if key not in spec._cache:
+                        spec._cache[key] = fccn_plan(
+                            check_lists(spec, ell, t + 1)[0])
+                    de_fccn_update(pmfs, spec._cache[key], phi)
+            half = 1 << t
+            if (ell >> t) & 1 == 0:
+                pmfs = psi_boxplus(pmfs[:half], pmfs[half:])
+            else:
+                lo = (ell >> (t + 1)) << (t + 1)
+                beta = (prefix[lo:lo + half].astype(np.int64)
+                        @ kron_power(t).astype(np.int64)) % 2
+                pmfs = psi_boxdot(pmfs[:half], pmfs[half:], beta)
+        leaf = pmfs[0]
+        per_bit.append(0.5 * (leaf[int(prefix[ell])] + leaf[ERASURE]))
+    per_bit = np.array(per_bit)
+    return per_bit, float(1.0 - np.prod(1.0 - per_bit))
+
+
+_CODES = {
+    "nr128": lambda: build_nr_code(128, 64),
+    "nr128-nocrc": lambda: build_nr_code(128, 64, crc="none"),
+    "nr256": lambda: build_nr_code(256, 128),
+}
+
+
+@pytest.fixture(scope="module")
+def de_codes(ex1, nr64):
+    return {"ex1": ex1, "nr64": nr64,
+            **{name: build() for name, build in _CODES.items()}}
+
+
+def _assert_matches_loop(spec, decoder):
+    for p in (0.0, 0.3, 0.42, 1.0):
+        per_bit, bler = de_run(spec, decoder, p)
+        expected, expected_bler = _de_run_loop(spec, decoder, p)
+        assert np.array_equal(per_bit, expected), (decoder, p)
+        assert bler == expected_bler, (decoder, p)
+
+
+@pytest.mark.parametrize("decoder", ["sc", "scc", "bpscc1"])
+@pytest.mark.parametrize("code", ["ex1", "nr64", *_CODES])
+def test_grouped_sweep_matches_per_bit_loop(de_codes, code, decoder):
+    _assert_matches_loop(de_codes[code], decoder)
+
+
+@pytest.mark.parametrize("decoder", ["sc", "scc", "bpscc1"])
+def test_groups_split_anywhere(monkeypatch, decoder):
+    # a budget of five bits' PMF rows: sc and scc sweep five bits at a
+    # time, the last group short; under bpscc1 the fold rows count too, so
+    # a bit with many checks goes alone
+    monkeypatch.setattr(de, "_GROUP_ROWS", 5 * 64)
+    spec = build_nr_code(64, 32)
+    _assert_matches_loop(spec, decoder)
+    sizes = [group.size for group in spec._cache[("de_groups", decoder)]]
+    if decoder == "bpscc1":
+        assert sizes.count(1) > 1 and max(sizes) > 1
+    else:
+        assert sizes == [5] * 6 + [2]

@@ -11,7 +11,8 @@ batched across trials.
 The density-evolution outputs were recorded before the PMFs became (m, 4)
 arrays with one batched FCCN round: P_B exactly, and the per-bit values
 P_b(i) by the SHA-256 of their little-endian float64 bytes, so a change in
-the last bit of any one of them shows.
+the last bit of any one of them shows. The bpscc1 values at N=256 were
+recorded before the information bits were swept in groups.
 """
 import hashlib
 
@@ -118,6 +119,8 @@ PINNED_DE = [
     ((256, 128, 'sc', 0.4), (0.8380685258357212, 'fc1b76442ea1241097f48741cfe5edca')),
     ((256, 128, 'scc', 0.3), (0.09546704538131712, '3416a540a082b72a3a86cf373bb1f7a0')),
     ((256, 128, 'scc', 0.4), (0.8032381278340708, '9ca82a33b84c23dab9be947582f6d973')),
+    ((256, 128, 'bpscc1', 0.3), (0.02048513535930463, '5e382ea0cd8ff524fa54b7e3867b3985')),
+    ((256, 128, 'bpscc1', 0.4), (0.5360802685176032, '1708c3edc412c1a28ef412fb039d4a86')),
 ]
 
 _SPECS = {}
