@@ -215,7 +215,7 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
     the one stack search, _dfs_recover64. The search draws no coins, so seed
     and trials are unused; they are kept for callers that pass them.
     """
-    if engine not in ("scc", "bp_scc", "bpscc"):
+    if engine not in ("scc", "bp_scc"):
         raise ValueError(f"unknown engine {engine!r}")
     yv, ye = bitboard.pack_rows(yp[0]), bitboard.pack_rows(yp[1])
     return BatchOutcome(*_dfs_recover64(spec, yv, ye, engine != "scc", i_max,

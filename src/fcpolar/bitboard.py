@@ -100,15 +100,10 @@ def update_partial_sums(ps: dict[int, np.ndarray], i: int,
 
 
 def _bb_checks(spec: CodeSpec, ell: int, t: int):
-    """Stage-t (member masks, offset rows), memoized; masks[j] is the
-    (W,) word form of check j's members (zero masks are inert)."""
-    key = ("bb", ell, t)
-    cached = spec._cache.get(key)
-    if cached is None:
-        _, Q, offsets = system_structure(spec, ell, t)
-        cached = (pack_rows(Q.T), offsets)
-        spec._cache[key] = cached
-    return cached
+    """Stage-t (member masks, offset rows); masks[j] is the (W,) word form
+    of check j's members (zero masks are inert)."""
+    _, Q, offsets = system_structure(spec, ell, t)
+    return pack_rows(Q.T), offsets
 
 
 def merge_round(state: Planes, clash, got1, got0) -> Planes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,6 +36,9 @@ from .scl import decode_scl
 CSV_HEADER = "p,bler,stderr,avg_visits,avg_iters,trials,errors"
 
 _CHUNK = 4096
+
+# Most points one grid flag may expand to.
+_GRID_MAX = 10_000
 
 
 def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
@@ -153,11 +157,14 @@ def _write(text: str, out_path: str | None, sidecar: dict | None = None) -> None
 
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise argparse.ArgumentTypeError(f"bad grid {text!r}, want start:stop:step")
-    start, stop, step = (float(t) for t in parts)
+    values = [float(t) for t in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"grid {text!r} is not finite")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if start > stop:
@@ -166,6 +173,10 @@ def _parse_grid(text: str) -> list[float]:
     grid = []
     v = start
     while v <= stop + 1e-9:
+        if len(grid) == _GRID_MAX:
+            # also where step is below the resolution of v, so v stalls
+            raise argparse.ArgumentTypeError(
+                f"grid {text!r} has over {_GRID_MAX} points")
         grid.append(round(v, 12))
         v += step
     return grid

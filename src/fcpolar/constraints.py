@@ -104,17 +104,6 @@ def instant_Q_full(spec: CodeSpec, i: int) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, spec.H[:i, L].copy()
 
 
-def _system_coeffs(spec: CodeSpec, anchor: int, first: int, t: int,
-                   cols: tuple[int, ...]) -> np.ndarray:
-    """Q over block T(anchor, t) for constraint columns cols, all >= first."""
-    if not cols:
-        return np.zeros((1 << t, 0), dtype=np.uint8)
-    lo, hi = _block(anchor, t)
-    t_prime = [k for k in range(max(lo, first), hi)]
-    rel = [k - lo for k in t_prime]
-    return mat_mul_f32(kron_power(t)[:, rel], spec.H[t_prime, :][:, list(cols)])
-
-
 def attached_systems(spec: CodeSpec, ell: int, t: int,
                      hypothesis_prefix) -> InstantConstraintSystem:
     """Stage-t instant systems for processing step ell on the decoding-path
@@ -129,7 +118,7 @@ def attached_systems(spec: CodeSpec, ell: int, t: int,
     """
     i = ell + 1
     cols, Q, offset_rows = system_structure(spec, ell, t)
-    vn_of = check_lists(spec, ell, t)[0]
+    vn_of = check_lists(spec, ell, t)
     prefix = np.asarray(hypothesis_prefix, dtype=np.uint8)
     if prefix.shape != (i,):
         raise ValueError(f"hypothesis prefix must cover indices 0..{ell}")
@@ -144,23 +133,29 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     """Hypothesis-independent part of the stage-t systems, memoized.
 
     Returns (cols, Q, offset_rows); offsets for a concrete prefix are
-    prefix . offset_rows. The batch engines' FCCN round is products with Q;
-    the member lists the scalar engine walks come from check_lists, and DE
-    reads the same lists off the support of Q.
+    prefix . offset_rows. The columns are the indices of block T(ell, t)
+    minus T(ell, t - 1) that lie above ell and outside A, ascending: the
+    upper half of T(ell, t) when ell sits in its lower half, none
+    otherwise. Over t = 1..n they partition L_{ell+1}. The batch engines'
+    FCCN round is products with Q; the member lists the scalar engine
+    walks come from check_lists, and DE reads the same lists off the
+    support of Q.
     """
     if not 1 <= t <= spec.n:
         raise ValueError(f"stage {t} out of range")
-    i = ell + 1
     key = ("sys", ell, t)
     cached = spec._cache.get(key)
     if cached is None:
         lo, hi = _block(ell, t)
-        prev_lo, prev_hi = _block(ell, t - 1)
-        L = future_constraints(spec, i).L
-        cols = tuple(k for k in L if lo <= k < hi and not prev_lo <= k < prev_hi)
-        Q = _system_coeffs(spec, ell, i, t, cols)
-        offset_rows = spec.H[:i, list(cols)].copy()
-        cached = (cols, Q, offset_rows)
+        a_set = spec._cache.get("a_set")
+        if a_set is None:
+            a_set = spec._cache["a_set"] = frozenset(spec.A)
+        cols = [k for k in range(_block(ell, t - 1)[1], hi) if k not in a_set]
+        rows = np.arange(ell + 1, hi)
+        Q = mat_mul_f32(kron_power(t)[:, rows - lo], spec.H[np.ix_(rows, cols)])
+        # copy(): the mixed index leaves the offset rows in F order, and
+        # every check's phi product reads them in C order faster
+        cached = (tuple(cols), Q, spec.H[:ell + 1, cols].copy())
         spec._cache[key] = cached
     return cached
 
@@ -173,10 +168,9 @@ def _row_supports(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def check_lists(spec: CodeSpec, ell: int, t: int) -> tuple:
-    """(vn_of, checks_of) of the stage-t systems, memoized: the variables of
-    each check and the checks of each block variable, ascending."""
+    """vn_of of the stage-t systems, memoized: the variables of each check,
+    ascending."""
     key = ("lists", ell, t)
     if key not in spec._cache:
-        Q = system_structure(spec, ell, t)[1]
-        spec._cache[key] = (_row_supports(Q.T), _row_supports(Q))
+        spec._cache[key] = _row_supports(system_structure(spec, ell, t)[1].T)
     return spec._cache[key]

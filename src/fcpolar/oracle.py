@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
+from .batch import encode_batch
 from .codes import CodeSpec
 from .gf2 import mat_mul_f32
 
@@ -47,18 +48,14 @@ def _all_input_words(spec: CodeSpec) -> np.ndarray:
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def _valid_input_words(spec: CodeSpec) -> np.ndarray:
-    """Input words of all 2^K messages, ordered with m_0 as the MSB."""
+def _valid_words(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Input words and codewords of all 2^K messages, m_0 as the MSB."""
     if spec.K > 20:
         raise ValueError("message enumeration limited to K <= 20")
     idx = np.arange(1 << spec.K, dtype=np.uint32)
     shifts = np.arange(spec.K - 1, -1, -1, dtype=np.uint32)
     messages = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    u = np.zeros((1 << spec.K, spec.N), dtype=np.uint8)
-    u[:, list(spec.A)] = messages
-    for j in spec.P:
-        u[:, j] = mat_mul_f32(u[:, :j], spec.T[:j, j][:, None])[:, 0]
-    return u
+    return encode_batch(spec, messages)
 
 
 def awgn_loglik(y: np.ndarray, sigma2: float) -> np.ndarray:
@@ -138,15 +135,15 @@ def sc_marginal_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:
 
 def bitwise_map_sc_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:
     """Bitwise-MAP-SC: sequential argmax over valid completions only."""
-    words = _valid_input_words(spec)
-    scores = _scores(ll, mat_mul_f32(words, spec.generator))
+    words, x = _valid_words(spec)
+    scores = _scores(ll, x)
     return _sequential_argmax(spec, scores, words, spec.A)
 
 
 def blockwise_map_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:
     """Blockwise MAP over valid words; ties break toward smaller messages."""
-    words = _valid_input_words(spec)
-    scores = _scores(ll, mat_mul_f32(words, spec.generator))
+    words, x = _valid_words(spec)
+    scores = _scores(ll, x)
     return words[np.argmax(scores, axis=1)]
 
 
@@ -164,8 +161,7 @@ def blockwise_map_decode(spec: CodeSpec, y, sigma2: float) -> np.ndarray:
 
 def bec_candidate_messages(spec: CodeSpec, y_symbols) -> np.ndarray:
     """Messages whose codewords match the BEC output on unerased positions."""
-    words = _valid_input_words(spec)
-    x = mat_mul_f32(words, spec.generator)
+    x = _valid_words(spec)[1]
     y = np.asarray(list(y_symbols))
     ok = ((x == y) | (y == 2)).all(axis=1)
     return np.flatnonzero(ok)

@@ -94,7 +94,7 @@ def decode_with_fc(spec: CodeSpec, y, engine: str = "bp_scc", i_max: int = 1,
     traversal is deterministic given the channel output: an unrefuted zero
     hypothesis is always taken first, so no random tie-breaking is needed.
     """
-    if engine not in ("scc", "bp_scc", "bpscc"):
+    if engine not in ("scc", "bp_scc"):
         raise ValueError(f"unknown engine {engine!r}")
     use_fccn = engine != "scc"
     info_bits = list(spec.A)

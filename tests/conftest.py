@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fcpolar.codes import build_example1, build_nr_code
+from fcpolar.codes import _assemble, build_example1, build_nr_code
 
 # Fixed examples and no per-example deadline: a property test must not flake
 # on a host whose speed swings, nor pass or fail with the run's random seed.
@@ -29,3 +29,29 @@ def nr16():
 def all_ex1_messages():
     return np.array([[(m >> k) & 1 for k in range(3)] for m in range(8)],
                     dtype=np.uint8)
+
+
+def _random_code(rng, n=4):
+    """Random length-2^n code: random A/P/F split with random causal parity
+    taps."""
+    N = 1 << n
+    K = int(rng.integers(2, N - 2))
+    r = int(rng.integers(0, min(4, N - K - 1)))
+    order = rng.permutation(N)
+    allocated = np.sort(order[:K + r])
+    A = tuple(int(v) for v in allocated[:K])
+    P = tuple(int(v) for v in allocated[K:])
+    F = tuple(int(v) for v in sorted(set(range(N)) - set(A) - set(P)))
+    T = np.eye(N, dtype=np.uint8)
+    for j in P:
+        # taps only on non-parity rows keep v -> vT consistent with H
+        for k in range(j):
+            if k not in P:
+                T[k, j] = rng.integers(0, 2)
+    return _assemble(n, N, A, P, F, T, None)
+
+
+@pytest.fixture(scope="session")
+def random_code():
+    """The random-code builder: random_code(rng, n=4)."""
+    return _random_code

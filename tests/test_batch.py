@@ -42,17 +42,45 @@ def test_fc_batch_matches_scalar(ex1, nr16, engine, i_max, sbj):
         _, x = batch.encode_batch(spec, msgs)
         erased = batch.sample_erasures(spec, p, seed=2, trials=trials)
         yp = batch.channel_planes(x, erased)
-        rows = planes.to_symbols(yp)
         out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
                                     sbj=sbj, seed=2, trials=trials)
-        for t in range(T):
-            ref = decode_with_fc(spec, rows[t], engine=engine, i_max=i_max,
-                                 sbj=sbj, seed=2, trial=t)
-            assert out.success[t] == (ref.status == "success"), (spec.N, t)
-            assert out.visits[t] == ref.visited_nodes, (spec.N, t)
-            assert out.backjumps[t] == ref.backjumps, (spec.N, t)
-            if ref.status == "success":
-                assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
+        _assert_rows_match_scalar(spec, yp, out, trials, engine=engine,
+                                  i_max=i_max, sbj=sbj)
+
+
+def _assert_rows_match_scalar(spec, yp, out, trials, **kw):
+    """Each row of out has the success, visits, backjumps and u_hat of
+    search.decode_with_fc(**kw) on the same channel output."""
+    rows = planes.to_symbols(yp)
+    for r, t in enumerate(trials):
+        ref = decode_with_fc(spec, rows[r], trial=t, **kw)
+        key = (spec.N, spec.A, kw, t)
+        assert out.success[r] == (ref.status == "success"), key
+        assert out.visits[r] == ref.visited_nodes, key
+        assert out.backjumps[r] == ref.backjumps, key
+        if ref.status == "success":
+            assert np.array_equal(out.u_hat[r], ref.u_hat), key
+
+
+@pytest.mark.parametrize("sbj", [False, True])
+@pytest.mark.parametrize("i_max", [1, 2])
+@pytest.mark.parametrize("engine", ["scc", "bp_scc"])
+def test_fc_batch_matches_scalar_on_random_codes(random_code, engine, i_max,
+                                                 sbj):
+    # Random A/P/F splits and parity taps, not only NR + CRC11 layouts.
+    rng = np.random.default_rng(4)
+    trials = np.arange(16)
+    for n in (4, 4, 5, 5):
+        spec = random_code(rng, n)
+        for p in (0.2, 0.35):
+            msgs = batch.sample_messages(spec, seed=3, trials=trials)
+            _, x = batch.encode_batch(spec, msgs)
+            yp = batch.channel_planes(
+                x, batch.sample_erasures(spec, p, seed=3, trials=trials))
+            out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
+                                        sbj=sbj)
+            _assert_rows_match_scalar(spec, yp, out, trials, engine=engine,
+                                      i_max=i_max, sbj=sbj)
 
 
 def _nr_batch(N, K, p, seed, trials):
@@ -80,18 +108,10 @@ def test_search_matches_scalar_on_longer_codes(N, K, trials, engine, i_max,
     # fail both hypotheses at some bit: without sbj they fail with an empty
     # stack, with sbj they backjump.
     spec, yp = _nr_batch(N, K, 0.35, 0, trials)
-    rows = planes.to_symbols(yp)
     out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max, sbj=sbj)
     assert out.backjumps.any() if sbj else not out.success.all()
-    for r, t in enumerate(trials):
-        ref = decode_with_fc(spec, rows[r], engine=engine, i_max=i_max,
-                             sbj=sbj, trial=t)
-        key = (engine, i_max, sbj, t)
-        assert out.success[r] == (ref.status == "success"), key
-        assert out.visits[r] == ref.visited_nodes, key
-        assert out.backjumps[r] == ref.backjumps, key
-        if ref.status == "success":
-            assert np.array_equal(out.u_hat[r], ref.u_hat), key
+    _assert_rows_match_scalar(spec, yp, out, trials, engine=engine,
+                              i_max=i_max, sbj=sbj)
 
 
 @pytest.mark.parametrize("sbj", [False, True])
@@ -306,17 +326,9 @@ def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed):
     trials = np.arange(T)
     _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))
     yp = batch.channel_planes(x, batch.sample_erasures(spec, p, seed, trials))
-    rows = planes.to_symbols(yp)
     out = batch.decode_fc_batch(spec, yp, sbj=True, seed=seed, trials=trials)
     assert out.backjumps.any()
-    for t in range(T):
-        ref = decode_with_fc(spec, rows[t], engine="bp_scc", sbj=True,
-                             seed=seed, trial=t)
-        assert out.success[t] == (ref.status == "success"), t
-        assert out.visits[t] == ref.visited_nodes, t
-        assert out.backjumps[t] == ref.backjumps, t
-        if ref.status == "success":
-            assert np.array_equal(out.u_hat[t], ref.u_hat), t
+    _assert_rows_match_scalar(spec, yp, out, trials, engine="bp_scc", sbj=True)
 
 
 def test_sampling_is_reproducible(ex1):

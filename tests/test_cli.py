@@ -292,6 +292,13 @@ _BAD_VALUES = [
     ("bounds", "p_grid", "1.5:2:0.5", "erasure probability 1.5 out of range"),
     ("mlbound", "p_grid", "1.5:2:0.5", "erasure probability 1.5 out of range"),
     ("mlbound", "p_grid", "0.4:0.2:0.1", "empty grid"),
+    ("simulate", "p_grid", "0.3:0.4:1e-20",
+     "grid '0.3:0.4:1e-20' has over 10000 points"),
+    ("simulate", "p_grid", "0.3:inf:0.1", "grid '0.3:inf:0.1' is not finite"),
+    ("de", "p_grid", "0.3:0.4:nan", "grid '0.3:0.4:nan' is not finite"),
+    ("mlbound", "p_grid", "0.3:0.3:1e-20",
+     "grid '0.3:0.3:1e-20' has over 10000 points"),
+    ("bounds", "p_grid", "nan", "grid 'nan' is not finite"),
     ("simulate", "list_size", "0", "must be at least 1, got 0"),
     ("bounds", "k", "0", "must be at least 1, got 0"),
     ("de", "n", "-1", "must be at least 1, got -1"),
@@ -314,6 +321,13 @@ def test_bad_values_rejected_while_parsing(command, key, value, message,
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_esn0_grid_rejected_while_parsing(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["toy-compare", "--esn0-grid=0:inf:1"])
+    assert exc.value.code == 2
+    assert "grid '0:inf:1' is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,key,value,message", _BAD_VALUES,

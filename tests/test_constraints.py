@@ -2,30 +2,11 @@
 import numpy as np
 import pytest
 
-from fcpolar.codes import CodeSpec, _assemble, input_word
+from fcpolar.codes import CodeSpec, input_word
 from fcpolar.constraints import (attached_systems, check_lists,
                                  future_constraints, global_Q, instant_Q_full,
                                  system_structure)
 from fcpolar.gf2 import kron_power, mat_mul
-
-
-def random_code(rng, n=4):
-    """Random N=16 code: random A/P/F split with random causal parity taps."""
-    N = 1 << n
-    K = int(rng.integers(2, N - 2))
-    r = int(rng.integers(0, min(4, N - K - 1)))
-    order = rng.permutation(N)
-    allocated = np.sort(order[:K + r])
-    A = tuple(int(v) for v in allocated[:K])
-    P = tuple(int(v) for v in allocated[K:])
-    F = tuple(int(v) for v in sorted(set(range(N)) - set(A) - set(P)))
-    T = np.eye(N, dtype=np.uint8)
-    for j in P:
-        # taps only on non-parity rows keep v -> vT consistent with H
-        for k in range(j):
-            if k not in P:
-                T[k, j] = rng.integers(0, 2)
-    return _assemble(n, N, A, P, F, T, None)
 
 
 def _all_messages(K):
@@ -62,7 +43,7 @@ def test_theorems_on_example1(ex1, all_ex1_messages):
         check_theorems(ex1, input_word(ex1, msg))
 
 
-def test_theorems_on_random_codes():
+def test_theorems_on_random_codes(random_code):
     rng = np.random.default_rng(202)
     for _ in range(200):
         spec = random_code(rng)
@@ -70,7 +51,7 @@ def test_theorems_on_random_codes():
         check_theorems(spec, input_word(spec, msg))
 
 
-def test_stage_partition_covers_L(ex1, nr64):
+def test_stage_partition_covers_L(ex1, nr64, random_code):
     rng = np.random.default_rng(7)
     specs = [ex1, nr64] + [random_code(rng) for _ in range(20)]
     for spec in specs:
@@ -81,6 +62,15 @@ def test_stage_partition_covers_L(ex1, nr64):
             assert len(flat) == len(set(flat))
             assert list(fc.L) == [k for k in range(i, spec.N)
                                   if k not in spec.A]
+        # The structures read their columns off the stage blocks; over the
+        # stages they are disjoint, each ascending, and together L_{ell+1}.
+        for ell in range(spec.N):
+            stages = [system_structure(spec, ell, t)[0]
+                      for t in range(1, spec.n + 1)]
+            flat = [k for cols in stages for k in cols]
+            assert all(list(cols) == sorted(cols) for cols in stages), ell
+            assert len(flat) == len(set(flat)), ell
+            assert sorted(flat) == list(future_constraints(spec, ell + 1).L)
 
 
 def test_future_constraints_bounds(ex1):
@@ -117,13 +107,9 @@ def test_structure_matches_integer_products_and_lists(nr64):
             want = mat_mul(kron_power(t)[:, [k - lo for k in rows]],
                            nr64.H[np.ix_(rows, list(cols))])
             assert np.array_equal(Q, want), (ell, t)
-            vn_of, checks_of = check_lists(nr64, ell, t)
-            assert vn_of == tuple(
+            assert check_lists(nr64, ell, t) == tuple(
                 tuple(int(k) for k in np.flatnonzero(Q[:, j]))
                 for j in range(len(cols)))
-            assert checks_of == tuple(
-                tuple(int(j) for j in np.flatnonzero(Q[k, :]))
-                for k in range(Q.shape[0]))
 
 
 def test_degenerate_offset_rejected(ex1):

@@ -302,7 +302,7 @@ def _de_run_loop(spec, decoder, p):
                     key = ("reference_fccn_plan", ell, t + 1)
                     if key not in spec._cache:
                         spec._cache[key] = fccn_plan(
-                            check_lists(spec, ell, t + 1)[0])
+                            check_lists(spec, ell, t + 1))
                     de_fccn_update(pmfs, spec._cache[key], phi)
             half = 1 << t
             if (ell >> t) & 1 == 0:

@@ -2,7 +2,9 @@
 import itertools
 
 import numpy as np
+import pytest
 
+from fcpolar import batch
 from fcpolar.codes import build_example1, encode, input_word
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
@@ -138,6 +140,11 @@ def test_exhaustive_small_patterns_sound(ex1):
 
 
 def test_unknown_engine_rejected(ex1):
-    import pytest
-    with pytest.raises(ValueError):
-        decode_with_fc(ex1, np.zeros(8, dtype=np.uint8), engine="turbo")
+    # "bp_scc" is the one spelling of BP-SCC, in both engines
+    yp = batch.channel_planes(np.zeros((1, 8), dtype=np.uint8),
+                              np.zeros((1, 8), dtype=bool))
+    for engine in ("turbo", "bpscc"):
+        with pytest.raises(ValueError):
+            decode_with_fc(ex1, np.zeros(8, dtype=np.uint8), engine=engine)
+        with pytest.raises(ValueError):
+            batch.decode_fc_batch(ex1, yp, engine=engine)
