@@ -26,8 +26,7 @@ import numpy as np
 from . import bitboard, planes
 from .codes import CodeSpec
 from .constraints import system_structure
-from .decoders import processing_index
-from .gf2 import mat_mul_f32
+from .gf2 import mat_mul
 from .rng import (STREAM_CHANNEL, STREAM_COIN, STREAM_MESSAGE,
                   keyed_bit_array, keyed_uniform_array)
 # Unused here; perfbench's search.scalar span wraps batch.decode_with_fc.
@@ -78,12 +77,12 @@ def sample_erasures(spec: CodeSpec, p: float, seed: int,
 
 
 def encode_batch(spec: CodeSpec, messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Input words and codewords for a batch of messages; returns (u, x)."""
+    """Input words and codewords for a batch of messages; returns (u, x).
+    The parity bits are one product, as u = v T in codes.input_word."""
     u = np.zeros((messages.shape[0], spec.N), dtype=np.uint8)
     u[:, list(spec.A)] = messages
-    for j in spec.P:
-        u[:, j] = mat_mul_f32(u[:, :j], spec.T[:j, j][:, None])[:, 0]
-    x = mat_mul_f32(u, spec.generator)
+    u[:, spec.parity_mask] = mat_mul(u, spec.T[:, spec.parity_mask])
+    x = mat_mul(u, spec.generator)
     return u, x
 
 
@@ -94,14 +93,15 @@ def channel_planes(x: np.ndarray, erased: np.ndarray) -> planes.Planes:
 
 def _extend_prefix(spec: CodeSpec, committed: np.ndarray, i: int, ell: int,
                    b) -> np.ndarray:
-    """Per-row hypothesis prefixes 0..ell: past estimates, b, forced bits."""
+    """Per-row hypothesis prefixes 0..ell: past estimates, b, forced bits.
+    Under the invariant of codes._assemble the parity bits in (i, ell] are
+    one product of bits 0..i with their T columns; frozen bits stay 0."""
     ubuf = np.zeros((committed.shape[0], ell + 1), dtype=np.uint8)
     ubuf[:, :i] = committed[:, :i]
     ubuf[:, i] = b
-    for j in range(i + 1, ell + 1):
-        col = spec.T[:j, j]
-        if col.any():
-            ubuf[:, j] = mat_mul_f32(ubuf[:, :j], col[:, None])[:, 0]
+    par = [j for j in range(i + 1, ell + 1) if spec.parity_mask[j]]
+    if par:
+        ubuf[:, par] = mat_mul(ubuf[:, :i + 1], spec.T[:i + 1, par])
     return ubuf
 
 
@@ -120,7 +120,7 @@ def _fccn_pass_batch(state: planes.Planes, Q: np.ndarray,
     conflict scan fails them.
     """
     V, E = (bitboard.unpack_rows(p, Q.shape[0]) for p in state[:2])
-    a = mat_mul_f32(V, Q).astype(bool) ^ phi
+    a = mat_mul(V, Q).astype(bool) ^ phi
     c = E.astype(np.float32) @ Q
     single = c == 1
     preds = np.concatenate([(c == 0) & a, single & a, single & ~a])
@@ -168,7 +168,7 @@ def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     rounds = {}
     stages, offsets, bounds = _round_plan(spec, ell) if use_fccn else ([],) * 3
     if stages:
-        phis = np.split(mat_mul_f32(ubuf, offsets).astype(bool), bounds, axis=1)
+        phis = np.split(mat_mul(ubuf, offsets).astype(bool), bounds, axis=1)
         for (t, op), phi in zip(stages, phis):
             if spec.N <= 64:
                 rounds[t] = (lambda s, m=op, f=phi:
@@ -187,17 +187,16 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Planes, seed: int,
     alpha[spec.n] = tuple(bitboard.pack_rows(p) for p in yp)
     ps: dict[int, np.ndarray] = {}
     committed = np.zeros((rows, spec.N), dtype=np.uint8)
-    a_set = set(spec.A)
     for i in range(spec.N):
         bitboard.refresh(alpha, ps, i, spec.n)
-        if i in a_set:
+        if spec.info_mask[i]:
             lv, le, lh = alpha[0]
             coin = keyed_bit_array(seed, STREAM_COIN, trials, i, 0)
             committed[:, i] = np.where((le[:, 0] | lh[:, 0]) & _ONE, coin,
                                        lv[:, 0] & _ONE)
-        elif spec.T[:i, i].any():
-            committed[:, i] = mat_mul_f32(committed[:, :i],
-                                          spec.T[:i, i][:, None])[:, 0]
+        elif spec.parity_mask[i]:
+            committed[:, i] = mat_mul(committed[:, :i],
+                                      spec.T[:i, i][:, None])[:, 0]
         bitboard.update_partial_sums(ps, i, committed[:, i])
     return BatchOutcome(success=np.ones(rows, dtype=bool), u_hat=committed,
                         visits=np.full(rows, spec.N, dtype=np.int64),
@@ -261,7 +260,7 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     rows = yv.shape[0]
     info = spec.A
     K = len(info)
-    ell_of = [processing_index(spec, i) for i in info]
+    ell_of = spec.ell[list(info)].tolist()
     spans = np.diff(ell_of, prepend=-1)
     check_cap = 1 << min(spec.K + 1, 40)
 

@@ -15,6 +15,7 @@ for N <= 64: bitwise_counts under each check's member masks give its parity
 a_j and erasure count c_j, and the masks each predicate selects OR-reduce
 to the members' messages (exact: the combine operator is commutative and
 associative). The BLAS round for longer codes is batch._fccn_pass_batch.
+left_partial_sums forms a check's beta_t from its prefix, here and in DE.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .constraints import system_structure
-from .gf2 import kron_power, mat_mul_f32
+from .gf2 import kron_power, mat_mul
 from .planes import Planes, dot, plus, plus_bits
 
 U64 = np.uint64
@@ -99,6 +100,14 @@ def update_partial_sums(ps: dict[int, np.ndarray], i: int,
     ps[t] = carry
 
 
+def left_partial_sums(prefix: np.ndarray, ell: int, t: int) -> np.ndarray:
+    """beta_t of the path to leaf ell where it descends right at stage t:
+    the stage-t transform of the left sibling block, from the bits 0..ell
+    in prefix (one row per result row, or one 1-D prefix)."""
+    lo = (ell >> (t + 1)) << (t + 1)
+    return mat_mul(prefix[..., lo:lo + (1 << t)], kron_power(t))
+
+
 def _bb_checks(spec: CodeSpec, ell: int, t: int):
     """Stage-t (member masks, offset rows); masks[j] is the (W,) word form
     of check j's members (zero masks are inert)."""
@@ -166,12 +175,8 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     state: list = [None] * (n + 1)
     state[n] = (yv, ye, np.zeros_like(yv))
 
-    betas = {}
-    for t in range(n):
-        if (ell >> t) & 1:
-            lo = (ell >> (t + 1)) << (t + 1)
-            betas[t] = pack_rows(mat_mul_f32(ubuf[:, lo:lo + (1 << t)],
-                                             kron_power(t)))
+    betas = {t: pack_rows(left_partial_sums(ubuf, ell, t))
+             for t in range(n) if (ell >> t) & 1}
 
     prescribed = ubuf[:, ell].astype(U64)
     r = np.full(rows, -1, dtype=np.int8)

@@ -15,7 +15,7 @@ from scipy.stats import binom
 
 from . import batch
 from .codes import CodeSpec
-from .gf2 import mat_mul_f32
+from .gf2 import mat_mul
 
 __all__ = ["dt_bound", "mc_bound", "ml_bound_sim"]
 
@@ -76,6 +76,6 @@ def ml_bound_sim(spec: CodeSpec, p: float, trials: int, seed: int = 0) -> float:
     yp = batch.channel_planes(x, erased)
     out = batch.decode_sc_batch(spec, yp, seed, ids)
     block_err = (out.u_hat != u).any(axis=1)
-    x_hat = mat_mul_f32(out.u_hat, spec.generator)
+    x_hat = mat_mul(out.u_hat, spec.generator)
     consistent = ((x_hat == x) | erased).all(axis=1)
     return float(np.mean(block_err & consistent))

@@ -170,16 +170,12 @@ def _parse_grid(text: str) -> list[float]:
     if start > stop:
         raise argparse.ArgumentTypeError(
             f"empty grid {text!r}: start above stop")
-    grid = []
-    v = start
-    while v <= stop + 1e-9:
-        if len(grid) == _GRID_MAX:
-            # also where step is below the resolution of v, so v stalls
-            raise argparse.ArgumentTypeError(
-                f"grid {text!r} has over {_GRID_MAX} points")
-        grid.append(round(v, 12))
-        v += step
-    return grid
+    # the stop is kept within a tolerance of 1e-9 steps
+    steps = (stop - start) / step + 1e-9
+    if steps >= _GRID_MAX:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has over {_GRID_MAX} points")
+    return [round(start + k * step, 12) for k in range(math.floor(steps) + 1)]
 
 
 def _p_grid(text: str) -> list[float]:

@@ -7,6 +7,8 @@ v elsewhere 0, to the polar input word u = v T; its parity columns encode
 u_i = u_0^{i-1} T[0:i, i] for i in P. The companion matrix H satisfies
 T H = 0 and u H = 0 exactly for valid input words; H' keeps the columns of H
 indexed by the complement of A.
+_assemble checks the invariant under which u = v T, that recursion and
+u H = 0 agree, and stores the index tables that every engine reads.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ class CodeSpec:
     H: np.ndarray
     H_prime: np.ndarray
     outer: OuterCode | None
+    info_mask: np.ndarray    # (N,) bool: i in A
+    parity_mask: np.ndarray  # (N,) bool: i in P
+    ell: np.ndarray          # (N,) next index in A minus 1, else N - 1
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -71,14 +76,15 @@ class CodeSpec:
 
 
 def crc_remainder(bits, taps) -> np.ndarray:
-    """Remainder of bits(D) * D^deg divided by the generator taps (MSB first)."""
-    deg = len(taps) - 1
-    reg = list(np.asarray(bits, dtype=np.uint8)) + [0] * deg
-    for i in range(len(reg) - deg):
-        if reg[i]:
-            for j, t in enumerate(taps):
-                reg[i + j] ^= t
-    return np.array(reg[len(reg) - deg:], dtype=np.uint8) if deg else np.zeros(0, dtype=np.uint8)
+    """Remainder of bits(D) * D^deg divided by the generator taps (MSB
+    first), for each row of bits along its last axis."""
+    taps = np.asarray(taps, dtype=np.uint8)
+    bits = np.asarray(bits, dtype=np.uint8)
+    reg = np.concatenate([bits, np.zeros(bits.shape[:-1] + (len(taps) - 1,),
+                                         dtype=np.uint8)], axis=-1)
+    for i in range(bits.shape[-1]):
+        reg[..., i:i + len(taps)] ^= reg[..., i:i + 1] * taps
+    return reg[..., bits.shape[-1]:]
 
 
 @lru_cache(maxsize=1)
@@ -102,17 +108,33 @@ def nr_profile(N: int) -> ReliabilityProfile:
 
 
 def _assemble(n, N, A, P, F, T, outer) -> CodeSpec:
-    """Build H from T and package the spec; shared by all constructors."""
-    H = np.zeros((N, N), dtype=np.uint8)
-    for i in F:
-        H[i, i] = 1
-    for i in P:
-        H[:i, i] = T[:i, i]
-        H[i, i] = 1
-    not_A = sorted(set(range(N)) - set(A))
-    H_prime = np.ascontiguousarray(H[:, not_A])
-    return CodeSpec(n=n, N=N, K=len(A), A=tuple(A), P=tuple(P), F=tuple(F),
-                    T=T, H=H, H_prime=H_prime, outer=outer)
+    """Check T, build H and the read-only index tables, and package the
+    spec; shared by all constructors. T must be upper-triangular with unit
+    A columns, no F column tapped above its diagonal and no P column
+    tapping a P row."""
+    A, P, F = tuple(A), tuple(P), tuple(F)
+    info, parity = np.zeros((2, N), dtype=bool)
+    info[list(A)] = parity[list(P)] = True
+    rows, cols = np.nonzero(T)
+    above = rows < cols
+    if (rows > cols).any():
+        raise ValueError("T must be upper-triangular")
+    if info[cols[above]].any() or not T[A, A].all():
+        raise ValueError("every column of T in A must be a unit column")
+    # the columns outside A and P are F
+    if not parity[cols[above]].all():
+        raise ValueError("a column of T in F has a tap above its diagonal")
+    if parity[rows[above]].any():
+        raise ValueError("a column of T in P taps another P row")
+    # so H is T with its diagonal set to 1 off A and to 0 on A
+    H = T.astype(np.uint8)
+    np.fill_diagonal(H, ~info)
+    ell = np.array(A + (N,))[np.searchsorted(A, np.arange(N), side="right")] - 1
+    for table in (info, parity, ell):
+        table.setflags(write=False)
+    return CodeSpec(n=n, N=N, K=len(A), A=A, P=P, F=F, T=T, H=H,
+                    H_prime=np.ascontiguousarray(H[:, ~info]), outer=outer,
+                    info_mask=info, parity_mask=parity, ell=ell)
 
 
 def build_example1() -> CodeSpec:
@@ -153,22 +175,16 @@ def build_nr_code(N: int, K: int, crc: str = "nr11") -> CodeSpec:
     for i in A:
         T[i, i] = 1
     if outer:
-        parity_of_unit = np.stack([crc_remainder(row, outer.generator_taps)
-                                   for row in np.eye(K, dtype=np.uint8)])
-        for j, pj in enumerate(P):
-            T[list(A), pj] = parity_of_unit[:, j]
+        T[np.ix_(A, P)] = crc_remainder(np.eye(K, dtype=np.uint8),
+                                        outer.generator_taps)
     return _assemble(n, N, A, P, F, T, outer)
 
 
 def encode(spec: CodeSpec, message) -> np.ndarray:
     """Map a K-bit message to the transmitted codeword x = u G."""
-    message = np.asarray(message, dtype=np.uint8)
-    if message.shape != (spec.K,):
+    if np.shape(message) != (spec.K,):
         raise ValueError(f"message must have length {spec.K}")
-    v = np.zeros(spec.N, dtype=np.uint8)
-    v[list(spec.A)] = message
-    u = mat_mul(v[None, :], spec.T)[0]
-    return mat_mul(u[None, :], spec.generator)[0]
+    return mat_mul(input_word(spec, message)[None, :], spec.generator)[0]
 
 
 def input_word(spec: CodeSpec, message) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .gf2 import kron_power, mat_mul, mat_mul_f32
+from .gf2 import kron_power, mat_mul
 
 __all__ = [
     "FcIndexSets",
@@ -76,8 +76,7 @@ def future_constraints(spec: CodeSpec, i: int) -> FcIndexSets:
     """
     if not 0 <= i <= spec.N:
         raise ValueError(f"bit index {i} out of range")
-    not_a = spec._cache.setdefault("not_a", frozenset(range(spec.N)) - set(spec.A))
-    L = tuple(k for k in range(i, spec.N) if k in not_a)
+    L = tuple((i + np.flatnonzero(~spec.info_mask[i:])).tolist())
     per_stage = [tuple(k for k in L if k == i)]
     for t in range(1, spec.n + 1):
         lo, hi = _block(i, t)
@@ -147,12 +146,10 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     cached = spec._cache.get(key)
     if cached is None:
         lo, hi = _block(ell, t)
-        a_set = spec._cache.get("a_set")
-        if a_set is None:
-            a_set = spec._cache["a_set"] = frozenset(spec.A)
-        cols = [k for k in range(_block(ell, t - 1)[1], hi) if k not in a_set]
+        start = _block(ell, t - 1)[1]
+        cols = [k for k in range(start, hi) if not spec.info_mask[k]]
         rows = np.arange(ell + 1, hi)
-        Q = mat_mul_f32(kron_power(t)[:, rows - lo], spec.H[np.ix_(rows, cols)])
+        Q = mat_mul(kron_power(t)[:, rows - lo], spec.H[np.ix_(rows, cols)])
         # copy(): the mixed index leaves the offset rows in F order, and
         # every check's phi product reads them in C order faster
         cached = (tuple(cols), Q, spec.H[:ell + 1, cols].copy())

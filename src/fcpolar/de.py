@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bitboard import left_partial_sums
 from .codes import CodeSpec
 from .constraints import system_structure
-from .decoders import build_hypothesis
-from .gf2 import kron_power
+from .gf2 import mat_mul
 from .symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE, SYMBOLS
 
 __all__ = [
@@ -257,13 +257,10 @@ class _Group(NamedTuple):
 
 def _hypothesis(spec: CodeSpec, decoder: str, i: int) -> tuple:
     """(ell, prefix) of the H_{i,1} check of bit i with an all-zero past;
-    sc stops at bit i and forces no parity values."""
-    if decoder == "sc":
-        prefix = np.zeros(i + 1, dtype=np.uint8)
-        prefix[i] = 1
-        return i, prefix
-    hyp = build_hypothesis(spec, np.zeros(i, dtype=np.uint8), i, 1)
-    return hyp.ell, hyp.prefix
+    sc stops at bit i and forces no parity values. Under the invariant of
+    codes._assemble the prefix is row i of T up to ell."""
+    ell = i if decoder == "sc" else int(spec.ell[i])
+    return ell, spec.T[i, :ell + 1]
 
 
 def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
@@ -283,22 +280,16 @@ def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
             if cols:
                 deg.append(np.count_nonzero(Q, axis=0))
                 members.append(np.nonzero(Q.T)[1] + (g << (t + 1)))
-                phis.append((prefix.astype(np.int64)
-                             @ offsets.astype(np.int64)) % 2)
+                phis.append(mat_mul(prefix, offsets))
         if deg:
             plan = _fccn_plan(np.concatenate(deg), np.concatenate(members))
             phi = np.concatenate(phis)
-    half = 1 << t
     side = np.array([(ell >> t) & 1 for ell, _ in bits], dtype=bool)
-    kron = kron_power(t).astype(np.int64)
-    beta = []
-    for ell, prefix in bits:
-        if (ell >> t) & 1:
-            lo = (ell >> (t + 1)) << (t + 1)
-            beta.append((prefix[lo:lo + half].astype(np.int64) @ kron) % 2)
+    beta = [left_partial_sums(prefix, ell, t) for ell, prefix in bits
+            if (ell >> t) & 1]
     return _Stage(plan=plan, phi=phi, plus=np.flatnonzero(~side),
                   dot=np.flatnonzero(side),
-                  beta=np.array(beta, dtype=bool).reshape(-1, half))
+                  beta=np.array(beta, dtype=bool).reshape(-1, 1 << t))
 
 
 def _rows(spec: CodeSpec, ell: int, use_fccn: bool) -> int:

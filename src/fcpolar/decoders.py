@@ -70,13 +70,11 @@ class HypothesisReport:
 
 
 def processing_index(spec: CodeSpec, i: int) -> int:
-    """Last index strictly before the next information bit (or N-1)."""
-    if i not in spec._cache.setdefault("a_set", frozenset(spec.A)):
+    """Last index strictly before the next information bit (or N-1), read
+    off the spec's table."""
+    if not (0 <= i < spec.N and spec.info_mask[i]):
         raise ValueError(f"bit {i} is not an information bit")
-    k = i
-    while k + 1 < spec.N and k + 1 not in spec._cache["a_set"]:
-        k += 1
-    return k
+    return int(spec.ell[i])
 
 
 def build_hypothesis(spec: CodeSpec, prefix_estimates, i: int, b: int) -> Hypothesis:

@@ -15,7 +15,6 @@ __all__ = [
     "KERNEL",
     "kron_power",
     "mat_mul",
-    "mat_mul_f32",
     "gf2_rank",
     "format_matrix",
 ]
@@ -39,14 +38,11 @@ def kron_power(n: int) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2)."""
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+    """Matrix product over GF(2) of 0/1 or boolean operands, as uint8.
 
-
-def mat_mul_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GF(2) product through float32 BLAS; exact while inner dim < 2^24.
-
-    Much faster than integer matmul on the wide trial-batch operands.
+    Through float32 BLAS, much faster than an integer matmul on the wide
+    trial-batch operands; exact while the inner dimension (at most N) is
+    below 2^24.
     """
     prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
     return (prod.astype(np.int64) & 1).astype(np.uint8)

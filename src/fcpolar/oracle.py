@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 
 from .batch import encode_batch
 from .codes import CodeSpec
-from .gf2 import mat_mul_f32
+from .gf2 import mat_mul
 
 __all__ = [
     "awgn_sigma2",
@@ -112,21 +112,19 @@ def sc_marginal_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:
     argmax, which restricts the candidate set just like a decision does.
     """
     words = _all_input_words(spec)
-    scores = _scores(ll, mat_mul_f32(words, spec.generator))
+    scores = _scores(ll, mat_mul(words, spec.generator))
     trials = ll.shape[0]
     committed = np.zeros(trials, dtype=np.int64)
     decided = np.zeros((trials, spec.N), dtype=np.uint8)
-    a_set = set(spec.A)
     for i in range(spec.N):
-        if i in a_set:
+        if spec.info_mask[i]:
             grouped = logsumexp(scores.reshape(trials, 1 << (i + 1), -1), axis=2)
             s0 = grouped[np.arange(trials), committed << 1]
             s1 = grouped[np.arange(trials), (committed << 1) + 1]
             bit = (s1 > s0).astype(np.int64)
         else:
-            col = spec.T[:i, i]
-            bit = (mat_mul_f32(decided[:, :i], col[:, None])[:, 0]
-                   if i and col.any() else np.zeros(trials, dtype=np.uint8)
+            bit = (mat_mul(decided[:, :i], spec.T[:i, i][:, None])[:, 0]
+                   if spec.parity_mask[i] else np.zeros(trials, dtype=np.uint8)
                    ).astype(np.int64)
         decided[:, i] = bit
         committed = (committed << 1) + bit

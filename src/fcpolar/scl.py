@@ -36,7 +36,7 @@ import numpy as np
 
 from .bitboard import pack_rows, refresh, unpack_rows, update_partial_sums
 from .codes import CodeSpec
-from .gf2 import mat_mul_f32
+from .gf2 import mat_mul
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 
 __all__ = ["SclOutcome", "decode_scl"]
@@ -78,9 +78,7 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
     tid = np.arange(B)
     u = np.zeros((B, -(-N // 64)), dtype=U64)
     t_cols = pack_rows(np.triu(spec.T, 1).T)
-    dynamic = t_cols.any(axis=1)
-    info = np.zeros(N, dtype=bool)
-    info[list(spec.A)] = True
+    info, dynamic = spec.info_mask, spec.parity_mask
     visited = np.zeros(B, dtype=np.int64)
 
     for i in range(N):
@@ -137,7 +135,7 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
         update_partial_sums(ps, i, bits)
 
     words = unpack_rows(u, N)
-    good = np.flatnonzero(~mat_mul_f32(words, spec.H_prime).any(axis=1))
+    good = np.flatnonzero(~mat_mul(words, spec.H_prime).any(axis=1))
     survivors = np.bincount(tid[good], minlength=B)
     success = survivors > 0
     won = np.flatnonzero(success)

@@ -6,7 +6,7 @@ from fcpolar import batch, bitboard, planes
 from fcpolar.codes import build_nr_code
 from fcpolar.constraints import system_structure
 from fcpolar.decoders import processing_index
-from fcpolar.gf2 import kron_power, mat_mul_f32
+from fcpolar.gf2 import kron_power, mat_mul
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
 
@@ -150,7 +150,7 @@ def _round_maps(spec, ubuf, ell):
         _, Q, offsets = system_structure(spec, ell, t)
         if not offsets.shape[1]:
             continue
-        phi = mat_mul_f32(ubuf, offsets).astype(bool)
+        phi = mat_mul(ubuf, offsets).astype(bool)
         masks = bitboard.pack_rows(Q.T)
         popcount[t] = lambda s, m=masks, f=phi: bitboard._fccn_pass64(s, m, f)
         blas[t] = (lambda s, q=Q.astype(np.float32), f=phi:
@@ -211,7 +211,7 @@ def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
     for t in range(n):
         if (ell >> t) & 1:
             lo = (ell >> (t + 1)) << (t + 1)
-            betas[t] = bitboard.pack_rows(mat_mul_f32(
+            betas[t] = bitboard.pack_rows(mat_mul(
                 ubuf[:, lo:lo + (1 << t)], kron_power(t)))
     prescribed = ubuf[:, ell].astype(U64)
     r = np.full(rows, -1, dtype=np.int8)

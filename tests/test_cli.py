@@ -118,6 +118,9 @@ def test_run_point_validation(nr16):
 def test_parse_grid():
     assert cli._parse_grid("0.5") == [0.5]
     assert cli._parse_grid("0.35:0.5:0.05") == [0.35, 0.4, 0.45, 0.5]
+    # the stop's tolerance is in steps: a tiny step does not run past it
+    assert cli._parse_grid("0.3:0.3:1e-12") == [0.3]
+    assert cli._parse_grid("0.3:0.3:1e-20") == [0.3]
     with pytest.raises(Exception):
         cli._parse_grid("0.1:0.5")
     with pytest.raises(Exception):
@@ -296,8 +299,8 @@ _BAD_VALUES = [
      "grid '0.3:0.4:1e-20' has over 10000 points"),
     ("simulate", "p_grid", "0.3:inf:0.1", "grid '0.3:inf:0.1' is not finite"),
     ("de", "p_grid", "0.3:0.4:nan", "grid '0.3:0.4:nan' is not finite"),
-    ("mlbound", "p_grid", "0.3:0.3:1e-20",
-     "grid '0.3:0.3:1e-20' has over 10000 points"),
+    ("mlbound", "p_grid", "0.3:0.31:1e-20",
+     "grid '0.3:0.31:1e-20' has over 10000 points"),
     ("bounds", "p_grid", "nan", "grid 'nan' is not finite"),
     ("simulate", "list_size", "0", "must be at least 1, got 0"),
     ("bounds", "k", "0", "must be at least 1, got 0"),

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcpolar.codes import (NR_CRC11_TAPS, build_example1, build_nr_code,
-                           crc_remainder, encode, input_word, load_nr_sequence,
-                           nr_profile)
+from fcpolar import batch
+from fcpolar.codes import (NR_CRC11_TAPS, _assemble, build_example1,
+                           build_nr_code, crc_remainder, encode, input_word,
+                           load_nr_sequence, nr_profile)
+from fcpolar.decoders import build_hypothesis, processing_index
 from fcpolar.gf2 import mat_mul
 
 # Example-1 pre-transform rows for the information positions (frozen oracle).
@@ -83,6 +85,10 @@ def test_crc_remainder_matches_lfsr(bits):
     bits = np.array(bits, dtype=np.uint8)
     assert np.array_equal(crc_remainder(bits, NR_CRC11_TAPS),
                           _crc_lfsr(bits, NR_CRC11_TAPS))
+    # row by row, as build_nr_code divides all unit messages at once
+    rows = np.stack([bits, 1 - bits])
+    assert np.array_equal(crc_remainder(rows, NR_CRC11_TAPS),
+                          [_crc_lfsr(r, NR_CRC11_TAPS) for r in rows])
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
@@ -135,3 +141,95 @@ def test_crc_none_profile(nr16):
     assert nr16.outer is None
     assert not nr16.P
     assert len(nr16.A) == 6
+
+
+# (A, P, F, valid taps (row, column) of T off the diagonal, one tap that
+# breaks a clause of the invariant, the error it raises)
+_BROKEN = [
+    ((3, 5, 7), (6,), (0, 1, 2, 4), [(3, 6), (5, 6)], (6, 3),
+     "upper-triangular"),
+    ((3, 5, 7), (6,), (0, 1, 2, 4), [(3, 6), (5, 6)], (3, 5), "unit column"),
+    ((3, 5, 7), (6,), (0, 1, 2, 4), [(3, 6), (5, 6)], (3, 4),
+     "in F has a tap"),
+    ((3, 5, 7), (4, 6), (0, 1, 2), [(3, 4), (3, 6), (5, 6)], (4, 6),
+     "taps another P row"),
+]
+
+
+@pytest.mark.parametrize("A,P,F,taps,bad,message", _BROKEN,
+                         ids=[m for *_, m in _BROKEN])
+def test_assemble_rejects_each_broken_clause(A, P, F, taps, bad, message):
+    def code(taps):
+        T = np.zeros((8, 8), dtype=np.uint8)
+        for i in A:
+            T[i, i] = 1
+        for k, j in taps:
+            T[k, j] = 1
+        return _assemble(3, 8, A, P, F, T, None)
+
+    code(taps)
+    with pytest.raises(ValueError, match=message):
+        code(taps + [bad])
+
+
+def _every_code(random_code):
+    """Example 1, NR(N, K) for N = 2..1024 with and without CRC, and random
+    codes: every constructor, each through _assemble's invariant check."""
+    specs = [build_example1()]
+    for n in range(1, 11):
+        N = 1 << n
+        specs.append(build_nr_code(N, N // 2, crc="none"))
+        if N > 11:
+            specs.append(build_nr_code(N, min(N // 2, N - 11)))
+    rng = np.random.default_rng(17)
+    specs += [random_code(rng, n=int(rng.integers(3, 7))) for _ in range(30)]
+    return specs
+
+
+def test_index_tables_match_their_derivations(random_code):
+    # The reference derivations the tables replace: set(A) for the A mask,
+    # the forward scan for the processing index and the T column scan for
+    # forced bits. A P column may have no taps (forced to 0 either way).
+    for spec in _every_code(random_code):
+        a_set = set(spec.A)
+        assert spec.info_mask.tolist() == [i in a_set for i in range(spec.N)]
+        assert spec.parity_mask.tolist() == [i in spec.P
+                                             for i in range(spec.N)]
+        scan = np.array([spec.T[:j, j].any() for j in range(spec.N)])
+        assert not (scan & ~spec.parity_mask).any()
+        for i in spec.A:
+            k = i
+            while k + 1 < spec.N and k + 1 not in a_set:
+                k += 1
+            assert processing_index(spec, i) == spec.ell[i] == k
+        for table in (spec.info_mask, spec.parity_mask, spec.ell):
+            assert not table.flags.writeable
+        for i in (-1, spec.N, *spec.P, *spec.F):
+            with pytest.raises(ValueError):
+                processing_index(spec, i)
+
+
+def test_recursion_matches_u_equals_vT(random_code):
+    # The causal recursion of build_hypothesis gives u = vT on the prefix
+    # of every input word, and the one product of batch._extend_prefix on
+    # any prefix at all.
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        spec = random_code(rng, n=int(rng.integers(3, 7)))
+        msgs = rng.integers(0, 2, size=(4, spec.K), dtype=np.uint8)
+        noise = rng.integers(0, 2, size=(4, spec.N), dtype=np.uint8)
+        for msg, junk in zip(msgs, noise):
+            u = input_word(spec, msg)
+            for i in spec.A:
+                for b in (0, 1):
+                    want = build_hypothesis(spec, u[:i], i, b).prefix
+                    assert np.array_equal(want[:i], u[:i])
+                    if b == u[i]:
+                        assert np.array_equal(want, u[:want.size])
+                    got = batch._extend_prefix(spec, u[None, :], i,
+                                               want.size - 1, b)
+                    assert np.array_equal(got[0], want)
+                    want = build_hypothesis(spec, junk[:i], i, b).prefix
+                    got = batch._extend_prefix(spec, junk[None, :], i,
+                                               want.size - 1, b)
+                    assert np.array_equal(got[0], want)

@@ -358,3 +358,22 @@ def test_groups_split_anywhere(monkeypatch, decoder):
         assert sizes.count(1) > 1 and max(sizes) > 1
     else:
         assert sizes == [5] * 6 + [2]
+
+
+def test_hypothesis_prefix_is_row_of_T(ex1, nr64, random_code):
+    # de._hypothesis reads the H_{i,1} prefix with an all-zero past off row
+    # i of T; the scalar recursion of build_hypothesis is the reference.
+    rng = np.random.default_rng(29)
+    specs = [ex1, nr64, build_nr_code(256, 128)]
+    specs += [random_code(rng, n=int(rng.integers(3, 7))) for _ in range(20)]
+    for spec in specs:
+        for i in spec.A:
+            zeros = np.zeros(i, dtype=np.uint8)
+            hyp = build_hypothesis(spec, zeros, i, 1)
+            for decoder in ("scc", "bpscc1"):
+                ell, prefix = de._hypothesis(spec, decoder, i)
+                assert ell == hyp.ell
+                assert np.array_equal(prefix, hyp.prefix)
+            ell, prefix = de._hypothesis(spec, "sc", i)
+            assert ell == i
+            assert np.array_equal(prefix, np.append(zeros, 1))

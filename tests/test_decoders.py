@@ -1,6 +1,12 @@
 """Hypothesis checks on the instant graph: structure, soundness, SC leaf."""
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
+
+import fcpolar
 
 from fcpolar.codes import build_example1, encode, input_word
 from fcpolar.constraints import attached_systems
@@ -120,3 +126,25 @@ def test_conflict_reported_as_refutation(ex1):
     assert rep.r in (0, 1)
     if rep.r == 0:
         assert rep.symbol in (CONFLICT, 0, 1)
+
+
+def test_only_the_scalar_engine_binds_decoders_and_search():
+    # decoders and search are the scalar reference: no other module binds
+    # a name to one of their functions or classes (or to the modules), so
+    # the batch engines cannot lean on them. batch.decode_with_fc is the
+    # one exception: a benchmark span wraps it by that name.
+    scalar = ("fcpolar.decoders", "fcpolar.search")
+    allowed = {"fcpolar.batch.decode_with_fc"}
+    bound = []
+    for info in pkgutil.iter_modules(fcpolar.__path__, "fcpolar."):
+        if info.name in scalar:
+            continue
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            origin = (value.__name__ if inspect.ismodule(value)
+                      else value.__module__
+                      if inspect.isfunction(value) or inspect.isclass(value)
+                      else None)
+            if origin in scalar and f"{info.name}.{name}" not in allowed:
+                bound.append(f"{info.name}.{name}")
+    assert not bound

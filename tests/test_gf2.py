@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcpolar.gf2 import (KERNEL, format_matrix, gf2_rank, kron_power, mat_mul,
-                         mat_mul_f32)
+from fcpolar.gf2 import KERNEL, format_matrix, gf2_rank, kron_power, mat_mul
 
 
 def _rank_oracle(m):
@@ -60,15 +59,24 @@ def test_kron_power_read_only():
 @given(st.integers(0, 2**30 - 1), st.integers(0, 2**30 - 1))
 @settings(max_examples=50)
 def test_mat_mul_variants_agree(seed_a, seed_b):
+    # The one product against an XOR-reduce, on 0/1 and bool operands, up
+    # to inner dimension 1024, the package's largest (N = 1024).
     rng = np.random.default_rng(seed_a * 2**31 + seed_b)
-    a = rng.integers(0, 2, size=(13, 17), dtype=np.uint8)
-    b = rng.integers(0, 2, size=(17, 9), dtype=np.uint8)
-    expected = np.zeros((13, 9), dtype=np.uint8)
-    for i in range(13):
-        for j in range(9):
-            expected[i, j] = np.bitwise_xor.reduce(a[i] & b[:, j])
-    assert np.array_equal(mat_mul(a, b), expected)
-    assert np.array_equal(mat_mul_f32(a, b), expected)
+    for inner in (17, 1024):
+        a = rng.integers(0, 2, size=(13, inner), dtype=np.uint8)
+        b = rng.integers(0, 2, size=(inner, 9), dtype=np.uint8)
+        expected = np.zeros((13, 9), dtype=np.uint8)
+        for i in range(13):
+            for j in range(9):
+                expected[i, j] = np.bitwise_xor.reduce(a[i] & b[:, j])
+        for x, y in ((a, b), (a.astype(bool), b.astype(bool))):
+            got = mat_mul(x, y)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, expected)
+    # every term set: the sums reach 1023 and 1024 exactly
+    ones = np.ones((1, 1024), dtype=np.uint8)
+    assert mat_mul(ones[:, :1023], ones[:, :1023].T)[0, 0] == 1
+    assert mat_mul(ones, ones.T)[0, 0] == 0
 
 
 @given(st.integers(0, 2**30 - 1))
