@@ -133,21 +133,19 @@ def _round_plan(spec: CodeSpec, ell: int):
 
     Returns ([(t, operand)] for every stage t that holds future constraints,
     their offset rows side by side, the column bounds between stages). The
-    operand is the member masks of bitboard._fccn_pass64 for N <= 64 and the
-    float32 Q of _fccn_pass_batch above; each is faster on its side.
+    round is chosen here: the operand is the member masks (Q's columns as
+    words) of bitboard._fccn_pass64 for N <= 64 and the float32 Q of
+    _fccn_pass_batch above; each is faster on its side.
     """
     key = ("rounds", ell)
     plan = spec._cache.get(key)
     if plan is None:
         stages, offsets = [], []
         for t in range(1, spec.n + 1):
-            if spec.N <= 64:
-                op, off = bitboard._bb_checks(spec, ell, t)
-            else:
-                _, Q, off = system_structure(spec, ell, t)
-                op = Q.astype(np.float32)
+            _, Q, off = system_structure(spec, ell, t)
             if off.shape[1]:
-                stages.append((t, op))
+                stages.append((t, bitboard.pack_rows(Q.T) if spec.N <= 64
+                               else Q.astype(np.float32)))
                 offsets.append(off)
         bounds = np.cumsum([off.shape[1] for off in offsets])[:-1]
         plan = (stages, np.hstack(offsets) if offsets else None, bounds)
@@ -157,24 +155,22 @@ def _round_plan(spec: CodeSpec, ell: int):
 
 def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
                  ubuf: np.ndarray, ell: int, use_fccn: bool, i_max: int):
-    """Run one hypothesis check for every row; returns (r, eps, iters).
+    """Run one hypothesis check for every row; returns (passed, iters).
 
     yv, ye are the rows' packed channel words. This binds each stage's FCCN
     round from _round_plan to the rows' offsets phi (one product for all
     stages) and runs the sweep and verdict in bitboard.check_batch64. The
-    round functions are looked up when called, so wrappers around them see
-    every round.
+    round goes with the plan's operands (uint64 masks or float32 Q), and is
+    looked up on each call, so wrappers around it see every round.
     """
     rounds = {}
     stages, offsets, bounds = _round_plan(spec, ell) if use_fccn else ([],) * 3
     if stages:
+        fccn = (bitboard._fccn_pass64 if stages[0][1].dtype == bitboard.U64
+                else _fccn_pass_batch)
         phis = np.split(mat_mul(ubuf, offsets).astype(bool), bounds, axis=1)
-        for (t, op), phi in zip(stages, phis):
-            if spec.N <= 64:
-                rounds[t] = (lambda s, m=op, f=phi:
-                             bitboard._fccn_pass64(s, m, f))
-            else:
-                rounds[t] = (lambda s, q=op, f=phi: _fccn_pass_batch(s, q, f))
+        rounds = {t: lambda s, op=op, f=phi: fccn(s, op, f)
+                  for (t, op), phi in zip(stages, phis)}
     return bitboard.check_batch64(spec, yv, ye, ubuf, ell, rounds, i_max)
 
 
@@ -281,8 +277,8 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         both = np.concatenate((sel, sel))
         ubuf = _extend_prefix(spec, committed[both], i, ell,
                               np.arange(2 * m) >= m)
-        ok, _, it = _check_batch(spec, yv[both], ye[both], ubuf, ell,
-                                 use_fccn, i_max)
+        ok, it = _check_batch(spec, yv[both], ye[both], ubuf, ell,
+                              use_fccn, i_max)
         ok0, ok1 = ok[:m], ok[m:] & ~ok[:m]
         runs = 2 - ok0
         visits[sel] += spans[k] * runs

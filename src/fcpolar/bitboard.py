@@ -8,14 +8,15 @@ recursion of batch.decode_sc_batch and of scl runs on it for any N, with
 the planes.plus / plus_bits / dot operators applied to words.
 
 check_batch64 is the sweep and verdict of every hypothesis check that the
-batched stack search of SCC and BP-SCC runs, at every N. Its caller,
-batch._check_batch, hands it the FCCN round of each stage; both rounds take
-and return word triples and end in merge_round. _fccn_pass64 is the round
-for N <= 64: bitwise_counts under each check's member masks give its parity
-a_j and erasure count c_j, and the masks each predicate selects OR-reduce
-to the members' messages (exact: the combine operator is commutative and
-associative). The BLAS round for longer codes is batch._fccn_pass_batch.
-left_partial_sums forms a check's beta_t from its prefix, here and in DE.
+batched stack search of SCC and BP-SCC runs, at every N. batch._check_batch
+hands it each stage's FCCN round, bound to the operands of _round_plan;
+both rounds take and return word triples and end in merge_round.
+_fccn_pass64 is the round for N <= 64: bitwise_counts under each check's
+member masks give its parity a_j and erasure count c_j, and the masks each
+predicate selects OR-reduce to the members' messages (exact: the combine
+operator is commutative and associative). The BLAS round for longer codes
+is batch._fccn_pass_batch. left_partial_sums forms a check's beta_t from
+its prefix, here and in DE.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import CodeSpec
-from .constraints import system_structure
 from .gf2 import kron_power, mat_mul
 from .planes import Planes, dot, plus, plus_bits
 
 U64 = np.uint64
 _ONE = U64(1)
+
+# No longer a function here (batch._round_plan reads the structures); the
+# benchmark's self-test reads every name its tracer wraps, this one too.
+system_structure = None
 
 
 def mask(width: int) -> np.uint64:
@@ -108,13 +112,6 @@ def left_partial_sums(prefix: np.ndarray, ell: int, t: int) -> np.ndarray:
     return mat_mul(prefix[..., lo:lo + (1 << t)], kron_power(t))
 
 
-def _bb_checks(spec: CodeSpec, ell: int, t: int):
-    """Stage-t (member masks, offset rows); masks[j] is the (W,) word form
-    of check j's members (zero masks are inert)."""
-    _, Q, offsets = system_structure(spec, ell, t)
-    return pack_rows(Q.T), offsets
-
-
 def merge_round(state: Planes, clash, got1, got0) -> Planes:
     """Land one FCCN round's messages on a word triple.
 
@@ -129,7 +126,8 @@ def merge_round(state: Planes, clash, got1, got0) -> Planes:
 
 
 def _fccn_pass64(state: Planes, masks: np.ndarray, phi: np.ndarray) -> Planes:
-    """One FCCN round by popcount under the (checks, W) member masks.
+    """One FCCN round by popcount under the (checks, W) member masks;
+    masks[j] is the word form of check j's members (zero masks are inert).
 
     Per check j: a_j = members' parity XOR phi_j, c_j = erased members; a
     known member clashes under a check with c_j = 0 and a_j = 1, an erased
@@ -153,9 +151,9 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     yv and ye are the channel's value and erasure words, (rows, W) for the
     length-N block; ubuf holds the hypothesis prefixes 0..ell. rounds maps a
     stage t to its FCCN round, run on the stage-t block before each descent
-    through it. Returns (r, eps, iters): r is True where the check passed,
-    eps flags rows whose processing symbol stayed erased through i_max
-    sweeps, iters is the sweep count at resolution.
+    through it. Returns (passed, iters): a row fails on a conflict or a
+    concrete processing symbol other than ubuf[:, ell]; one still erased
+    after i_max sweeps passes. iters counts the sweeps to the verdict.
 
     Sweep 1 is the SC descent alone: each child is plus(a, c) at a 0-bit
     of ell and dot(plus_bits(a, beta_t), c) at a 1-bit, and the parent
@@ -168,7 +166,8 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
 
     Conflicts are scanned once per sweep, over all n+1 stages: every
     operator and both rounds only OR into the conflict plane, so a conflict
-    raised anywhere in the sweep is still there at its end.
+    raised anywhere in the sweep is still there at its end. The scan covers
+    the leaf, so the verdict reads only its erasure and value bits.
     """
     rows = ubuf.shape[0]
     n = spec.n
@@ -179,8 +178,9 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
              for t in range(n) if (ell >> t) & 1}
 
     prescribed = ubuf[:, ell].astype(U64)
-    r = np.full(rows, -1, dtype=np.int8)
-    iters = np.zeros(rows, dtype=np.int64)
+    passed = np.ones(rows, dtype=bool)
+    iters = np.full(rows, i_max, dtype=np.int64)
+    open_rows = np.ones(rows, dtype=bool)
     fail = np.zeros(rows, dtype=bool)
     for it in range(1, i_max + 1):
         for t in range(n - 1, -1, -1):
@@ -204,24 +204,11 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
             state[t] = child
             state[t + 1] = join(na, nc, t)
         fail |= np.hstack([s[2] for s in state]).any(axis=1)
-
-        lv, le, lh = (p[:, 0] for p in state[0])
-        open_rows = r == -1
-        hit = open_rows & fail
-        r[hit] = 0
-        iters[hit] = it
-        open_rows &= ~hit
-        concrete = open_rows & ((le & _ONE) == 0) & ((lh & _ONE) == 0)
-        good = concrete & ((lv & _ONE) == prescribed)
-        r[good] = 1
-        iters[good] = it
-        bad = concrete & ((lv & _ONE) != prescribed)
-        r[bad] = 0
-        iters[bad] = it
-        if not (r == -1).any():
+        lv, le = (p[:, 0] & _ONE for p in state[0][:2])
+        done = open_rows & (fail | (le == 0))
+        passed &= ~(done & (fail | (lv != prescribed)))
+        iters[done] = it
+        open_rows &= ~done
+        if not open_rows.any():
             break
-
-    eps = r == -1
-    r[eps] = 1
-    iters[eps] = i_max
-    return r == 1, eps, iters
+    return passed, iters

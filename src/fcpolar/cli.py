@@ -225,7 +225,8 @@ def _build_spec(args) -> CodeSpec:
 
 
 def _add_code_args(sub):
-    sub.add_argument("--n", type=_count, help="log2 of the block length N")
+    sub.add_argument("--n", type=_count, choices=range(1, 11),
+                     help="log2 of the block length N (N <= 1024)")
     sub.add_argument("--k", type=_count, help="number of information bits")
     sub.add_argument("--crc", choices=("nr11", "none"), default="nr11")
 

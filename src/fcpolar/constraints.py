@@ -72,7 +72,7 @@ def future_constraints(spec: CodeSpec, i: int) -> FcIndexSets:
     """Index sets L_i and their stage partition L_{i,t}.
 
     i = N is allowed and yields empty sets: past the last index nothing
-    remains to convert, which the final processing step relies on.
+    remains to convert, so L_{ell+1} of the last processing index is empty.
     """
     if not 0 <= i <= spec.N:
         raise ValueError(f"bit index {i} out of range")

@@ -5,8 +5,9 @@ variance sigma2): plain SC by exhaustive marginalization over
 unconstrained suffixes, bitwise-MAP-SC marginalizing only over valid
 completions (uH' = 0), and blockwise MAP over all 2^K messages. All
 likelihood work happens in the log domain on a score matrix with one
-column per candidate input word, so the sequential decoders reduce to
-grouped log-sum-exp reductions over candidate blocks that share a prefix.
+column per candidate input word, so both sequential decoders are one loop,
+_sequential_decode: grouped log-sum-exp reductions over candidate blocks
+that share a prefix, SC deciding at every position and bitwise-MAP-SC at A.
 
 The same machinery doubles as a BEC oracle by swapping the Gaussian
 log-likelihoods for erasure indicators (0 for compatible, -inf for
@@ -83,59 +84,43 @@ def _scores(ll: np.ndarray, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sequential_argmax(spec: CodeSpec, scores: np.ndarray, words: np.ndarray,
-                       decision_positions) -> np.ndarray:
-    """Shared core of the sequential decoders.
+def _sequential_decode(spec: CodeSpec, scores: np.ndarray, words: np.ndarray,
+                       positions) -> np.ndarray:
+    """The decision loop of both sequential decoders; returns the words.
 
-    words must be ordered so that the bits at decision_positions form the
-    binary expansion of the candidate index (MSB first); every other
-    position is a deterministic function of the decisions, so committing a
-    decision halves the candidate range. Returns the decoded words.
+    words must be ordered so that their bits at positions form the binary
+    expansion of the candidate index (MSB first), the other bits following
+    from those. Each decision halves the candidate range: an argmax of the
+    grouped scores at a position in A, the forced bit elsewhere (the
+    prefix's product with its T column; 0 for a frozen bit).
     """
-    trials = scores.shape[0]
-    depth = len(decision_positions)
+    trials, depth = scores.shape[0], len(positions)
+    rows = np.arange(trials)
     committed = np.zeros(trials, dtype=np.int64)
-    for r in range(depth):
-        grouped = logsumexp(scores.reshape(trials, 1 << (r + 1), -1), axis=2)
-        s0 = grouped[np.arange(trials), committed << 1]
-        s1 = grouped[np.arange(trials), (committed << 1) + 1]
-        bit = (s1 > s0).astype(np.int64)
+    for r, i in enumerate(positions):
+        if spec.info_mask[i]:
+            grouped = logsumexp(scores.reshape(trials, 1 << (r + 1), -1), axis=2)
+            bit = grouped[rows, 2 * committed + 1] > grouped[rows, 2 * committed]
+        else:
+            prefix = words[committed << (depth - r), :i]
+            bit = mat_mul(prefix, spec.T[:i, i][:, None])[:, 0]
         committed = (committed << 1) + bit
     return words[committed]
 
 
 def sc_marginal_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:
-    """Plain SC by exhaustive marginalization, vectorized over trials.
-
-    At each position the suffix ranges over every bit pattern; at frozen
-    and parity positions the decision is the forced value rather than an
-    argmax, which restricts the candidate set just like a decision does.
-    """
+    """Plain SC by exhaustive marginalization, vectorized over trials: a
+    decision at every position, the suffix ranging over every bit pattern."""
     words = _all_input_words(spec)
     scores = _scores(ll, mat_mul(words, spec.generator))
-    trials = ll.shape[0]
-    committed = np.zeros(trials, dtype=np.int64)
-    decided = np.zeros((trials, spec.N), dtype=np.uint8)
-    for i in range(spec.N):
-        if spec.info_mask[i]:
-            grouped = logsumexp(scores.reshape(trials, 1 << (i + 1), -1), axis=2)
-            s0 = grouped[np.arange(trials), committed << 1]
-            s1 = grouped[np.arange(trials), (committed << 1) + 1]
-            bit = (s1 > s0).astype(np.int64)
-        else:
-            bit = (mat_mul(decided[:, :i], spec.T[:i, i][:, None])[:, 0]
-                   if spec.parity_mask[i] else np.zeros(trials, dtype=np.uint8)
-                   ).astype(np.int64)
-        decided[:, i] = bit
-        committed = (committed << 1) + bit
-    return decided
+    return _sequential_decode(spec, scores, words, range(spec.N))
 
 
 def bitwise_map_sc_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:
     """Bitwise-MAP-SC: sequential argmax over valid completions only."""
     words, x = _valid_words(spec)
     scores = _scores(ll, x)
-    return _sequential_argmax(spec, scores, words, spec.A)
+    return _sequential_decode(spec, scores, words, spec.A)
 
 
 def blockwise_map_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:

@@ -32,11 +32,11 @@ def all_ex1_messages():
 
 
 def _random_code(rng, n=4):
-    """Random length-2^n code: random A/P/F split with random causal parity
-    taps."""
+    """Random length-2^n code, any n >= 1: a random A/P/F split with K >= 1
+    information and r <= 3 parity bits (K + r <= N), random causal taps."""
     N = 1 << n
-    K = int(rng.integers(2, N - 2))
-    r = int(rng.integers(0, min(4, N - K - 1)))
+    K = int(rng.integers(1, N + 1))
+    r = int(rng.integers(0, min(3, N - K) + 1))
     order = rng.permutation(N)
     allocated = np.sort(order[:K + r])
     A = tuple(int(v) for v in allocated[:K])

@@ -195,11 +195,34 @@ def test_check_engines_agree(ex1, nr16, nr64):
         assert moved == has_rounds, spec.N
 
 
+@pytest.mark.parametrize("N,used,unused", [
+    (64, "_fccn_pass64", "_fccn_pass_batch"),
+    (128, "_fccn_pass_batch", "_fccn_pass64"),
+])
+def test_round_is_chosen_by_n(N, used, unused, monkeypatch):
+    # The popcount round runs up to N=64 and the BLAS round above, never
+    # both; _check_batch looks the round up on each call, so spies see it.
+    calls = {"_fccn_pass64": 0, "_fccn_pass_batch": 0}
+    for owner, name in ((bitboard, "_fccn_pass64"),
+                        (batch, "_fccn_pass_batch")):
+        def spy(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, spy)
+    spec = build_nr_code(N, N // 2)
+    trials = np.arange(16)
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, 2, trials))
+    yp = batch.channel_planes(x, batch.sample_erasures(spec, 0.3, 2, trials))
+    batch.decode_fc_batch(spec, yp, engine="bp_scc")
+    assert calls[used] > 0 and calls[unused] == 0
+
+
 def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
     """bitboard.check_batch64 with the full update in every sweep: the stage
     blocks below the channel start all-erased and sweep 1 updates them both
-    ways, as later sweeps do. Returns (r, eps, iters) and the rows holding a
-    conflict above the leaf after sweep 1."""
+    ways, as later sweeps do, and the verdict reads the leaf's conflict bit
+    too. Returns (passed, iters) and the rows holding a conflict above the
+    leaf after sweep 1."""
     rows, n = ubuf.shape[0], spec.n
     U64 = np.uint64
     state = [None] * (n + 1)
@@ -247,10 +270,8 @@ def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
         iters[hit | concrete] = it
         if not (r == -1).any():
             break
-    eps = r == -1
-    r[eps] = 1
-    iters[eps] = i_max
-    return r == 1, eps, iters, early
+    iters[r == -1] = i_max
+    return r != 0, iters, early
 
 
 @pytest.mark.parametrize("N,K,p,step", [(16, 5, 0.4, 1), (64, 32, 0.3, 1),
@@ -308,7 +329,7 @@ def test_speculative_hypothesis_is_not_counted(nr64, monkeypatch):
     assert (out.checks == K).all()
     assert (out.visits == spec.N).all()
     want = sum(real(spec, yv, ye, np.zeros((T, ell + 1), dtype=np.uint8),
-                    ell, True, 3)[2]
+                    ell, True, 3)[1]
                for ell in (processing_index(spec, i) for i in spec.A))
     assert np.array_equal(out.iters_sum, want)
     assert want.sum() > T * K

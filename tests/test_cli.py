@@ -307,6 +307,9 @@ _BAD_VALUES = [
     ("de", "n", "-1", "must be at least 1, got -1"),
     ("dump-matrices", "n", "0", "must be at least 1, got 0"),
     ("simulate", "k", "-2", "must be at least 1, got -2"),
+    # N above 1024: bounds would ask np.arange(N + 1) for 8 TiB at n = 40
+    ("bounds", "n", "40", "invalid choice"),
+    ("simulate", "n", "11", "invalid choice"),
 ]
 _BAD_IDS = [f"{c}-{k}={v}" for c, k, v, _ in _BAD_VALUES]
 

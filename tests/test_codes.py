@@ -182,7 +182,7 @@ def _every_code(random_code):
         if N > 11:
             specs.append(build_nr_code(N, min(N // 2, N - 11)))
     rng = np.random.default_rng(17)
-    specs += [random_code(rng, n=int(rng.integers(3, 7))) for _ in range(30)]
+    specs += [random_code(rng, n=int(rng.integers(2, 7))) for _ in range(30)]
     return specs
 
 
@@ -215,7 +215,7 @@ def test_recursion_matches_u_equals_vT(random_code):
     # any prefix at all.
     rng = np.random.default_rng(23)
     for _ in range(30):
-        spec = random_code(rng, n=int(rng.integers(3, 7)))
+        spec = random_code(rng, n=int(rng.integers(2, 7)))
         msgs = rng.integers(0, 2, size=(4, spec.K), dtype=np.uint8)
         noise = rng.integers(0, 2, size=(4, spec.N), dtype=np.uint8)
         for msg, junk in zip(msgs, noise):

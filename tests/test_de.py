@@ -365,7 +365,7 @@ def test_hypothesis_prefix_is_row_of_T(ex1, nr64, random_code):
     # i of T; the scalar recursion of build_hypothesis is the reference.
     rng = np.random.default_rng(29)
     specs = [ex1, nr64, build_nr_code(256, 128)]
-    specs += [random_code(rng, n=int(rng.integers(3, 7))) for _ in range(20)]
+    specs += [random_code(rng, n=int(rng.integers(2, 7))) for _ in range(20)]
     for spec in specs:
         for i in spec.A:
             zeros = np.zeros(i, dtype=np.uint8)
