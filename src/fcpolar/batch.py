@@ -14,6 +14,9 @@ stack search over all rows (_dfs_recover64); without SBJ every stack
 stays empty. Each search step checks both hypotheses of its rows in one
 _check_batch call, which binds each stage's memoized FCCN round and runs
 bitboard.check_batch64, the one stage sweep, on the packed channel words.
+The check holds (value, erased) word pairs and folds every clash into a
+per-row fail flag, forms its partial sums by one butterfly on the packed
+prefix, and stops a row at a fixed point of its sweeps.
 search.decode_with_fc is the scalar reference the search is tested against.
 """
 
@@ -105,26 +108,31 @@ def _extend_prefix(spec: CodeSpec, committed: np.ndarray, i: int, ell: int,
     return ubuf
 
 
-def _fccn_pass_batch(state: planes.Planes, Q: np.ndarray,
-                     phi: np.ndarray) -> planes.Planes:
-    """One FCCN round by three float32 products with Q, on a word triple.
+def _fccn_pass_batch(state: planes.Pair, Q: np.ndarray,
+                     phi: np.ndarray) -> tuple[planes.Pair, np.ndarray]:
+    """One FCCN round by two float32 products with Q, on a word pair;
+    returns (pair, clash) as bitboard.merge_round does.
 
     Per check j at round start: a_j = members' parity XOR phi_j, c_j = erased
-    members. A known member becomes a conflict iff a check has c_j = 0 and
-    a_j = 1; an erased one takes a_j from checks with c_j = 1 (a conflict if
-    both values arrive, erased if none). Merging all messages at once is
-    exact because the combine operator is commutative and associative, and
-    the float32 products are exact below 2^24. The value and erasure words
-    are unpacked for the products and the three predicate planes packed
-    back. Rows already holding a conflict get garbage, but the sweep's
-    conflict scan fails them.
+    members. A known member clashes iff a check has c_j = 0 and a_j = 1; an
+    erased one takes a_j from checks with c_j = 1 (a clash if both values
+    arrive, erased if none). Merging all messages at once is exact because
+    the combine operator is commutative and associative, and the float32
+    products are exact below 2^24. The value and erasure words are unpacked
+    and stacked for one product; the product back to the members runs only
+    on the predicate rows that send a message (few: a check sends one only
+    with at most one erased member), and is packed. Rows that clashed
+    earlier get garbage, but they have already failed.
     """
-    V, E = (bitboard.unpack_rows(p, Q.shape[0]) for p in state[:2])
-    a = mat_mul(V, Q).astype(bool) ^ phi
-    c = E.astype(np.float32) @ Q
+    rows = phi.shape[0]
+    counts = bitboard.unpack_rows(np.concatenate(state), Q.shape[0]) @ Q
+    a = (counts[:rows].astype(np.int32) & 1).astype(bool) ^ phi
+    c = counts[rows:]
     single = c == 1
     preds = np.concatenate([(c == 0) & a, single & a, single & ~a])
-    hits = bitboard.pack_rows(preds.astype(np.float32) @ Q.T > 0)
+    sent = np.flatnonzero(preds.any(axis=1))
+    hits = np.zeros((preds.shape[0], state[0].shape[1]), dtype=bitboard.U64)
+    hits[sent] = bitboard.pack_rows(preds[sent].astype(np.float32) @ Q.T > 0)
     return bitboard.merge_round(state, *hits.reshape(3, *state[0].shape))
 
 
@@ -161,7 +169,8 @@ def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     round from _round_plan to the rows' offsets phi (one product for all
     stages) and runs the sweep and verdict in bitboard.check_batch64. The
     round goes with the plan's operands (uint64 masks or float32 Q), and is
-    looked up on each call, so wrappers around it see every round.
+    looked up on each call, so wrappers around it see every round. Both
+    rounds map a word pair to (pair, clash words).
     """
     rounds = {}
     stages, offsets, bounds = _round_plan(spec, ell) if use_fccn else ([],) * 3

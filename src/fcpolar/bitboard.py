@@ -1,31 +1,37 @@
 """The uint64 word layout of symbol planes, and the one stage sweep.
 
-A stage-t block holds 2^t symbols in ceil(2^t / 64) uint64 words per plane
-(value, erased, conflict), little-endian within each word and across
-words; unused high bits stay zero. pack_rows, unpack_rows, mask, split,
-join, refresh and update_partial_sums are the whole layout: the SC
-recursion of batch.decode_sc_batch and of scl runs on it for any N, with
-the planes.plus / plus_bits / dot operators applied to words.
+A stage-t block holds 2^t symbols in ceil(2^t / 64) uint64 words per plane,
+little-endian within each word and across words; unused high bits stay
+zero. pack_rows, unpack_rows, mask, split, join, refresh and
+update_partial_sums are the whole layout: the SC recursion of
+batch.decode_sc_batch and of scl runs on it for any N, with the
+(value, erased, conflict) planes.plus / plus_bits / dot applied to words.
 
 check_batch64 is the sweep and verdict of every hypothesis check that the
-batched stack search of SCC and BP-SCC runs, at every N. batch._check_batch
-hands it each stage's FCCN round, bound to the operands of _round_plan;
-both rounds take and return word triples and end in merge_round.
-_fccn_pass64 is the round for N <= 64: bitwise_counts under each check's
-member masks give its parity a_j and erasure count c_j, and the masks each
-predicate selects OR-reduce to the members' messages (exact: the combine
-operator is commutative and associative). The BLAS round for longer codes
-is batch._fccn_pass_batch. left_partial_sums forms a check's beta_t from
-its prefix, here and in DE.
+batched stack search of SCC and BP-SCC runs, at every N. It holds each
+stage block as a (value, erased) word pair with the planes pair operators:
+a check only asks whether a row clashed anywhere, so each dot and each
+FCCN round returns its clash words and the sweep folds them into one
+per-row fail flag. batch._check_batch hands it each stage's FCCN round,
+bound to the operands of _round_plan; both rounds take a word pair and
+end in merge_round. _fccn_pass64 is the round for N <= 64: bitwise_counts
+under each check's member masks give its parity a_j and erasure count c_j,
+and the masks each predicate selects OR-reduce to the members' messages
+(exact: the combine operator is commutative and associative). The BLAS
+round for longer codes is batch._fccn_pass_batch. left_partial_sums forms
+every beta_t of a check from its packed prefix by one in-word butterfly,
+here and in DE.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .codes import CodeSpec
-from .gf2 import kron_power, mat_mul
-from .planes import Planes, dot, plus, plus_bits
+from .planes import (Pair, dot, dot_pair, plus, plus_bits, plus_bits_pair,
+                     plus_pair)
 
 U64 = np.uint64
 _ONE = U64(1)
@@ -40,9 +46,17 @@ def mask(width: int) -> np.uint64:
     return U64((1 << min(width, 64)) - 1)
 
 
+# The in-word halves of a stage-(t+1) block for t < 6: the low 2^t bits,
+# and the shift that brings the high half down.
+_LOW = tuple(mask(1 << t) for t in range(6))
+_SHIFT = tuple(U64(1 << t) for t in range(6))
+
+
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a boolean or 0/1 (rows, width) array into (rows, W) words."""
     packed = np.packbits(bits, axis=1, bitorder="little")
+    if bits.shape[1] % 64 == 0:
+        return np.ascontiguousarray(packed).view("<u8").astype(U64, copy=False)
     padded = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 8), np.uint8)
     padded[:, :packed.shape[1]] = packed
     return padded.view("<u8").astype(U64, copy=False)
@@ -54,26 +68,26 @@ def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=width, bitorder="little")
 
 
-def split(p: Planes, t: int) -> tuple[Planes, Planes]:
-    """Halve a stage-(t+1) block into its stage-t left and right children."""
-    v, e, h = p
+def split(p: tuple, t: int) -> tuple[tuple, tuple]:
+    """Halve a stage-(t+1) block (a pair or a triple of planes) into its
+    stage-t left and right children. The right child needs no mask: the
+    bits above the block are zero."""
     if t >= 6:
         w = 1 << (t - 6)
-        return (v[..., :w], e[..., :w], h[..., :w]), (v[..., w:], e[..., w:],
-                                                       h[..., w:])
-    m, s = mask(1 << t), U64(1 << t)
-    return (v & m, e & m, h & m), ((v >> s) & m, (e >> s) & m, (h >> s) & m)
+        return tuple([x[..., :w] for x in p]), tuple([x[..., w:] for x in p])
+    m, s = _LOW[t], _SHIFT[t]
+    return tuple([x & m for x in p]), tuple([x >> s for x in p])
 
 
 def _cat(a: np.ndarray, c: np.ndarray, t: int) -> np.ndarray:
     if t >= 6:
         return np.concatenate((a, c), axis=-1)
-    return a | (c << U64(1 << t))
+    return a | (c << _SHIFT[t])
 
 
-def join(a: Planes, c: Planes, t: int) -> Planes:
+def join(a: tuple, c: tuple, t: int) -> tuple:
     """Inverse of split: one stage-(t+1) block from its stage-t halves."""
-    return _cat(a[0], c[0], t), _cat(a[1], c[1], t), _cat(a[2], c[2], t)
+    return tuple(_cat(x, y, t) for x, y in zip(a, c))
 
 
 def refresh(alpha: list, ps: dict[int, np.ndarray], i: int, n: int) -> None:
@@ -104,37 +118,82 @@ def update_partial_sums(ps: dict[int, np.ndarray], i: int,
     ps[t] = carry
 
 
-def left_partial_sums(prefix: np.ndarray, ell: int, t: int) -> np.ndarray:
-    """beta_t of the path to leaf ell where it descends right at stage t:
-    the stage-t transform of the left sibling block, from the bits 0..ell
-    in prefix (one row per result row, or one 1-D prefix)."""
-    lo = (ell >> (t + 1)) << (t + 1)
-    return mat_mul(prefix[..., lo:lo + (1 << t)], kron_power(t))
+@lru_cache(maxsize=1024)  # one entry per leaf, N <= 1024
+def _butterfly(ell: int) -> tuple:
+    """The levels of left_partial_sums at leaf ell, on ceil((ell+1)/64)
+    words: (s, read-only word masks) for s < 6, (s, words covered) from 6
+    up."""
+    j = np.arange(-(-(ell + 1) // 64) * 64)
+    levels = []
+    for s in range(ell.bit_length() - 1):
+        below = (ell >> (s + 1)) << (s + 1)
+        if s < 6:
+            masks = pack_rows((((j >> s) & 1 == 0) & (j < below))[None, :])[0]
+            masks.setflags(write=False)
+            levels.append((s, masks))
+        else:
+            levels.append((s, below >> 6))
+    return tuple(levels)
 
 
-def merge_round(state: Planes, clash, got1, got0) -> Planes:
-    """Land one FCCN round's messages on a word triple.
+def left_partial_sums(words: np.ndarray, ell: int) -> dict[int, np.ndarray]:
+    """beta_t for every stage t where the path to leaf ell descends right,
+    as stage-t words: the stage-t transform (Arikan's encoder) of the left
+    sibling block [lo, lo + 2^t), lo = (ell >> (t+1)) << (t+1).
+
+    words is the (rows, W) packing of each row's prefix bits 0..ell. One
+    butterfly forms every beta_t: level s XORs the bit 2^s above into each
+    position with bit s clear below (ell >> (s+1)) << (s+1), that is inside
+    a completed 2^(s+1) block. A left sibling block of stage t then took
+    levels 0..t-1 and no other, which is its transform, and never read a
+    bit outside itself. Levels below 6 act within each word (a shift under
+    memoized masks), the others move whole words. beta_t is then a word
+    slice from t = 6 up and a shift under a mask below.
+    """
+    x = words.copy()
+    rows = x.shape[0]
+    for s, m in _butterfly(ell):
+        if s < 6:
+            x ^= (x >> _SHIFT[s]) & m
+        else:
+            h = 1 << (s - 6)
+            v = x[:, :m].reshape(rows, m // (2 * h), 2, h, copy=False)
+            v[:, :, 0] ^= v[:, :, 1]
+    betas = {}
+    for t in range(ell.bit_length()):
+        if (ell >> t) & 1:
+            lo = (ell >> (t + 1)) << (t + 1)
+            if t >= 6:
+                betas[t] = x[:, lo >> 6:(lo >> 6) + (1 << (t - 6))]
+            else:
+                betas[t] = (x[:, lo >> 6:(lo >> 6) + 1] >> U64(lo & 63)) & _LOW[t]
+    return betas
+
+
+def merge_round(state: Pair, clash, got1, got0) -> tuple[Pair, np.ndarray]:
+    """Land one FCCN round's messages on a word pair; returns (pair, clash).
 
     clash marks known members that one of their checks contradicts; got1 and
     got0 mark members some check hands the value 1 or 0. An erased member
-    takes the value that arrives, and a conflict if both do; conflicts stay.
+    takes the value that arrives, and clashes if both do. Where a clash is
+    returned the pair means nothing: the row fails.
     """
-    v, e, h = state
+    v, e = state
     got1 = got1 & e
-    return ((v & ~clash) | (got1 & ~got0), e & ~(got1 | got0),
-            h | clash | (got1 & got0))
+    return (v | got1, e & ~(got1 | got0)), clash | (got1 & got0)
 
 
-def _fccn_pass64(state: Planes, masks: np.ndarray, phi: np.ndarray) -> Planes:
+def _fccn_pass64(state: Pair, masks: np.ndarray,
+                 phi: np.ndarray) -> tuple[Pair, np.ndarray]:
     """One FCCN round by popcount under the (checks, W) member masks;
     masks[j] is the word form of check j's members (zero masks are inert).
 
     Per check j: a_j = members' parity XOR phi_j, c_j = erased members; a
     known member clashes under a check with c_j = 0 and a_j = 1, an erased
-    one gets a_j from checks with c_j = 1. Rows already holding a conflict
-    get garbage, but the sweep's conflict scan fails them.
+    one gets a_j from checks with c_j = 1. Rows that clashed earlier get
+    garbage, but they have already failed.
     """
-    v, e, h = state
+    v, e = state
     cnt = np.bitwise_count(e[:, None] & masks).sum(axis=2)
     odd = np.bitwise_count(v[:, None] & masks).sum(axis=2) & 1
     a = odd.astype(bool) ^ phi
@@ -150,8 +209,8 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
 
     yv and ye are the channel's value and erasure words, (rows, W) for the
     length-N block; ubuf holds the hypothesis prefixes 0..ell. rounds maps a
-    stage t to its FCCN round, run on the stage-t block before each descent
-    through it. Returns (passed, iters): a row fails on a conflict or a
+    stage t to its FCCN round, run on the stage-t pair before each descent
+    through it. Returns (passed, iters): a row fails on a clash or a
     concrete processing symbol other than ubuf[:, ell]; one still erased
     after i_max sweeps passes. iters counts the sweeps to the verdict.
 
@@ -159,56 +218,77 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     of ell and dot(plus_bits(a, beta_t), c) at a 1-bit, and the parent
     block keeps its halves (a, c). That is the full update, exactly: the
     stage blocks below the channel start all-erased, dot(erased, x) is x,
-    and plus(erased, x) is erased except where x holds a conflict, so the
-    update would hand back (a, c) on every row without a conflict, and a
-    row with one fails at the end of the sweep anyway. Sweeps 2 to i_max
-    run the full update, which also sends each child back up.
+    and plus(erased, x) is erased, so the update would hand back (a, c) on
+    every row. Sweeps 2 to i_max run the full update, which also sends each
+    child back up.
 
-    Conflicts are scanned once per sweep, over all n+1 stages: every
-    operator and both rounds only OR into the conflict plane, so a conflict
-    raised anywhere in the sweep is still there at its end. The scan covers
-    the leaf, so the verdict reads only its erasure and value bits.
+    Blocks are (value, erased) pairs; conflicts are never stored. Each dot
+    and each round returns its clash words, and one OR-scan per sweep folds
+    them into the rows' fail flag. This is exact: every operator and both
+    rounds only add conflicts, and a row with one fails, so the rows with a
+    conflict anywhere at the end of a sweep are the rows that clashed in
+    it or before. Pairs stay valid, so what a clash leaves behind is only
+    read by rows that have failed.
+
+    A row also stops at a fixed point. On the BEC a clash-free row never
+    regains an erasure nor changes a concrete value, so a sweep that leaves
+    its total erased count unchanged left every block unchanged, and every
+    later sweep repeats it: the leaf stays erased, and the row passes with
+    iters = i_max as it would after the last sweep.
     """
     rows = ubuf.shape[0]
     n = spec.n
     state: list = [None] * (n + 1)
-    state[n] = (yv, ye, np.zeros_like(yv))
-
-    betas = {t: pack_rows(left_partial_sums(ubuf, ell, t))
-             for t in range(n) if (ell >> t) & 1}
+    state[n] = (yv, ye)
+    betas = left_partial_sums(pack_rows(ubuf), ell)
 
     prescribed = ubuf[:, ell].astype(U64)
     passed = np.ones(rows, dtype=bool)
     iters = np.full(rows, i_max, dtype=np.int64)
     open_rows = np.ones(rows, dtype=bool)
     fail = np.zeros(rows, dtype=bool)
+    erased = None
+    clashes: list = []
+
+    def flagged_dot(x, y):
+        pair, clash = dot_pair(x, y)
+        clashes.append(clash)
+        return pair
+
     for it in range(1, i_max + 1):
         for t in range(n - 1, -1, -1):
             if t + 1 in rounds:
-                state[t + 1] = rounds[t + 1](state[t + 1])
+                state[t + 1], clash = rounds[t + 1](state[t + 1])
+                clashes.append(clash)
             a, c = split(state[t + 1], t)
+            right = (ell >> t) & 1
+            down = (flagged_dot(plus_bits_pair(a, betas[t]), c) if right
+                    else plus_pair(a, c))
             if it == 1:
-                state[t] = (plus(a, c) if (ell >> t) & 1 == 0
-                            else dot(plus_bits(a, betas[t]), c))
+                state[t] = down
                 continue
             old = state[t]
-            if (ell >> t) & 1 == 0:
-                child = dot(old, plus(a, c))
-                na = dot(a, plus(old, c))
-                nc = dot(c, plus(old, a))
+            state[t] = flagged_dot(old, down)
+            if right:
+                na = flagged_dot(plus_bits_pair(old, betas[t]), a)
+                nc = flagged_dot(old, c)
             else:
-                bt = betas[t]
-                child = dot(old, dot(plus_bits(a, bt), c))
-                na = dot(plus_bits(old, bt), a)
-                nc = dot(old, c)
-            state[t] = child
+                na = flagged_dot(a, plus_pair(old, c))
+                nc = flagged_dot(c, plus_pair(old, a))
             state[t + 1] = join(na, nc, t)
-        fail |= np.hstack([s[2] for s in state]).any(axis=1)
-        lv, le = (p[:, 0] & _ONE for p in state[0][:2])
+        if clashes:
+            fail |= np.hstack(clashes).any(axis=1)
+            clashes.clear()
+        lv, le = (p[:, 0] & _ONE for p in state[0])
         done = open_rows & (fail | (le == 0))
         passed &= ~(done & (fail | (lv != prescribed)))
         iters[done] = it
         open_rows &= ~done
+        if it < i_max:
+            last, erased = erased, np.bitwise_count(
+                np.hstack([p[1] for p in state])).sum(axis=1)
+            if last is not None:
+                open_rows &= erased != last
         if not open_rows.any():
             break
     return passed, iters

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitboard import left_partial_sums
+from .bitboard import left_partial_sums, pack_rows, unpack_rows
 from .codes import CodeSpec
 from .constraints import system_structure
 from .gf2 import mat_mul
@@ -264,7 +264,8 @@ def _hypothesis(spec: CodeSpec, decoder: str, i: int) -> tuple:
 
 
 def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
-    """Stage t of the sweep of bits, a list of (ell, prefix).
+    """Stage t of the sweep of bits, a list of (ell, prefix, betas), betas
+    the prefix's partial sums as bitboard.left_partial_sums words.
 
     The union FCCN plan lists the bits' stage-(t + 1) checks in bit order,
     each check's members ascending (the support of its column of Q) and
@@ -275,7 +276,7 @@ def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
     plan = phi = None
     if use_fccn:
         deg, members, phis = [], [], []
-        for g, (ell, prefix) in enumerate(bits):
+        for g, (ell, prefix, _) in enumerate(bits):
             cols, Q, offsets = system_structure(spec, ell, t + 1)
             if cols:
                 deg.append(np.count_nonzero(Q, axis=0))
@@ -284,8 +285,8 @@ def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
         if deg:
             plan = _fccn_plan(np.concatenate(deg), np.concatenate(members))
             phi = np.concatenate(phis)
-    side = np.array([(ell >> t) & 1 for ell, _ in bits], dtype=bool)
-    beta = [left_partial_sums(prefix, ell, t) for ell, prefix in bits
+    side = np.array([(ell >> t) & 1 for ell, *_ in bits], dtype=bool)
+    beta = [unpack_rows(betas[t], 1 << t)[0] for ell, _, betas in bits
             if (ell >> t) & 1]
     return _Stage(plan=plan, phi=phi, plus=np.flatnonzero(~side),
                   dot=np.flatnonzero(side),
@@ -306,10 +307,12 @@ def _groups(spec: CodeSpec, decoder: str) -> tuple:
     key = ("de_groups", decoder)
     if key not in spec._cache:
         use_fccn = decoder == "bpscc1"
-        bits = [_hypothesis(spec, decoder, i) for i in spec.A]
+        bits = [(ell, prefix, left_partial_sums(pack_rows(prefix[None, :]), ell))
+                for ell, prefix in (_hypothesis(spec, decoder, i)
+                                    for i in spec.A)]
         # the first bit opens a group
         starts, held = [], _GROUP_ROWS
-        for k, (ell, _) in enumerate(bits):
+        for k, (ell, *_) in enumerate(bits):
             rows = _rows(spec, ell, use_fccn)
             if held + rows > _GROUP_ROWS:
                 starts.append(k)
@@ -320,7 +323,7 @@ def _groups(spec: CodeSpec, decoder: str) -> tuple:
             group = bits[first:end]
             groups.append(_Group(
                 first=first, size=len(group),
-                leaf=np.array([prefix[ell] for ell, prefix in group],
+                leaf=np.array([prefix[ell] for ell, prefix, _ in group],
                               dtype=np.int64),
                 stages=tuple(_stage(spec, group, t, use_fccn)
                              for t in range(spec.n - 1, -1, -1))))

@@ -218,11 +218,14 @@ def test_round_is_chosen_by_n(N, used, unused, monkeypatch):
 
 
 def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
-    """bitboard.check_batch64 with the full update in every sweep: the stage
-    blocks below the channel start all-erased and sweep 1 updates them both
-    ways, as later sweeps do, and the verdict reads the leaf's conflict bit
-    too. Returns (passed, iters) and the rows holding a conflict above the
-    leaf after sweep 1."""
+    """bitboard.check_batch64 on three planes, with the full update in every
+    sweep: the stage blocks below the channel start all-erased and sweep 1
+    updates them both ways, as later sweeps do; conflicts are stored per
+    symbol (a round's clash words are OR-ed into the conflict plane), beta
+    is the product with kron_power, every row runs until its leaf is
+    concrete or i_max sweeps are done, and the verdict reads the leaf's
+    conflict bit too. Returns (passed, iters) and the rows holding a
+    conflict above the leaf after sweep 1."""
     rows, n = ubuf.shape[0], spec.n
     U64 = np.uint64
     state = [None] * (n + 1)
@@ -243,7 +246,8 @@ def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
     for it in range(1, i_max + 1):
         for t in range(n - 1, -1, -1):
             if t + 1 in rounds:
-                state[t + 1] = rounds[t + 1](state[t + 1])
+                pair, clash = rounds[t + 1](state[t + 1][:2])
+                state[t + 1] = (*pair, state[t + 1][2] | clash)
             a, c = bitboard.split(state[t + 1], t)
             old = state[t]
             if (ell >> t) & 1 == 0:
@@ -302,6 +306,93 @@ def test_sweep_one_descent_matches_full_update(N, K, p, step):
                         assert np.array_equal(w, g), (N, i, b, i_max)
                     early += int(clash.sum())
     assert early
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_pair_check_matches_three_plane_reference_on_random_codes(
+        random_code, n):
+    # Random A/P/F splits: the word-pair check, its clash flag, the fixed
+    # point stop and the butterfly beta against the three-plane reference,
+    # with both rounds and none, on true prefixes with b = 0 and 1; the
+    # rounds must move some verdict.
+    rng = np.random.default_rng(10 + n)
+    trials = np.arange(24)
+    moved = False
+    for _ in range(3):
+        spec = random_code(rng, n)
+        u, x = batch.encode_batch(spec, batch.sample_messages(spec, 5, trials))
+        yp = batch.channel_planes(x, batch.sample_erasures(spec, 0.35, 5,
+                                                           trials))
+        yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+        for i in spec.A[::max(1, len(spec.A) // 8)]:
+            ell = processing_index(spec, i)
+            for b in (0, 1):
+                ubuf = batch._extend_prefix(spec, u, i, ell, b)
+                verdicts = []
+                for rounds in (*_round_maps(spec, ubuf, ell), {}):
+                    for i_max in (1, 2, 3):
+                        want = _full_update_check(spec, yv, ye, ubuf, ell,
+                                                  rounds, i_max)[:2]
+                        got = bitboard.check_batch64(spec, yv, ye, ubuf, ell,
+                                                     rounds, i_max)
+                        for w, g in zip(want, got):
+                            assert np.array_equal(w, g), (n, i, b, i_max)
+                    verdicts.append(got[0])
+                moved |= not np.array_equal(verdicts[0], verdicts[2])
+    assert moved
+
+
+def _reference_check(*args):
+    """The three-plane reference in check_batch64's place: no fixed-point
+    stop, so every open row sweeps up to i_max."""
+    return _full_update_check(*args)[:2]
+
+
+@pytest.mark.parametrize("n,i_max,seed", [(6, 30, 1), (6, 300, 1),
+                                          (7, 30, 2)])
+def test_fixed_point_stop_keeps_simulate_bytes(tmp_path, monkeypatch, n,
+                                               i_max, seed):
+    # A row whose sweep leaves its erased count unchanged stops there and
+    # passes with iters = i_max: the CSV and sidecar bytes are those of the
+    # reference check, which sweeps every open row to i_max.
+    from fcpolar import cli
+    argv = ["simulate", "--n", str(n), "--k", str(1 << (n - 1)),
+            "--decoder", "bpscc", "--imax", str(i_max), "--p-grid", "0.35",
+            "--trials", "16", "--seed", str(seed), "--out", "s.csv"]
+    files = {}
+    for name in ("stop", "reference"):
+        if name == "reference":
+            monkeypatch.setattr(bitboard, "check_batch64", _reference_check)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert cli.main(argv) == 0
+        files[name] = [(tmp_path / name / f).read_bytes()
+                       for f in ("s.csv", "s.csv.json")]
+    assert files["stop"] == files["reference"]
+
+
+def test_sweeps_stop_at_a_fixed_point(monkeypatch):
+    # Every sweep splits each of the n stage blocks once, so a spy on split
+    # counts sweeps. Every open row reaches its fixed point within a few
+    # sweeps, so the count does not grow with i_max, even at 100000, while
+    # the rows that pass still erased report i_max iterations.
+    calls = []
+    real = bitboard.split
+
+    def spy(p, t):
+        calls.append(t)
+        return real(p, t)
+
+    monkeypatch.setattr(bitboard, "split", spy)
+    spec, yp = _nr_batch(64, 32, 0.35, 1, np.arange(16))
+    sweeps, iters = {}, {}
+    for i_max in (3, 30, 300, 100_000):
+        calls.clear()
+        out = batch.decode_fc_batch(spec, yp, i_max=i_max)
+        sweeps[i_max] = len(calls) // spec.n
+        iters[i_max] = out.iters_sum.sum()
+    assert sweeps[3] < sweeps[30] == sweeps[300] == sweeps[100_000]
+    assert iters[30] < iters[300] < iters[100_000]
 
 
 def test_speculative_hypothesis_is_not_counted(nr64, monkeypatch):

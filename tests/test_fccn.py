@@ -1,4 +1,4 @@
-"""Both loop-free FCCN rounds against the per-member merge, on word triples."""
+"""Both loop-free FCCN rounds against the per-member merge, on word pairs."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,15 +65,21 @@ def test_closed_form_round_matches_member_loop(case):
     width = Q.shape[0]
     want = tuple(p.copy() for p in state)
     loop_fccn_pass(want, Q, phi)
-    words = tuple(bitboard.pack_rows(p) for p in state)
-    blas = batch._fccn_pass_batch(words, Q.astype(np.float32), phi)
-    got = tuple(bitboard.unpack_rows(w, width).astype(bool) for w in blas)
+    words = tuple(bitboard.pack_rows(p) for p in state[:2])
+    pair, clash = batch._fccn_pass_batch(words, Q.astype(np.float32), phi)
+    v, e, h = (bitboard.unpack_rows(w, width).astype(bool)
+               for w in (*pair, clash))
+    # On a row without conflicts at round start, the clash words are the
+    # conflicts the round raises, and the pair holds every other symbol.
     clean = ~state[2].any(axis=1)
-    for w, g in zip(want, got):
-        assert np.array_equal(w[clean], g[clean])
+    assert np.array_equal(h[clean], want[2][clean])
+    keep = clean[:, None] & ~h
+    for w, g in zip(want, (v, e)):
+        assert np.array_equal(w[keep], g[keep])
 
     popcount = bitboard._fccn_pass64(words, bitboard.pack_rows(Q.T), phi)
-    for b, p in zip(blas, popcount):  # every row, unused high bits included
+    # every row, unused high bits included
+    for b, p in zip((*pair, clash), (*popcount[0], popcount[1])):
         assert np.array_equal(b, p)
     for w, p in zip(words, state):  # the rounds leave their input alone
         assert np.array_equal(w, bitboard.pack_rows(p))

@@ -86,3 +86,22 @@ def test_update_partial_sums_tracks_kron_transform():
         width = 1 << t
         want = mat_mul(u[:, i + 1 - width:i + 1], kron_power(t))
         assert np.array_equal(bitboard.unpack_rows(ps[t], width), want), i
+
+
+def test_left_partial_sums_match_product_form():
+    # The butterfly against the product form it replaces: for every leaf
+    # ell and every stage t where the path descends right, beta_t is the
+    # left sibling block [lo, lo + 2^t) times kron_power(t).
+    rng = np.random.default_rng(2)
+    for n in range(2, 11):
+        N = 1 << n
+        u = rng.integers(0, 2, size=(3, N)).astype(np.uint8)
+        for ell in range(N):
+            betas = bitboard.left_partial_sums(
+                bitboard.pack_rows(u[:, :ell + 1]), ell)
+            assert sorted(betas) == [t for t in range(n) if (ell >> t) & 1]
+            for t, words in betas.items():
+                lo = (ell >> (t + 1)) << (t + 1)
+                want = mat_mul(u[:, lo:lo + (1 << t)], kron_power(t))
+                assert np.array_equal(words, bitboard.pack_rows(want)), (
+                    N, ell, t)
