@@ -53,7 +53,8 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     count with it, so the result is identical to a sequential trial loop.
     Under max_errors the chunks start at 64 trials and double up to that
     size, so little is decoded past the cut; outcomes never depend on the
-    chunking.
+    chunking. avg_iters counts i_max for each check that stops at a fixed
+    point with its leaf erased, so it grows with i_max without more sweeps.
     """
     if decoder not in ("sc", "scc", "bpscc", "bpscc-sbj", "scl"):
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -372,7 +373,9 @@ def main(argv=None) -> int:
     _add_code_args(sim)
     sim.add_argument("--decoder", default="bpscc-sbj",
                      choices=("sc", "scc", "bpscc", "bpscc-sbj", "scl"))
-    sim.add_argument("--imax", type=_count, default=1)
+    sim.add_argument("--imax", type=_count, default=1, help=(
+        "avg_iters counts i_max for each check that stops at a fixed point "
+        "with its leaf erased, so it grows with --imax without more sweeps"))
     sim.add_argument("--list-size", type=_count, default=32)
     sim.add_argument("--p-grid", type=_p_grid, default=[0.5])
     sim.add_argument("--trials", type=_count, default=10000)

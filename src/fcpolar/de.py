@@ -11,7 +11,8 @@ into a block error estimate via the independence product.
 de_run sweeps a group of consecutive information bits in one pass: a
 stage holds one array for the whole group, bit by bit, and each step is
 one batched call for the group (one FCCN round on the union of the bits'
-checks, one ⊞ call and one ⊡ call down the tree).
+checks, one ⊞ call and one ⊡ call down the tree). A round folds each
+distinct check-to-variable message once, in one lockstep pass.
 
 Every output is bit-identical to one np.einsum("a,b,abs->s", p1, p2, M)
 per pair of rows with the one-hot pushforward tensor M: output symbol s
@@ -75,8 +76,8 @@ _PLUS = _sum_plan(BOX_PLUS)
 _DOT = _sum_plan(BOX_DOT)
 
 
-# Rows per block of _pushforward and of the FCCN folds: a block's 16
-# products per row stay in cache, and a batched call holds no more at once.
+# Rows per block of _pushforward: a block's 16 products per row stay in
+# cache, and a batched call holds no more at once.
 _BLOCK = 2048
 
 
@@ -133,27 +134,18 @@ def psi_boxdot(p1: np.ndarray, p2: np.ndarray, b=0) -> np.ndarray:
 class FccnPlan(NamedTuple):
     """Index plan of one batched FCCN round; see fccn_plan."""
     order: np.ndarray      # checks with members, by degree, descending
-    members: np.ndarray    # their member lists, concatenated in that order
-    first: np.ndarray      # position in members of each ranked check's first
-    prefix_rows: tuple     # checks with more than s members, s = 0, 1, ...
-    start: np.ndarray      # row of each pair's shared prefix fold
-    nxt: np.ndarray        # position in members of each pair's next member
-    active: tuple          # pairs with more than s members left to fold
+    deg: np.ndarray        # the degree of each ranked check
+    first: np.ndarray      # pair of each ranked check's first member
+    slot: np.ndarray       # each pair's member as an index into vns
     by_vn: np.ndarray      # pairs in (VN, check) order
     seg: np.ndarray        # where each VN's run of pairs starts in by_vn
-    vns: np.ndarray        # the VN of each run
+    vns: np.ndarray        # the VN of each run, ascending
 
 
 def fccn_plan(vn_of) -> FccnPlan:
     """Plan of the FCCN round over the checks' member lists vn_of (each
-    ascending), as built by constraints.check_lists.
-
-    A pair (j, k) of a check and one of its members folds the check offset
-    with the members of j before k, then those after k. The folds before k
-    are shared prefix folds of check j; a pair then folds only the members
-    after k. Checks are ranked and pairs sorted by how many members remain,
-    so the rows still folding at any step are a leading slice.
-    """
+    ascending), as built by constraints.check_lists: the checks ranked by
+    degree, descending, and their (check, member) pairs check by check."""
     deg = np.fromiter(map(len, vn_of), dtype=np.int64, count=len(vn_of))
     members = np.fromiter(chain.from_iterable(vn_of), dtype=np.int32,
                           count=int(deg.sum()))
@@ -168,27 +160,13 @@ def _fccn_plan(deg: np.ndarray, members: np.ndarray) -> FccnPlan:
     order = order[deg[order] > 0]
     deg = deg[order]
     first = np.cumsum(deg) - deg
-    top = int(deg[0]) if deg.size else 0
-    prefix_rows = tuple(int(np.count_nonzero(deg > s)) for s in range(top))
-    # pair (rank r, member i) starts from prefix fold i of check r, stored
-    # at row offset[i] + r of the stacked prefix folds
     rank = np.repeat(np.arange(deg.size), deg)
-    i = np.arange(rank.size) - first[rank]
-    members = members[begin[order][rank] + i].astype(np.int32)
-    left = deg[rank] - 1 - i
-    by_left = np.argsort(-left, kind="stable")
-    offset = np.cumsum((0,) + prefix_rows)
-    active = tuple(int(np.count_nonzero(left > s)) for s in range(top - 1))
-    vn, check = members[by_left], order[rank[by_left]]
-    by_vn = np.lexsort((check, vn))
-    seg = np.flatnonzero(np.diff(vn[by_vn], prepend=-1))
-    return FccnPlan(order=order.astype(np.int32), members=members,
-                    first=first.astype(np.int32), prefix_rows=prefix_rows,
-                    start=(offset[i] + rank)[by_left].astype(np.int32),
-                    nxt=(first[rank] + i + 1)[by_left].astype(np.int32),
-                    active=active, by_vn=by_vn.astype(np.int32),
-                    seg=seg.astype(np.int32),
-                    vns=vn[by_vn][seg].astype(np.int32))
+    members = members[begin[order][rank] + np.arange(rank.size) - first[rank]]
+    by_vn = np.lexsort((order[rank], members))
+    seg = np.flatnonzero(np.diff(members[by_vn], prepend=-1))
+    vns = members[by_vn][seg]
+    return FccnPlan(*(a.astype(np.int32) for a in (
+        order, deg, first, np.searchsorted(vns, members), by_vn, seg, vns)))
 
 
 def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
@@ -201,40 +179,56 @@ def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
     round-start PMFs of the other members of j in ascending order (the
     running q is the first operand). Only the message with the largest
     conflict mass (ties to the smallest check index) is folded back into
-    pmfs[k] through psi_boxdot, to limit cycle effects. All pairs fold
-    together, one psi_boxplus call per step and block of _BLOCK pairs.
+    pmfs[k] through psi_boxdot, to limit cycle effects.
+
+    Each distinct message is folded once, as a pushforward is a function
+    of its operands' bits. The round-start PMFs get ids by their bits;
+    checks with the same offset and member ids send the same messages, and
+    so do adjacent members with equal ids. One pair per check key and run
+    of equal ids folds, in lockstep: step s folds the s-th member of the
+    pair's check that is not its own, and the pairs of checks with more
+    than s + 1 members are a leading slice.
     """
     if not plan.vns.size:
         return
-    rows = len(plan.order)
-    # prefix fold s of every check with more than s members, stacked
-    folds = np.zeros((len(plan.members), 4))
-    folds[np.arange(rows), phi[plan.order]] = 1.0
-    lo = 0
-    for s, n in enumerate(plan.prefix_rows[1:]):
-        hi = lo + plan.prefix_rows[s]
-        folds[hi:hi + n] = psi_boxplus(
-            folds[lo:lo + n], pmfs[plan.members[plan.first[:n] + s]])
-        lo = hi
-    q = folds[plan.start]
-    del folds
-    for s, n in enumerate(plan.active):
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            q[lo:hi] = psi_boxplus(
-                q[lo:hi], pmfs[plan.members[plan.nxt[lo:hi] + s]])
-    conflict = q[plan.by_vn, CONFLICT]
+    rows, phi = pmfs[plan.vns], phi[plan.order]
+    bits = rows.view(np.uint64)
+    by_bits = np.lexsort(bits.T)
+    ranked = bits[by_bits]
+    ids = np.empty(len(rows), dtype=np.int32)
+    ids[by_bits] = np.cumsum(
+        np.diff(ranked, axis=0, prepend=ranked[:1]).any(axis=1))
+    ids = ids[plan.slot]
+    seq, keys = ids.tobytes(), {}
+    spans = zip(phi.tolist(), plan.first.tolist(), plan.deg.tolist())
+    rep = np.array([keys.setdefault((f, seq[4 * a:4 * (a + d)]), r)
+                    for r, (f, a, d) in enumerate(spans)], dtype=np.int32)
+    pairs = np.arange(ids.size, dtype=np.int32)
+    run = np.diff(ids, prepend=-1) != 0
+    run[plan.first] = True
+    source = np.maximum.accumulate(np.where(run, pairs, 0)) + np.repeat(
+        plan.first[rep] - plan.first, plan.deg)
+    folded = np.flatnonzero(source == pairs)
+    check = np.searchsorted(plan.first, folded, side="right") - 1
+    lead, deg = plan.first[check], plan.deg[check]
+    own = folded - lead
+    q = np.eye(4)[phi[check]]
+    for s, n in enumerate(np.searchsorted(-deg, -np.arange(1, deg[0]))):
+        q[:n] = psi_boxplus(
+            q[:n], rows[plan.slot[lead[:n] + s + (s >= own[:n])]])
+    message = np.searchsorted(folded, source[plan.by_vn]).astype(np.int32)
+    conflict = q[message, CONFLICT]
     peak = np.maximum.reduceat(conflict, plan.seg)
     hits = np.flatnonzero(conflict == np.repeat(
         peak, np.diff(plan.seg, append=conflict.size)))
-    best = q[plan.by_vn[hits[np.searchsorted(hits, plan.seg)]]]
-    pmfs[plan.vns] = psi_boxdot(pmfs[plan.vns], best)
+    pmfs[plan.vns] = psi_boxdot(
+        rows, q[message[hits[np.searchsorted(hits, plan.seg)]]])
 
 
 # The rows one group of de_run may hold: each bit brings its N PMF rows at
-# stage n and the pairs of its largest FCCN round. A round holds two PMF
-# rows per pair of its group at once, so the budget bounds the memory of a
-# point; larger groups make fewer calls.
+# stage n and the pairs of its largest FCCN round. A round holds a few
+# int32 indices per pair and one PMF row per distinct message, so the
+# budget bounds the memory of a point; larger groups make fewer calls.
 _GROUP_ROWS = 16384
 
 

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fcpolar import de
 from fcpolar.codes import build_nr_code, encode, input_word
@@ -57,18 +57,28 @@ def _fccn_update_loop(pmfs, vn_of, phi):
 @st.composite
 def fccn_cases(draw):
     """Random check lists over m VNs (empty checks, VNs in several checks),
-    PMFs and offsets. A copy of a check with the flipped offset sends the
-    same conflict mass with 0 and 1 swapped, so the tie rule decides."""
+    PMFs and offsets. The PMFs come from a pool of up to m rows, so equal
+    PMFs repeat, also on members next to each other in a check. Copies of
+    checks keep their offset or flip it; a flipped copy sends the same
+    conflict mass with 0 and 1 swapped, so the tie rule decides."""
     m = draw(st.integers(1, 9))
     vn_of = [sorted(draw(st.sets(st.integers(0, m - 1))))
              for _ in range(draw(st.integers(0, 6)))]
     phi = [draw(st.integers(0, 1)) for _ in vn_of]
-    for _ in range(draw(st.integers(0, 2)) if vn_of else 0):
+    for _ in range(draw(st.integers(0, 3)) if vn_of else 0):
         j = draw(st.integers(0, len(vn_of) - 1))
         at = draw(st.integers(0, len(vn_of)))
         vn_of.insert(at, vn_of[j])
-        phi.insert(at, 1 - phi[j])
-    pmfs = np.array([draw(pmf_strategy) for _ in range(m)])
+        phi.insert(at, phi[j] ^ draw(st.integers(0, 1)))
+    pool = [draw(pmf_strategy)]
+    for _ in range(draw(st.integers(0, m - 1))):
+        # a new row, or an earlier one's values in another order: rows that
+        # agree on some symbols only
+        pool.append(draw(pmf_strategy) if draw(st.booleans()) else
+                    pool[draw(st.integers(0, len(pool) - 1))][
+                        draw(st.permutations(range(4)))])
+    pmfs = np.array(pool)[[draw(st.integers(0, len(pool) - 1))
+                           for _ in range(m)]]
     if draw(st.booleans()):
         # no conflict mass anywhere: every message ties at zero
         pmfs[:, CONFLICT] = 0.0
@@ -76,12 +86,48 @@ def fccn_cases(draw):
 
 
 @given(fccn_cases())
+@example((np.array([[0.5, 0.1, 0.3, 0.1], [0.2, 0.3, 0.4, 0.1]] * 2),
+          ((0, 1), (2, 3)), np.array([0, 1])))
 def test_batched_fccn_round_matches_loop(case):
+    # equal PMFs share one fold, in blocks of _BLOCK rows or of 7; in the
+    # example two checks over equal PMFs differ only in their offsets
     pmfs, vn_of, phi = case
     expected = _fccn_update_loop(pmfs, vn_of, phi)
-    batched = pmfs.copy()
-    de_fccn_update(batched, fccn_plan(vn_of), phi)
-    assert np.array_equal(batched, expected)
+    for block in (de._BLOCK, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(de, "_BLOCK", block)
+            batched = pmfs.copy()
+            de_fccn_update(batched, fccn_plan(vn_of), phi)
+        assert np.array_equal(batched, expected)
+
+
+def test_round_folds_each_distinct_message_once(monkeypatch):
+    # a bpscc1 point of NR(256, 128) folds under a tenth of the rows that
+    # folding every (check, member) pair on its own takes: deg - 1 per pair
+    spec = build_nr_code(256, 128)
+    all_pairs = 0
+    for i in spec.A:
+        for t in range(1, spec.n + 1):
+            deg = np.count_nonzero(system_structure(spec, spec.ell[i], t)[1],
+                                   axis=0)
+            all_pairs += int((deg * (deg - 1)).sum())
+    folded, in_round = [], []
+    plus, update = de.psi_boxplus, de.de_fccn_update
+
+    def counted_plus(p1, p2):
+        if in_round:
+            folded.append(len(p1))
+        return plus(p1, p2)
+
+    def counted_update(pmfs, plan, phi):
+        in_round.append(True)
+        update(pmfs, plan, phi)
+        in_round.pop()
+
+    monkeypatch.setattr(de, "psi_boxplus", counted_plus)
+    monkeypatch.setattr(de, "de_fccn_update", counted_update)
+    de_run(spec, "bpscc1", 0.4)
+    assert folded and 10 * sum(folded) < all_pairs
 
 
 def test_row_blocks_match_whole_calls(monkeypatch):

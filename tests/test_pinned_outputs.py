@@ -12,7 +12,8 @@ The density-evolution outputs were recorded before the PMFs became (m, 4)
 arrays with one batched FCCN round: P_B exactly, and the per-bit values
 P_b(i) by the SHA-256 of their little-endian float64 bytes, so a change in
 the last bit of any one of them shows. The bpscc1 values at N=256 were
-recorded before the information bits were swept in groups.
+recorded before the information bits were swept in groups, and the N=512
+values before each FCCN round folded its distinct messages only once.
 """
 import hashlib
 
@@ -121,6 +122,8 @@ PINNED_DE = [
     ((256, 128, 'scc', 0.4), (0.8032381278340708, '9ca82a33b84c23dab9be947582f6d973')),
     ((256, 128, 'bpscc1', 0.3), (0.02048513535930463, '5e382ea0cd8ff524fa54b7e3867b3985')),
     ((256, 128, 'bpscc1', 0.4), (0.5360802685176032, '1708c3edc412c1a28ef412fb039d4a86')),
+    ((512, 256, 'scc', 0.4), (0.6912685574313324, 'b2461c184ab3e3f4f542697c61a1e431')),
+    ((512, 256, 'bpscc1', 0.4), (0.528482437282585, '37532279e9aa2507a2551d742a6df4e9')),
 ]
 
 _SPECS = {}
