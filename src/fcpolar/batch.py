@@ -7,8 +7,9 @@ sequential stream. All of it runs on the planes operators over the
 bitboard word layout.
 
 Plain SC is the SCL loop with one path per row: bitboard.refresh
-advances the SC recursion on the word layout at every bit, and a keyed
-coin decides wherever the leaf is erased or in conflict.
+advances the SC recursion on the word layout at every bit, on (value,
+erased) word pairs that hold a conflict as (1, 1), and a keyed coin
+decides wherever the leaf's erased bit is set: an erasure or a conflict.
 SCC and BP-SCC, with or without stack-based backjumping (SBJ), are one
 stack search over all rows (_dfs_recover64); without SBJ every stack
 stays empty. Each search step checks both hypotheses of its rows in one
@@ -89,9 +90,10 @@ def encode_batch(spec: CodeSpec, messages: np.ndarray) -> tuple[np.ndarray, np.n
     return u, x
 
 
-def channel_planes(x: np.ndarray, erased: np.ndarray) -> planes.Planes:
-    """BEC output planes for codewords x under the erasure mask."""
-    return x.astype(bool) & ~erased, erased.copy(), np.zeros_like(erased)
+def channel_planes(x: np.ndarray, erased: np.ndarray) -> planes.Pair:
+    """BEC output (value, erased) planes for codewords x under the erasure
+    mask; a channel never delivers a conflict."""
+    return x.astype(bool) & ~erased, erased.copy()
 
 
 def _extend_prefix(spec: CodeSpec, committed: np.ndarray, i: int, ell: int,
@@ -183,7 +185,7 @@ def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     return bitboard.check_batch64(spec, yv, ye, ubuf, ell, rounds, i_max)
 
 
-def decode_sc_batch(spec: CodeSpec, yp: planes.Planes, seed: int,
+def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
                     trials: np.ndarray) -> BatchOutcome:
     """Plain SC over all rows: coin-flip unresolved bits, never backtrack."""
     rows = yp[0].shape[0]
@@ -195,10 +197,9 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Planes, seed: int,
     for i in range(spec.N):
         bitboard.refresh(alpha, ps, i, spec.n)
         if spec.info_mask[i]:
-            lv, le, lh = alpha[0]
+            lv, le = alpha[0]
             coin = keyed_bit_array(seed, STREAM_COIN, trials, i, 0)
-            committed[:, i] = np.where((le[:, 0] | lh[:, 0]) & _ONE, coin,
-                                       lv[:, 0] & _ONE)
+            committed[:, i] = np.where(le[:, 0] & _ONE, coin, lv[:, 0] & _ONE)
         elif spec.parity_mask[i]:
             committed[:, i] = mat_mul(committed[:, :i],
                                       spec.T[:i, i][:, None])[:, 0]
@@ -210,7 +211,7 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Planes, seed: int,
                         checks=np.full(rows, spec.N, dtype=np.int64))
 
 
-def decode_fc_batch(spec: CodeSpec, yp: planes.Planes, engine: str = "bp_scc",
+def decode_fc_batch(spec: CodeSpec, yp: planes.Pair, engine: str = "bp_scc",
                     i_max: int = 1, sbj: bool = False, seed: int = 0,
                     trials: np.ndarray | None = None) -> BatchOutcome:
     """SCC (engine="scc") or BP-SCC over all rows, with or without SBJ.

@@ -5,7 +5,8 @@ little-endian within each word and across words; unused high bits stay
 zero. pack_rows, unpack_rows, mask, split, join, refresh and
 update_partial_sums are the whole layout: the SC recursion of
 batch.decode_sc_batch and of scl runs on it for any N, with the
-(value, erased, conflict) planes.plus / plus_bits / dot applied to words.
+four-symbol planes.plus / plus_bits / dot applied to (value, erased) word
+pairs.
 
 check_batch64 is the sweep and verdict of every hypothesis check that the
 batched stack search of SCC and BP-SCC runs, at every N. It holds each
@@ -69,9 +70,9 @@ def unpack_rows(words: np.ndarray, width: int) -> np.ndarray:
 
 
 def split(p: tuple, t: int) -> tuple[tuple, tuple]:
-    """Halve a stage-(t+1) block (a pair or a triple of planes) into its
-    stage-t left and right children. The right child needs no mask: the
-    bits above the block are zero."""
+    """Halve a stage-(t+1) block (a pair of planes) into its stage-t left
+    and right children. The right child needs no mask: the bits above the
+    block are zero."""
     if t >= 6:
         w = 1 << (t - 6)
         return tuple([x[..., :w] for x in p]), tuple([x[..., w:] for x in p])

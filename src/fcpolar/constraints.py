@@ -25,11 +25,9 @@ from .gf2 import kron_power, mat_mul
 
 __all__ = [
     "FcIndexSets",
-    "InstantConstraintSystem",
     "future_constraints",
     "global_Q",
     "instant_Q_full",
-    "attached_systems",
 ]
 
 
@@ -45,22 +43,6 @@ class FcIndexSets:
     i: int
     L: tuple[int, ...]
     per_stage: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class InstantConstraintSystem:
-    """One stage's instant systems as a bipartite check graph.
-
-    Q has one row per block variable x_k^(t) (2^t rows) and one column per
-    converted future constraint; phi holds the prefix offsets. vn_of[j] lists
-    the variable neighbors of check j.
-    """
-
-    t: int
-    cols: tuple[int, ...]
-    Q: np.ndarray
-    phi: np.ndarray
-    vn_of: tuple[tuple[int, ...], ...]
 
 
 def _block(i: int, t: int) -> tuple[int, int]:
@@ -101,31 +83,6 @@ def instant_Q_full(spec: CodeSpec, i: int) -> tuple[np.ndarray, np.ndarray]:
     G = spec.generator
     coeffs = mat_mul(G[:, i:], spec.H[i:, L])
     return coeffs, spec.H[:i, L].copy()
-
-
-def attached_systems(spec: CodeSpec, ell: int, t: int,
-                     hypothesis_prefix) -> InstantConstraintSystem:
-    """Stage-t instant systems for processing step ell on the decoding-path
-    block T(ell, t).
-
-    The coefficient part depends only on (ell, t) and is memoized on the
-    spec; the offsets come from the hypothesis prefix, which must cover
-    indices 0..ell. Anchoring at ell rather than at the next index ell + 1
-    only matters when 2^t divides ell + 1: the block of ell + 1 is then the
-    next one, which the stage-t sweep never touches, so the affected
-    columns surface at the first stage whose block reaches past ell.
-    """
-    i = ell + 1
-    cols, Q, offset_rows = system_structure(spec, ell, t)
-    vn_of = check_lists(spec, ell, t)
-    prefix = np.asarray(hypothesis_prefix, dtype=np.uint8)
-    if prefix.shape != (i,):
-        raise ValueError(f"hypothesis prefix must cover indices 0..{ell}")
-    phi = mat_mul(prefix[None, :], offset_rows)[0] if cols else np.zeros(0, dtype=np.uint8)
-    for j, neighbors in enumerate(vn_of):
-        if not neighbors and phi[j]:
-            raise AssertionError("degenerate instant system with nonzero offset")
-    return InstantConstraintSystem(t=t, cols=cols, Q=Q, phi=phi, vn_of=vn_of)
 
 
 def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:

@@ -76,30 +76,24 @@ _PLUS = _sum_plan(BOX_PLUS)
 _DOT = _sum_plan(BOX_DOT)
 
 
-# Rows per block of _pushforward: a block's 16 products per row stay in
-# cache, and a batched call holds no more at once.
-_BLOCK = 2048
-
-
 def _pushforward(p1: np.ndarray, p2: np.ndarray, plan) -> np.ndarray:
     """Rows of the PMF of table(a, b) for independent a ~ p1, b ~ p2. Each
     symbol's terms are added left to right; one add per step covers every
-    symbol that still has a term. Rows go _BLOCK at a time."""
+    symbol that still has a term. A call holds 16 products per row, and
+    de_run's largest call is one group's rows, at most _GROUP_ROWS (or one
+    bit's, when that bit goes alone)."""
     a, b, steps, unrank = plan
     shape = p1.shape
     if p2.shape != shape:
         shape = np.broadcast_shapes(shape, p2.shape)
         p1, p2 = np.broadcast_to(p1, shape), np.broadcast_to(p2, shape)
     p1, p2 = p1.reshape(-1, 4), p2.reshape(-1, 4)
-    out = np.empty(p1.shape)
-    for lo in range(0, len(out), _BLOCK):
-        prod = p1[lo:lo + _BLOCK, a]
-        prod *= p2[lo:lo + _BLOCK, b]
-        acc = prod[:, :4]
-        for start, width in steps:
-            acc[:, 4 - width:] += prod[:, start:start + width]
-        out[lo:lo + _BLOCK] = acc[:, unrank]
-    return out.reshape(shape)
+    prod = p1[:, a]
+    prod *= p2[:, b]
+    acc = prod[:, :4]
+    for start, width in steps:
+        acc[:, 4 - width:] += prod[:, start:start + width]
+    return acc[:, unrank].reshape(shape)
 
 
 def point_mass(symbol: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .constraints import InstantConstraintSystem, attached_systems
-from .gf2 import kron_power
+from .constraints import check_lists, system_structure
+from .gf2 import kron_power, mat_mul
 from .symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE
 
 __all__ = [
@@ -41,13 +41,14 @@ class InstantGraph:
 
     alpha[t] covers the stage-t block T(ell, t) (2^t symbols); beta[t] holds
     the re-encoded left-sibling values where the path descends right; fccn[t]
-    holds the instant systems attached at stage t.
+    holds the instant systems attached at stage t as (vn_of, phi): the
+    variables of each check and the checks' prefix offsets.
     """
 
     ell: int
     alpha: list[list[int]]
     beta: dict[int, list[int]]
-    fccn: dict[int, InstantConstraintSystem]
+    fccn: dict[int, tuple[tuple, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,10 @@ def make_graph(spec: CodeSpec, y, hyp: Hypothesis, use_fccn: bool) -> InstantGra
     fccn = {}
     if use_fccn:
         for t in range(1, spec.n + 1):
-            system = attached_systems(spec, hyp.ell, t, hyp.prefix)
-            if system.cols:
-                fccn[t] = system
+            cols, _, offsets = system_structure(spec, hyp.ell, t)
+            if cols:
+                fccn[t] = (check_lists(spec, hyp.ell, t),
+                           mat_mul(hyp.prefix[None, :], offsets)[0])
     graph = InstantGraph(ell=hyp.ell, alpha=alpha, beta={}, fccn=fccn)
     cancel_prefix(graph, hyp)
     return graph
@@ -132,14 +134,14 @@ def cancel_prefix(graph: InstantGraph, hyp: Hypothesis) -> InstantGraph:
 
 def _fccn_pass(graph: InstantGraph, t: int) -> bool:
     """One extrinsic check-to-variable round at stage t; True on conflict."""
-    system = graph.fccn.get(t)
-    if system is None:
+    if t not in graph.fccn:
         return False
+    vn_of, phi = graph.fccn[t]
     alpha = graph.alpha[t]
     messages: list[list[tuple[int, int]]] = [[] for _ in alpha]
-    for j, neighbors in enumerate(system.vn_of):
+    for j, neighbors in enumerate(vn_of):
         for k in neighbors:
-            msg = int(system.phi[j])
+            msg = int(phi[j])
             for l in neighbors:
                 if l != k:
                     msg = BOX_PLUS[msg][alpha[l]]

@@ -1,24 +1,25 @@
 """The one vectorized form of the erasure-symbol operators.
 
-A batch of symbols is held as a (value, erasure) pair of same-shaped
-arrays (V, E): E marks erasures, V carries the bit value where E is clear.
-A pair is valid when no symbol sets both. The pair operators map valid
-pairs to valid pairs, and dot_pair relies on it. dot_pair also returns its
-clash: the symbols where two concrete operands disagree, which box_dot
-maps to a conflict. Where a clash is set the pair holds some valid symbol
-that means nothing, so a caller that only asks whether a row clashed
-anywhere (the hypothesis check of bitboard.check_batch64) ORs the clashes
-into a per-row flag and never stores conflicts.
+A batch of symbols is held as a (value, erased) pair of same-shaped arrays
+(V, E): symbol s is the pair (s & 1, s >> 1), so (0, 1) is an erasure and
+(1, 1) the conflict, and to_symbols reads V + 2E back. A pair is valid when
+it holds no conflict. The pair operators map valid pairs to valid pairs,
+and dot_pair relies on it. dot_pair also returns its clash: the symbols
+where two concrete operands disagree, which box_dot maps to a conflict.
+Where a clash is set the pair holds some valid symbol that means nothing,
+so a caller that only asks whether a row clashed anywhere (the hypothesis
+check of bitboard.check_batch64) ORs the clashes into a per-row flag and
+never stores conflicts.
 
 SC and SCL need conflicts per symbol (a coin at a conflicted leaf, path
-death), so plus, plus_bits and dot take (V, E, H) triples: the pair
-operator on (V, E) with the conflict plane H OR-ed in, where H marks
-conflicts and clears the symbol's V and E. Together they reproduce box_plus
-and box_dot elementwise using only &, |, ^ and ~, so the same functions
-serve boolean planes (one symbol per element) and the uint64 words of the
-bitboard layout (64 symbols per element, unused high bits kept zero).
-Boolean planes remain the channel's form (batch.channel_planes) and the
-tests' way in, and the scalar tables in symbols are the operators' oracle.
+death), so plus, plus_bits and dot take all four symbols: the pair operator
+with the conflicts of the operands, c(x) = x_v & x_e, carried through.
+Together they reproduce box_plus and box_dot elementwise using only &, |,
+^ and ~, so the same functions serve boolean planes (one symbol per
+element) and the uint64 words of the bitboard layout (64 symbols per
+element, unused high bits kept zero). Boolean planes remain the channel's
+form (batch.channel_planes) and the tests' way in, and the scalar tables
+in symbols are the operators' oracle.
 """
 
 from __future__ import annotations
@@ -26,17 +27,16 @@ from __future__ import annotations
 import numpy as np
 
 Pair = tuple[np.ndarray, np.ndarray]
-Planes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def from_symbols(symbols: np.ndarray) -> Planes:
+def from_symbols(symbols: np.ndarray) -> Pair:
     symbols = np.asarray(symbols)
-    return symbols == 1, symbols == 2, symbols == 3
+    return (symbols & 1).astype(bool), symbols >= 2
 
 
-def to_symbols(p: Planes) -> np.ndarray:
-    v, e, h = p
-    return (v.astype(np.uint8) + 2 * e.astype(np.uint8) + 3 * h.astype(np.uint8))
+def to_symbols(p: Pair) -> np.ndarray:
+    v, e = p
+    return v.astype(np.uint8) + 2 * e.astype(np.uint8)
 
 
 def plus_pair(a: Pair, b: Pair) -> Pair:
@@ -63,23 +63,22 @@ def dot_pair(a: Pair, b: Pair) -> tuple[Pair, np.ndarray]:
     return (av | (bv & ae), ae & be), ~(ae | be) & (av ^ bv)
 
 
-def plus(a: Planes, b: Planes) -> Planes:
-    h = a[2] | b[2]
-    v, e = plus_pair(a[:2], b[:2])
-    keep = ~h
-    return v & keep, e & keep, h
+def plus(a: Pair, b: Pair) -> Pair:
+    """box_plus: plus_pair, with a conflict operand's value bit kept on
+    the erased result."""
+    v, e = plus_pair(a, b)
+    return v | (a[0] & a[1]) | (b[0] & b[1]), e
 
 
-def plus_bits(a: Planes, bits: np.ndarray) -> Planes:
+def plus_bits(a: Pair, bits: np.ndarray) -> Pair:
     """box_plus with concrete bits (no erasures, no conflicts); bits must
-    have the planes' dtype."""
-    v, e = plus_bits_pair(a[:2], bits)
-    return v & ~a[2], e, a[2]
+    have the pair's dtype. Erased and conflict symbols pass unchanged."""
+    return a[0] ^ (bits & ~a[1]), a[1]
 
 
-def dot(a: Planes, b: Planes) -> Planes:
-    """box_dot; a concrete pair that disagrees clashes into a conflict. An
-    erased result needs no masking: a conflict operand is never erased."""
-    (v, e), clash = dot_pair(a[:2], b[:2])
-    h = a[2] | b[2] | clash
-    return v & ~h, e, h
+def dot(a: Pair, b: Pair) -> Pair:
+    """box_dot; a concrete pair that disagrees clashes into a conflict, and
+    a conflict operand makes one."""
+    (v, e), clash = dot_pair(a, b)
+    h = clash | (a[0] & a[1]) | (b[0] & b[1])
+    return v | h, e | h

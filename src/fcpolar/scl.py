@@ -19,13 +19,14 @@ candidate index, and two only tie if their 64-bit hashes agree in the top
 53 bits. Every draw is keyed by the trial id, so a trial's outcome does not
 depend on the rest of the batch.
 
-Per-path symbol planes live in the bitboard word layout, one row per path,
-and bitboard.refresh only recomputes the stages whose block moved at each
-bit. After a prune, a stage block is gathered onto the surviving rows only
-while it will still be read before it is recomputed; the channel block is
-taken from the trial's row when it is read. Committed bits are packed into
-uint64 words, so a dynamic frozen bit is the parity of its T column under
-the word mask.
+Per-path symbols live as (value, erased) word pairs in the bitboard word
+layout, one row per path, a conflict held as (1, 1), and bitboard.refresh
+only recomputes the stages whose block moved at each bit. After a prune,
+a stage block is gathered onto the surviving rows only while it will
+still be read before it is recomputed; the channel block is taken from
+the trial's row when it is read. Committed bits are packed into uint64
+words, so a dynamic frozen bit is the parity of its T column under the
+word mask.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
         raise ValueError("need one trial id per row of y")
     trials = trials.astype(U64)
 
-    channel = tuple(pack_rows(y == s) for s in (1, 2, 3))
+    channel = pack_rows(y & 1), pack_rows(y >> 1)
     alpha: list = [None] * (n + 1)
     ps: dict[int, np.ndarray] = {}
     tid = np.arange(B)
@@ -85,19 +86,21 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
         if i in (0, N >> 1):  # the only bits whose refresh reads alpha[n]
             alpha[n] = tuple(p[tid] for p in channel)
         refresh(alpha, ps, i, n)
-        # a stage-0 word is one symbol, 0 or 1 in each plane
-        val, erased, conflict = (p[:, 0] for p in alpha[0])
+        # a stage-0 word is one symbol: known at e = 0, erased at (0, 1),
+        # a conflict at (1, 1)
+        val, e = (p[:, 0] for p in alpha[0])
+        erased = e & ~val
         forks = info[i] and erased.any()
         if forks:
-            single = np.flatnonzero((erased | conflict) == 0)
-            fork = np.flatnonzero(erased & ~conflict)
+            single = np.flatnonzero(e == 0)
+            fork = np.flatnonzero(erased)
             src = np.concatenate([single, fork, fork])
             bits = np.concatenate([val[single], np.zeros(fork.size, U64),
                                    np.ones(fork.size, U64)])
             order = np.argsort(tid[src], kind="stable")
             src, bits = src[order], bits[order]
         else:
-            live = conflict == 0
+            live = (val & e) == 0
             if not info[i]:
                 forced = np.zeros_like(val)
                 if dynamic[i]:

@@ -23,8 +23,7 @@ from .decoders import (Hypothesis, bp_scc_check, build_hypothesis, make_graph,
                        processing_index, sc_decode_bit)
 from .rng import STREAM_COIN, keyed_bit
 
-__all__ = ["BranchCheckpoint", "DecodeOutcome", "decode_sc", "decode_with_fc",
-           "CoinSource"]
+__all__ = ["BranchCheckpoint", "DecodeOutcome", "decode_sc", "decode_with_fc"]
 
 
 @dataclass(frozen=True)
@@ -42,32 +41,16 @@ class DecodeOutcome:
     backjumps: int
 
 
-class CoinSource:
-    """Fair coins keyed by (seed, trial, bit index, visit count).
-
-    Keyed draws keep scalar and batch traversals aligned: the k-th flip at a
-    given bit yields the same value no matter which engine asks first.
-    """
-
-    def __init__(self, seed: int, trial: int = 0):
-        self.seed = seed
-        self.trial = trial
-        self._counts: dict[int, int] = {}
-
-    def flip(self, i: int) -> int:
-        k = self._counts.get(i, 0)
-        self._counts[i] = k + 1
-        return keyed_bit(self.seed, STREAM_COIN, self.trial, i, k)
-
-
 def _forced_value(spec: CodeSpec, committed: list[int], i: int) -> int:
     col = spec.T[:i, i]
     return int(np.asarray(committed, dtype=np.uint8) @ col) & 1 if i else 0
 
 
 def decode_sc(spec: CodeSpec, y, seed: int = 0, trial: int = 0) -> DecodeOutcome:
-    """Plain SC: coin-flip unresolved information bits, never backtrack."""
-    coins = CoinSource(seed, trial)
+    """Plain SC: coin-flip unresolved information bits, never backtrack.
+
+    Each bit flips at most once, so its coin is keyed by (seed, trial, bit)
+    with count 0, the key batch.decode_sc_batch draws."""
     a_set = set(spec.A)
     committed: list[int] = []
     for i in range(spec.N):
@@ -78,7 +61,8 @@ def decode_sc(spec: CodeSpec, y, seed: int = 0, trial: int = 0) -> DecodeOutcome
                          prefix=np.array(committed + [0], dtype=np.uint8))
         graph = make_graph(spec, y, hyp, use_fccn=False)
         symbol = sc_decode_bit(spec, graph, hyp)
-        committed.append(symbol if symbol in (0, 1) else coins.flip(i))
+        committed.append(symbol if symbol in (0, 1)
+                         else keyed_bit(seed, STREAM_COIN, trial, i, 0))
     return DecodeOutcome(status="success", u_hat=np.array(committed, dtype=np.uint8),
                          visited_nodes=spec.N, backjumps=0)
 

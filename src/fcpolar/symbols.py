@@ -5,6 +5,10 @@ GF(2) sum of two partially known bits; box_dot merges two estimates of the
 same bit. The conflict branch of box_dot fires only when both operands are
 concrete and unequal; an erasure never conflicts with anything, it just
 defers to the other operand.
+
+The codes are chosen so that their bits are the (value, erased) pair of
+the vectorized operators in planes: symbol s is (s & 1, s >> 1), so an
+erasure is (0, 1) and the conflict is (1, 1).
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def test_check_engines_agree(ex1, nr16, nr64):
         trials = np.arange(64)
         u, x = batch.encode_batch(spec, batch.sample_messages(spec, 3, trials))
         yp = batch.channel_planes(x, batch.sample_erasures(spec, p, 3, trials))
-        yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+        yv, ye = (bitboard.pack_rows(plane) for plane in yp)
         moved = has_rounds = False
         for i in spec.A[::3] if spec.N >= 128 else spec.A:
             ell = processing_index(spec, i)
@@ -218,21 +218,22 @@ def test_round_is_chosen_by_n(N, used, unused, monkeypatch):
 
 
 def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
-    """bitboard.check_batch64 on three planes, with the full update in every
-    sweep: the stage blocks below the channel start all-erased and sweep 1
-    updates them both ways, as later sweeps do; conflicts are stored per
-    symbol (a round's clash words are OR-ed into the conflict plane), beta
-    is the product with kron_power, every row runs until its leaf is
-    concrete or i_max sweeps are done, and the verdict reads the leaf's
-    conflict bit too. Returns (passed, iters) and the rows holding a
-    conflict above the leaf after sweep 1."""
+    """bitboard.check_batch64 on the four-symbol operators, with the full
+    update in every sweep: the stage blocks below the channel start
+    all-erased and sweep 1 updates them both ways, as later sweeps do;
+    conflicts are stored per symbol as (1, 1) (a round's clash words and the
+    conflicts it was handed are OR-ed into both words), beta is the product
+    with kron_power, every row runs until its leaf is concrete or i_max
+    sweeps are done, and the verdict reads the leaf's conflict too. Returns
+    (passed, iters) and the rows holding a conflict above the leaf after
+    sweep 1."""
     rows, n = ubuf.shape[0], spec.n
     U64 = np.uint64
     state = [None] * (n + 1)
-    state[n] = (yv, ye, np.zeros_like(yv))
+    state[n] = (yv, ye)
     for t in range(n):
         zeros = np.zeros((rows, max(1, (1 << t) >> 6)), dtype=U64)
-        state[t] = (zeros, np.full_like(zeros, bitboard.mask(1 << t)), zeros)
+        state[t] = (zeros, np.full_like(zeros, bitboard.mask(1 << t)))
     betas = {}
     for t in range(n):
         if (ell >> t) & 1:
@@ -246,8 +247,9 @@ def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
     for it in range(1, i_max + 1):
         for t in range(n - 1, -1, -1):
             if t + 1 in rounds:
-                pair, clash = rounds[t + 1](state[t + 1][:2])
-                state[t + 1] = (*pair, state[t + 1][2] | clash)
+                held = state[t + 1][0] & state[t + 1][1]
+                (v, e), clash = rounds[t + 1](state[t + 1])
+                state[t + 1] = (v | held | clash, e | held | clash)
             a, c = bitboard.split(state[t + 1], t)
             old = state[t]
             if (ell >> t) & 1 == 0:
@@ -261,13 +263,14 @@ def _full_update_check(spec, yv, ye, ubuf, ell, rounds, i_max):
                 nc = planes.dot(old, c)
             state[t] = child
             state[t + 1] = bitboard.join(na, nc, t)
-        fail |= np.hstack([s[2] for s in state]).any(axis=1)
+        conflicts = [v & e for v, e in state]
+        fail |= np.hstack(conflicts).any(axis=1)
         if it == 1:
-            early = np.hstack([s[2] for s in state[1:]]).any(axis=1)
-        lv, le, lh = (q[:, 0] & U64(1) for q in state[0])
+            early = np.hstack(conflicts[1:]).any(axis=1)
+        lv, le = (q[:, 0] & U64(1) for q in state[0])
         open_rows = r == -1
         hit = open_rows & fail
-        concrete = open_rows & ~hit & (le == 0) & (lh == 0)
+        concrete = open_rows & ~hit & (le == 0)
         good = concrete & (lv == prescribed)
         r[hit | (concrete & ~good)] = 0
         r[good] = 1
@@ -290,7 +293,7 @@ def test_sweep_one_descent_matches_full_update(N, K, p, step):
     trials = np.arange(48)
     u, x = batch.encode_batch(spec, batch.sample_messages(spec, 4, trials))
     yp = batch.channel_planes(x, batch.sample_erasures(spec, p, 4, trials))
-    yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+    yv, ye = (bitboard.pack_rows(plane) for plane in yp)
     early = 0
     for i in spec.A[::step]:
         ell = processing_index(spec, i)
@@ -312,9 +315,10 @@ def test_sweep_one_descent_matches_full_update(N, K, p, step):
 def test_pair_check_matches_three_plane_reference_on_random_codes(
         random_code, n):
     # Random A/P/F splits: the word-pair check, its clash flag, the fixed
-    # point stop and the butterfly beta against the three-plane reference,
-    # with both rounds and none, on true prefixes with b = 0 and 1; the
-    # rounds must move some verdict.
+    # point stop and the butterfly beta against the reference on the
+    # four-symbol operators (the test's name is from when that reference
+    # kept a third, conflict plane), with both rounds and none, on true
+    # prefixes with b = 0 and 1; the rounds must move some verdict.
     rng = np.random.default_rng(10 + n)
     trials = np.arange(24)
     moved = False
@@ -323,7 +327,7 @@ def test_pair_check_matches_three_plane_reference_on_random_codes(
         u, x = batch.encode_batch(spec, batch.sample_messages(spec, 5, trials))
         yp = batch.channel_planes(x, batch.sample_erasures(spec, 0.35, 5,
                                                            trials))
-        yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+        yv, ye = (bitboard.pack_rows(plane) for plane in yp)
         for i in spec.A[::max(1, len(spec.A) // 8)]:
             ell = processing_index(spec, i)
             for b in (0, 1):
@@ -343,7 +347,7 @@ def test_pair_check_matches_three_plane_reference_on_random_codes(
 
 
 def _reference_check(*args):
-    """The three-plane reference in check_batch64's place: no fixed-point
+    """The four-symbol reference in check_batch64's place: no fixed-point
     stop, so every open row sweeps up to i_max."""
     return _full_update_check(*args)[:2]
 
@@ -403,7 +407,7 @@ def test_speculative_hypothesis_is_not_counted(nr64, monkeypatch):
     spec, T = nr64, 32
     erased = batch.sample_erasures(spec, 0.3, 0, np.arange(T))
     yp = batch.channel_planes(np.zeros((T, spec.N), dtype=np.uint8), erased)
-    yv, ye = (bitboard.pack_rows(plane) for plane in yp[:2])
+    yv, ye = (bitboard.pack_rows(plane) for plane in yp)
     rows = []
     real = batch._check_batch
 
@@ -470,6 +474,7 @@ def test_channel_planes_round_trip(ex1):
     _, x = batch.encode_batch(ex1, msgs)
     erased = batch.sample_erasures(ex1, 0.5, seed=5, trials=trials)
     yp = batch.channel_planes(x, erased)
+    assert len(yp) == 2 and not (yp[0] & yp[1]).any()  # no conflict
     rows = planes.to_symbols(yp)
     assert rows.shape == x.shape
     assert np.array_equal(rows == ERASURE, erased)

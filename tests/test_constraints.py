@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from fcpolar.codes import CodeSpec, input_word
-from fcpolar.constraints import (attached_systems, check_lists,
-                                 future_constraints, global_Q, instant_Q_full,
-                                 system_structure)
+from fcpolar.codes import CodeSpec, build_nr_code, input_word
+from fcpolar.constraints import (check_lists, future_constraints, global_Q,
+                                 instant_Q_full, system_structure)
 from fcpolar.gf2 import kron_power, mat_mul
 
 
@@ -29,13 +28,17 @@ def check_theorems(spec: CodeSpec, u: np.ndarray):
     for ell in range(spec.N):
         prefix = u[:ell + 1]
         for t in range(1, spec.n + 1):
-            sys_ = attached_systems(spec, ell, t, prefix)
-            if not sys_.cols:
+            cols, Q, offsets = system_structure(spec, ell, t)
+            if not cols:
                 continue
             lo = (ell >> t) << t
             xb = _stage_values(spec, u, lo, lo + (1 << t), t)
-            lhs = sys_.phi ^ mat_mul(xb[None, :], sys_.Q)[0]
+            phi = mat_mul(prefix[None, :], offsets)[0]
+            lhs = phi ^ mat_mul(xb[None, :], Q)[0]
             assert not lhs.any(), (ell, t)
+            # the scalar engine's member lists hold the same checks
+            for j, members in enumerate(check_lists(spec, ell, t)):
+                assert phi[j] == xb[list(members)].sum() % 2, (ell, t, j)
 
 
 def test_theorems_on_example1(ex1, all_ex1_messages):
@@ -112,15 +115,17 @@ def test_structure_matches_integer_products_and_lists(nr64):
                 for j in range(len(cols)))
 
 
-def test_degenerate_offset_rejected(ex1):
-    # a prefix violating a fully-determined constraint must be caught
-    # u4 is frozen: the stage-1 system for ell=4 pins it; craft a prefix
-    # with u4 = 1 and expect the builder to flag the inconsistency if the
-    # system degenerates, or produce a nonzero phi otherwise.
-    prefix = np.array([0, 0, 0, 0, 1], dtype=np.uint8)
-    try:
-        sys_ = attached_systems(ex1, 4, 1, prefix)
-    except AssertionError:
-        return
-    if sys_.cols:
-        assert sys_.phi.any() or sys_.Q.any()
+def test_every_check_has_a_member(nr64, random_code):
+    # Column c of a stage-t system lies above ell, inside block T(ell, t)
+    # and outside A, so H[c, c] = 1 and Q[:, c] is a nonzero combination
+    # of the block rows of kron_power(t), which are independent: no check
+    # is memberless, so none can pin its offset alone.
+    rng = np.random.default_rng(12)
+    specs = [nr64, build_nr_code(128, 64)] + [
+        random_code(rng, n) for n in (1, 2, 3, 4, 5, 6) for _ in range(5)]
+    for spec in specs:
+        for ell in range(spec.N):
+            for t in range(1, spec.n + 1):
+                cols, Q, _ = system_structure(spec, ell, t)
+                assert Q.any(axis=0).all(), (spec.N, ell, t)
+                assert all(check_lists(spec, ell, t)), (spec.N, ell, t)

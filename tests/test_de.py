@@ -89,16 +89,12 @@ def fccn_cases(draw):
 @example((np.array([[0.5, 0.1, 0.3, 0.1], [0.2, 0.3, 0.4, 0.1]] * 2),
           ((0, 1), (2, 3)), np.array([0, 1])))
 def test_batched_fccn_round_matches_loop(case):
-    # equal PMFs share one fold, in blocks of _BLOCK rows or of 7; in the
-    # example two checks over equal PMFs differ only in their offsets
+    # equal PMFs share one fold; in the example two checks over equal PMFs
+    # differ only in their offsets
     pmfs, vn_of, phi = case
-    expected = _fccn_update_loop(pmfs, vn_of, phi)
-    for block in (de._BLOCK, 7):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(de, "_BLOCK", block)
-            batched = pmfs.copy()
-            de_fccn_update(batched, fccn_plan(vn_of), phi)
-        assert np.array_equal(batched, expected)
+    batched = pmfs.copy()
+    de_fccn_update(batched, fccn_plan(vn_of), phi)
+    assert np.array_equal(batched, _fccn_update_loop(pmfs, vn_of, phi))
 
 
 def test_round_folds_each_distinct_message_once(monkeypatch):
@@ -128,26 +124,6 @@ def test_round_folds_each_distinct_message_once(monkeypatch):
     monkeypatch.setattr(de, "de_fccn_update", counted_update)
     de_run(spec, "bpscc1", 0.4)
     assert folded and 10 * sum(folded) < all_pairs
-
-
-def test_row_blocks_match_whole_calls(monkeypatch):
-    # 60 rows and a round of 12 checks over 30 VNs, first in one block,
-    # then in blocks of 7 rows: every row is the same
-    rng = np.random.default_rng(5)
-    p1, p2 = rng.dirichlet(np.ones(4), 60), rng.dirichlet(np.ones(4), 60)
-    b = rng.integers(0, 2, 60)
-    vn_of = tuple(tuple(sorted(rng.choice(30, rng.integers(1, 12), False)))
-                  for _ in range(12))
-    phi = rng.integers(0, 2, 12)
-    pmfs = rng.dirichlet(np.ones(4), 30)
-    whole = [psi_boxplus(p1, p2), psi_boxdot(p1, p2, b), pmfs.copy()]
-    de_fccn_update(whole[2], fccn_plan(vn_of), phi)
-    assert np.array_equal(whole[2], _fccn_update_loop(pmfs, vn_of, phi))
-    monkeypatch.setattr(de, "_BLOCK", 7)
-    blocks = [psi_boxplus(p1, p2), psi_boxdot(p1, p2, b), pmfs.copy()]
-    de_fccn_update(blocks[2], fccn_plan(vn_of), phi)
-    for x, y in zip(whole, blocks):
-        assert np.array_equal(x, y)
 
 
 def test_fccn_tie_goes_to_smallest_check():

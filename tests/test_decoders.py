@@ -9,9 +9,10 @@ import pytest
 import fcpolar
 
 from fcpolar.codes import build_example1, encode, input_word
-from fcpolar.constraints import attached_systems
+from fcpolar.constraints import check_lists, system_structure
 from fcpolar.decoders import (bp_scc_check, build_hypothesis, make_graph,
                               processing_index, sc_decode_bit)
+from fcpolar.gf2 import mat_mul
 from fcpolar.symbols import CONFLICT, ERASURE
 
 
@@ -43,20 +44,21 @@ def test_fccn_structure_for_bit3(ex1):
     for b in (0, 1):
         hyp = build_hypothesis(ex1, [0, 0, 0], 3, b)
         assert hyp.ell == 4
-        systems = {t: attached_systems(ex1, hyp.ell, t, hyp.prefix)
-                   for t in range(1, ex1.n + 1)}
-        populated = {t for t, s in systems.items() if s.cols}
+        populated = {t for t in range(1, ex1.n + 1)
+                     if system_structure(ex1, hyp.ell, t)[0]}
         assert populated == {2}
-        s = systems[2]
-        assert s.cols == (6,)
-        assert s.vn_of == ((1, 2),)
-        assert list(s.phi) == [b]
+        cols, _, offsets = system_structure(ex1, hyp.ell, 2)
+        assert cols == (6,)
+        assert check_lists(ex1, hyp.ell, 2) == ((1, 2),)
+        assert list(mat_mul(hyp.prefix[None, :], offsets)[0]) == [b]
 
 
 def test_graph_carries_systems_and_betas(ex1):
     hyp = build_hypothesis(ex1, [0, 0, 0], 3, 1)
     g = make_graph(ex1, np.full(8, ERASURE, dtype=np.uint8), hyp, use_fccn=True)
     assert set(g.fccn) == {2}
+    vn_of, phi = g.fccn[2]
+    assert vn_of == ((1, 2),) and list(phi) == [1]
     assert g.beta[2] == [1, 1, 1, 1]
 
 

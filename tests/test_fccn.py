@@ -10,9 +10,10 @@ def loop_fccn_pass(state, Q, phi):
     """Reference round: every member merges its checks' messages one by one.
 
     Messages come from a snapshot taken at round start; merges land on the
-    live state in check order.
+    live state in check order. A conflict is read as V & E; messages from a
+    row that holds one at round start mean nothing.
     """
-    V, E, H = state
+    V, E = state
     sv, se = V.copy(), E.copy()
     for j in range(Q.shape[1]):
         idx = list(np.flatnonzero(Q[:, j]))
@@ -24,13 +25,12 @@ def loop_fccn_pass(state, Q, phi):
         for pos, k in enumerate(idx):
             msg_v = xor_v ^ sv[:, k] ^ phi[:, j]
             msg_e = (total_e - es[:, pos]) > 0
-            kv, ke, kh = V[:, k], E[:, k], H[:, k]
-            clash = ~msg_e & ~ke & ~kh & (msg_v ^ kv)
-            nh = kh | clash
-            ne = ke & msg_e & ~nh
-            V[:, k] = np.where(ke, msg_v, kv) & ~ne & ~nh
-            E[:, k] = ne
-            H[:, k] = nh
+            kv, ke = V[:, k], E[:, k]
+            clash = ~msg_e & ~ke & (msg_v ^ kv)
+            nh = (kv & ke) | clash
+            ne = ke & ~kv & msg_e
+            V[:, k] = np.where(ke, msg_v, kv) & ~ne | nh
+            E[:, k] = ne | nh
 
 
 @st.composite
@@ -39,8 +39,8 @@ def fccn_rounds(draw):
 
     Q's columns are drawn from a small pool that holds an empty column, so
     empty and duplicate checks are common. Symbols are 0, 1, erasure or
-    conflict, so at most one plane is set per symbol; the first half of the
-    rows holds no conflict, the rows the round must get right. Widths run
+    conflict; the first half of the rows holds no conflict, the rows the
+    round must get right. Widths run
     from 2 to 256 symbols, so blocks span one to four words.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -65,14 +65,14 @@ def test_closed_form_round_matches_member_loop(case):
     width = Q.shape[0]
     want = tuple(p.copy() for p in state)
     loop_fccn_pass(want, Q, phi)
-    words = tuple(bitboard.pack_rows(p) for p in state[:2])
+    words = tuple(bitboard.pack_rows(p) for p in state)
     pair, clash = batch._fccn_pass_batch(words, Q.astype(np.float32), phi)
     v, e, h = (bitboard.unpack_rows(w, width).astype(bool)
                for w in (*pair, clash))
     # On a row without conflicts at round start, the clash words are the
     # conflicts the round raises, and the pair holds every other symbol.
-    clean = ~state[2].any(axis=1)
-    assert np.array_equal(h[clean], want[2][clean])
+    clean = ~(state[0] & state[1]).any(axis=1)
+    assert np.array_equal(h[clean], (want[0] & want[1])[clean])
     keep = clean[:, None] & ~h
     for w, g in zip(want, (v, e)):
         assert np.array_equal(w[keep], g[keep])

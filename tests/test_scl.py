@@ -23,7 +23,8 @@ def reference_scl(spec, y, L, seed, trial):
     """
     n = spec.n
     alpha = [None] * (n + 1)
-    alpha[n] = tuple(pack_rows(np.asarray(y)[None, :] == s) for s in (1, 2, 3))
+    alpha[n] = tuple(pack_rows(p)
+                     for p in planes.from_symbols(np.asarray(y)[None, :]))
     u = np.zeros((1, spec.N), dtype=np.uint8)
     ps = {}
     a_set = set(spec.A)
@@ -32,10 +33,9 @@ def reference_scl(spec, y, L, seed, trial):
 
     for i in range(spec.N):
         refresh(alpha, ps, i, n)
-        lv, le, lh = alpha[0]
-        val = (lv[:, 0] & _ONE).astype(bool)
-        erased = (le[:, 0] & _ONE).astype(bool)
-        conflict = (lh[:, 0] & _ONE).astype(bool)
+        val, e = ((p[:, 0] & _ONE).astype(bool) for p in alpha[0])
+        conflict = val & e
+        erased = e & ~val
 
         if i in a_set:
             fork = erased & ~conflict
@@ -72,7 +72,7 @@ def reference_scl(spec, y, L, seed, trial):
         u[:, i] = new_vals
         for t in range(n + 1):
             p = alpha[t]
-            alpha[t] = (p[0][keep_idx], p[1][keep_idx], p[2][keep_idx])
+            alpha[t] = (p[0][keep_idx], p[1][keep_idx])
         for t in list(ps):
             ps[t] = ps[t][keep_idx]
         update_partial_sums(ps, i, new_vals)
