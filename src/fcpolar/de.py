@@ -8,11 +8,11 @@ forward-only per-bit run tracks the wrong-hypothesis check H_{i,1} under
 the all-zero-codeword convention and turns the per-bit pass probability
 into a block error estimate via the independence product.
 
-de_run sweeps a group of consecutive information bits in one pass: a
-stage holds one array for the whole group, bit by bit, and each step is
-one batched call for the group (one FCCN round on the union of the bits'
-checks, one ⊞ call and one ⊡ call down the tree). A round folds each
-distinct check-to-variable message once, in one lockstep pass.
+de_run sweeps all information bits of a point in one pass: a stage holds
+one array for every bit, bit by bit, and each step is one batched call
+(one FCCN round on the union of the bits' checks, one ⊞ call and one ⊡
+call down the tree). A round folds each distinct check-to-variable
+message once, in one lockstep pass over a member table built once.
 
 Every output is bit-identical to one np.einsum("a,b,abs->s", p1, p2, M)
 per pair of rows with the one-hot pushforward tensor M: output symbol s
@@ -80,8 +80,7 @@ def _pushforward(p1: np.ndarray, p2: np.ndarray, plan) -> np.ndarray:
     """Rows of the PMF of table(a, b) for independent a ~ p1, b ~ p2. Each
     symbol's terms are added left to right; one add per step covers every
     symbol that still has a term. A call holds 16 products per row, and
-    de_run's largest call is one group's rows, at most _GROUP_ROWS (or one
-    bit's, when that bit goes alone)."""
+    de_run's calls grow with K * N, the PMF rows of its stage n."""
     a, b, steps, unrank = plan
     shape = p1.shape
     if p2.shape != shape:
@@ -181,7 +180,9 @@ def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
     so do adjacent members with equal ids. One pair per check key and run
     of equal ids folds, in lockstep: step s folds the s-th member of the
     pair's check that is not its own, and the pairs of checks with more
-    than s + 1 members are a leading slice.
+    than s + 1 members are a leading slice. One gather per round lays the
+    members out step by step, so each step folds the rows of a contiguous
+    slice of that table.
     """
     if not plan.vns.size:
         return
@@ -206,10 +207,14 @@ def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
     check = np.searchsorted(plan.first, folded, side="right") - 1
     lead, deg = plan.first[check], plan.deg[check]
     own = folded - lead
+    width = np.searchsorted(-deg, -np.arange(1, deg[0]))
+    start = np.cumsum(width) - width
+    step = np.repeat(np.arange(width.size, dtype=np.int32), width)
+    fold = np.arange(step.size) - start[step]
+    member = plan.slot[lead[fold] + step + (step >= own[fold])]
     q = np.eye(4)[phi[check]]
-    for s, n in enumerate(np.searchsorted(-deg, -np.arange(1, deg[0]))):
-        q[:n] = psi_boxplus(
-            q[:n], rows[plan.slot[lead[:n] + s + (s >= own[:n])]])
+    for a, n in zip(start.tolist(), width.tolist()):
+        q[:n] = psi_boxplus(q[:n], rows[member[a:a + n]])
     message = np.searchsorted(folded, source[plan.by_vn]).astype(np.int32)
     conflict = q[message, CONFLICT]
     peak = np.maximum.reduceat(conflict, plan.seg)
@@ -219,28 +224,13 @@ def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
         rows, q[message[hits[np.searchsorted(hits, plan.seg)]]])
 
 
-# The rows one group of de_run may hold: each bit brings its N PMF rows at
-# stage n and the pairs of its largest FCCN round. A round holds a few
-# int32 indices per pair and one PMF row per distinct message, so the
-# budget bounds the memory of a point; larger groups make fewer calls.
-_GROUP_ROWS = 16384
-
-
 class _Stage(NamedTuple):
-    """Stage t of a group's sweep in de_run."""
+    """Stage t of de_run's sweep."""
     plan: FccnPlan | None  # union FCCN round at stage t + 1, if any checks
     phi: np.ndarray | None  # its check offsets, bit by bit
-    plus: np.ndarray       # group places of the bits that take the ⊞ row
-    dot: np.ndarray        # group places of the bits that take the ⊡ row
+    plus: np.ndarray       # places in A of the bits that take the ⊞ row
+    dot: np.ndarray        # places in A of the bits that take the ⊡ row
     beta: np.ndarray       # (len(dot), 2^t) partial sums of the ⊡ bits
-
-
-class _Group(NamedTuple):
-    """Consecutive information bits that de_run sweeps together."""
-    first: int             # place in A of the group's first bit
-    size: int
-    leaf: np.ndarray       # the hypothesized value of each bit at its leaf
-    stages: tuple          # _Stage for t = n - 1 down to 0
 
 
 def _hypothesis(spec: CodeSpec, decoder: str, i: int) -> tuple:
@@ -281,41 +271,20 @@ def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
                   beta=np.array(beta, dtype=bool).reshape(-1, 1 << t))
 
 
-def _rows(spec: CodeSpec, ell: int, use_fccn: bool) -> int:
-    """The rows a bit with processing index ell brings to its group."""
-    if not use_fccn:
-        return spec.N
-    return spec.N + max(np.count_nonzero(system_structure(spec, ell, t)[1])
-                        for t in range(1, spec.n + 1))
-
-
-def _groups(spec: CodeSpec, decoder: str) -> tuple:
-    """The groups of de_run's sweep, memoized on the spec per decoder: runs
-    of consecutive bits of at most _GROUP_ROWS rows, or one bit."""
-    key = ("de_groups", decoder)
+def _sweep(spec: CodeSpec, decoder: str) -> tuple:
+    """The plan of de_run's sweep, memoized on the spec per decoder: the
+    hypothesized value of each information bit at its leaf, and the _Stage
+    of every t = n - 1 down to 0."""
+    key = ("de_sweep", decoder)
     if key not in spec._cache:
         use_fccn = decoder == "bpscc1"
         bits = [(ell, prefix, left_partial_sums(pack_rows(prefix[None, :]), ell))
                 for ell, prefix in (_hypothesis(spec, decoder, i)
                                     for i in spec.A)]
-        # the first bit opens a group
-        starts, held = [], _GROUP_ROWS
-        for k, (ell, *_) in enumerate(bits):
-            rows = _rows(spec, ell, use_fccn)
-            if held + rows > _GROUP_ROWS:
-                starts.append(k)
-                held = 0
-            held += rows
-        groups = []
-        for first, end in zip(starts, starts[1:] + [len(bits)]):
-            group = bits[first:end]
-            groups.append(_Group(
-                first=first, size=len(group),
-                leaf=np.array([prefix[ell] for ell, prefix, _ in group],
-                              dtype=np.int64),
-                stages=tuple(_stage(spec, group, t, use_fccn)
-                             for t in range(spec.n - 1, -1, -1))))
-        spec._cache[key] = tuple(groups)
+        spec._cache[key] = (
+            np.array([prefix[ell] for ell, prefix, _ in bits], dtype=np.int64),
+            tuple(_stage(spec, bits, t, use_fccn)
+                  for t in range(spec.n - 1, -1, -1)))
     return spec._cache[key]
 
 
@@ -328,37 +297,33 @@ def de_run(spec: CodeSpec, decoder: str, p: float):
     1 - prod(1 - P_b(i)). sc skips both the parity span and the FCCNs; scc
     keeps the span but skips the FCCNs; bpscc1 runs one full sweep.
 
-    Consecutive bits are swept together, in groups of at most _GROUP_ROWS
-    rows (a bit over the budget goes alone). Stage t + 1 holds one
-    (bits * 2^(t + 1), 4) array for the group, bit by bit. Its FCCN round
-    is one de_fccn_update on the union plan of the bits' checks. The step
-    down to stage t is one psi_boxplus call on the bits whose processing
-    index has bit t clear and one psi_boxdot call, with each bit's partial
-    sums, on the others. Every row's arithmetic is that of a sweep of its
-    bit alone, so the outputs are those of one sweep per bit, bit for bit.
-    The plans are built on the first call and memoized on the spec.
+    All K information bits are swept in one pass. Stage t + 1 holds one
+    (K * 2^(t + 1), 4) array, bit by bit. Its FCCN round is one
+    de_fccn_update on the union plan of the bits' checks. The step down to
+    stage t is one psi_boxplus call on the bits whose processing index has
+    bit t clear and one psi_boxdot call, with each bit's partial sums, on
+    the others. Every row's arithmetic is that of a sweep of its bit alone,
+    so the outputs are those of one sweep per bit, bit for bit. The plan is
+    built on the first call and memoized on the spec.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} out of range")
     if decoder not in ("sc", "scc", "bpscc1"):
         raise ValueError(f"unknown decoder {decoder!r} for density evolution")
-    per_bit = np.empty(len(spec.A))
-    for group in _groups(spec, decoder):
-        size = group.size
-        pmfs = np.tile(channel_pmf(p), (size * spec.N, 1))
-        for t, stage in zip(range(spec.n - 1, -1, -1), group.stages):
-            if stage.plan is not None:
-                de_fccn_update(pmfs, stage.plan, stage.phi)
-            halves = pmfs.reshape(size, 2, 1 << t, 4)
-            pmfs = np.empty((size, 1 << t, 4))
-            plus, dot = stage.plus, stage.dot
-            if plus.size:
-                pmfs[plus] = psi_boxplus(halves[plus, 0], halves[plus, 1])
-            if dot.size:
-                pmfs[dot] = psi_boxdot(halves[dot, 0], halves[dot, 1],
-                                       stage.beta)
-            pmfs = pmfs.reshape(-1, 4)
-        per_bit[group.first:group.first + size] = 0.5 * (
-            pmfs[np.arange(size), group.leaf] + pmfs[:, ERASURE])
+    leaf, stages = _sweep(spec, decoder)
+    K = leaf.size
+    pmfs = np.tile(channel_pmf(p), (K * spec.N, 1))
+    for t, stage in zip(range(spec.n - 1, -1, -1), stages):
+        if stage.plan is not None:
+            de_fccn_update(pmfs, stage.plan, stage.phi)
+        halves = pmfs.reshape(K, 2, 1 << t, 4)
+        pmfs = np.empty((K, 1 << t, 4))
+        plus, dot = stage.plus, stage.dot
+        if plus.size:
+            pmfs[plus] = psi_boxplus(halves[plus, 0], halves[plus, 1])
+        if dot.size:
+            pmfs[dot] = psi_boxdot(halves[dot, 0], halves[dot, 1], stage.beta)
+        pmfs = pmfs.reshape(-1, 4)
+    per_bit = 0.5 * (pmfs[np.arange(K), leaf] + pmfs[:, ERASURE])
     bler = 1.0 - np.prod(1.0 - per_bit)
     return per_bit, float(bler)

@@ -302,7 +302,7 @@ def test_input_validation(ex1):
 
 
 def _de_run_loop(spec, decoder, p):
-    """The per-bit sweep that the grouped de_run replaces: each information
+    """The per-bit sweep that de_run's one sweep replaces: each information
     bit runs its own n stages, with one FCCN round on its own checks per
     stage."""
     per_bit = []
@@ -346,11 +346,18 @@ _CODES = {
     "nr256": lambda: build_nr_code(256, 128),
 }
 
+# random codes of N = 2 to 64 by their n: dense parity taps give checks of
+# ragged degrees, so the lockstep steps of a round fold slices of many widths
+_RANDOM = {f"random{j}-n{n}": n
+           for j, n in enumerate((1, 2, 3, 4, 4, 5, 5, 6, 6))}
+
 
 @pytest.fixture(scope="module")
-def de_codes(ex1, nr64):
+def de_codes(ex1, nr64, random_code):
+    rng = np.random.default_rng(41)
     return {"ex1": ex1, "nr64": nr64,
-            **{name: build() for name, build in _CODES.items()}}
+            **{name: build() for name, build in _CODES.items()},
+            **{name: random_code(rng, n=n) for name, n in _RANDOM.items()}}
 
 
 def _assert_matches_loop(spec, decoder):
@@ -362,24 +369,28 @@ def _assert_matches_loop(spec, decoder):
 
 
 @pytest.mark.parametrize("decoder", ["sc", "scc", "bpscc1"])
-@pytest.mark.parametrize("code", ["ex1", "nr64", *_CODES])
+@pytest.mark.parametrize("code", ["ex1", "nr64", *_CODES, *_RANDOM])
 def test_grouped_sweep_matches_per_bit_loop(de_codes, code, decoder):
+    # "grouped": de_run sweeps all K bits in one group
     _assert_matches_loop(de_codes[code], decoder)
 
 
-@pytest.mark.parametrize("decoder", ["sc", "scc", "bpscc1"])
-def test_groups_split_anywhere(monkeypatch, decoder):
-    # a budget of five bits' PMF rows: sc and scc sweep five bits at a
-    # time, the last group short; under bpscc1 the fold rows count too, so
-    # a bit with many checks goes alone
-    monkeypatch.setattr(de, "_GROUP_ROWS", 5 * 64)
-    spec = build_nr_code(64, 32)
-    _assert_matches_loop(spec, decoder)
-    sizes = [group.size for group in spec._cache[("de_groups", decoder)]]
-    if decoder == "bpscc1":
-        assert sizes.count(1) > 1 and max(sizes) > 1
-    else:
-        assert sizes == [5] * 6 + [2]
+def test_one_fccn_round_per_stage_with_checks(monkeypatch):
+    # all K bits go in one sweep: a bpscc1 point makes one round at each
+    # stage where some bit has checks, and none at the others
+    spec = build_nr_code(128, 64)
+    stages = sum(any(system_structure(spec, spec.ell[i], t)[0] for i in spec.A)
+                 for t in range(1, spec.n + 1))
+    rounds, update = [], de.de_fccn_update
+
+    def counted_update(pmfs, plan, phi):
+        rounds.append(plan)
+        update(pmfs, plan, phi)
+
+    monkeypatch.setattr(de, "de_fccn_update", counted_update)
+    de_run(spec, "bpscc1", 0.4)
+    assert 0 < stages < spec.n
+    assert len(rounds) == stages
 
 
 def test_hypothesis_prefix_is_row_of_T(ex1, nr64, random_code):

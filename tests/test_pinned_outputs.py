@@ -12,8 +12,10 @@ The density-evolution outputs were recorded before the PMFs became (m, 4)
 arrays with one batched FCCN round: P_B exactly, and the per-bit values
 P_b(i) by the SHA-256 of their little-endian float64 bytes, so a change in
 the last bit of any one of them shows. The bpscc1 values at N=256 were
-recorded before the information bits were swept in groups, and the N=512
-values before each FCCN round folded its distinct messages only once.
+recorded while each information bit was still swept on its own, the N=512
+values before each FCCN round folded its distinct messages only once, and
+the N=1024 values before all information bits went in one sweep (the
+bits went in 217 groups then).
 """
 import hashlib
 
@@ -124,6 +126,7 @@ PINNED_DE = [
     ((256, 128, 'bpscc1', 0.4), (0.5360802685176032, '1708c3edc412c1a28ef412fb039d4a86')),
     ((512, 256, 'scc', 0.4), (0.6912685574313324, 'b2461c184ab3e3f4f542697c61a1e431')),
     ((512, 256, 'bpscc1', 0.4), (0.528482437282585, '37532279e9aa2507a2551d742a6df4e9')),
+    ((1024, 512, 'bpscc1', 0.4), (0.4823422527575303, 'd744762e610627fa59a1cbf268286041')),
 ]
 
 _SPECS = {}
