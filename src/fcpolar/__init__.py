@@ -11,7 +11,6 @@ exact MAP oracles for small codes on the BI-AWGN channel.
 __version__ = "0.1.0"
 
 from .codes import CodeSpec, build_example1, build_nr_code, encode
-from .search import decode_sc, decode_with_fc
 from .scl import decode_scl
 
 __all__ = [
@@ -19,8 +18,6 @@ __all__ = [
     "build_example1",
     "build_nr_code",
     "encode",
-    "decode_sc",
-    "decode_with_fc",
     "decode_scl",
     "__version__",
 ]

@@ -48,6 +48,10 @@ __all__ = [
 
 _ONE = np.uint64(1)
 
+# Trials per decoder call in the simulation loops (cli.run_point, the
+# mlbound and toy-compare commands), which bounds their memory.
+CHUNK = 4096
+
 # Steps for which a row that backjumped still leads the search's sweep.
 _RECENT = 32
 
@@ -96,17 +100,17 @@ def channel_planes(x: np.ndarray, erased: np.ndarray) -> planes.Pair:
     return x.astype(bool) & ~erased, erased.copy()
 
 
-def _extend_prefix(spec: CodeSpec, committed: np.ndarray, i: int, ell: int,
-                   b) -> np.ndarray:
-    """Per-row hypothesis prefixes 0..ell: past estimates, b, forced bits.
+def _extend_prefix(spec: CodeSpec, committed: np.ndarray, i: int,
+                   ell: int) -> np.ndarray:
+    """Per-row H_{i,0} prefixes 0..ell: past estimates, 0 at i, forced bits.
     Under the invariant of codes._assemble the parity bits in (i, ell] are
-    one product of bits 0..i with their T columns; frozen bits stay 0."""
+    one product of bits 0..i-1 with their T columns, frozen bits stay 0,
+    and the H_{i,1} prefix is this one XOR T[i, :ell + 1]."""
     ubuf = np.zeros((committed.shape[0], ell + 1), dtype=np.uint8)
     ubuf[:, :i] = committed[:, :i]
-    ubuf[:, i] = b
     par = [j for j in range(i + 1, ell + 1) if spec.parity_mask[j]]
     if par:
-        ubuf[:, par] = mat_mul(ubuf[:, :i + 1], spec.T[:i + 1, par])
+        ubuf[:, par] = mat_mul(ubuf[:, :i], spec.T[:i, par])
     return ubuf
 
 
@@ -233,18 +237,21 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
 
     Each step takes the rows at one information position k and checks
     H_{k,0} and H_{k,1} for all of them in one _check_batch call, on twice
-    the rows. Rows that pass H_{k,0} commit 0 and, under sbj, push k; their
+    the rows; the H_{k,1} prefixes are the H_{k,0} ones XOR row spec.A[k]
+    of T. Rows that pass H_{k,0} commit 0 and, under sbj, push k; their
     H_{k,1} verdicts are dropped. The rest commit 1 if H_{k,1} passes. The
     counts (visits, iters_sum, checks, the budget) take H_{k,1} only where
     H_{k,0} failed, as the scalar search runs it. One call per step costs
     far less than two, since a check's time is mostly per call. A row that
     fails both pops its most recent checkpoint k' and commits 1 at
     spec.A[k'] unchecked, or fails if its stack is empty; without sbj every
-    stack stays empty. No bit below spec.A[k'] changes while k' is on the
-    stack, so a checkpoint is its position alone. Rows never interact and
-    the check is deterministic, so each row walks the scalar search's path
-    exactly; the order of the steps only decides which rows share a check
-    call.
+    stack stays empty. No bit up to the processing index of k' changes
+    while k' is on the stack, so a checkpoint is its position alone, and a
+    backjump XORs row spec.A[k'] of T into each row, whatever k' it pops.
+    The bits this flips above that index are rewritten before the search
+    reads them. Rows never interact and the check is deterministic, so
+    each row walks the scalar search's path exactly; the order of the steps
+    only decides which rows share a check call.
 
     That order is a sweep led by the rows that backjumped in the last
     _RECENT steps: each step takes the lowest position above the previous
@@ -269,6 +276,7 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     ell_of = spec.ell[list(info)].tolist()
     spans = np.diff(ell_of, prepend=-1)
     check_cap = 1 << min(spec.K + 1, 40)
+    flip = spec.T[list(info)]
 
     committed = np.zeros((rows, spec.N), dtype=np.uint8)
     pos = np.zeros(rows, dtype=np.intp)
@@ -285,8 +293,8 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         i, ell = info[k], ell_of[k]
         m = sel.size
         both = np.concatenate((sel, sel))
-        ubuf = _extend_prefix(spec, committed[both], i, ell,
-                              np.arange(2 * m) >= m)
+        u0 = _extend_prefix(spec, committed[sel], i, ell)
+        ubuf = np.concatenate((u0, u0 ^ flip[k, :ell + 1]))
         ok, it = _check_batch(spec, yv[both], ye[both], ubuf, ell,
                               use_fccn, i_max)
         ok0, ok1 = ok[:m], ok[m:] & ~ok[:m]
@@ -298,8 +306,9 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         iters_sum[sel[first]] += (it[:m] + np.where(ok0, 0, it[m:]))[first]
         win = ok0 | ok1
         passed = sel[win]
-        committed[passed, i:ell + 1] = np.where(ok0[:, None], ubuf[:m],
-                                                ubuf[m:])[win, i:]
+        # a winner's prefix is row r of ubuf, or row m + r where H_{k,1} won
+        committed[passed, i:ell + 1] = ubuf[np.flatnonzero(win)
+                                            + m * ok1[win], i:]
         pos[passed] = k + 1
         return ok0, win
 
@@ -332,12 +341,8 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         backjumps[bj] += 1
         visits[bj] += 1
         last_bj[bj] = step
-        for ku in np.unique(kk):
-            g = bj[kk == ku]
-            i, ell = info[ku], ell_of[ku]
-            committed[g, i:ell + 1] = _extend_prefix(spec, committed[g], i, ell,
-                                                     1)[:, i:]
-            pos[g] = ku + 1
+        committed[bj] ^= flip[kk]
+        pos[bj] = kk + 1
         if ran[bj].max() > check_cap:
             raise RuntimeError("check budget exceeded; traversal is stuck")
     return alive, committed, visits, backjumps, iters_sum, checks

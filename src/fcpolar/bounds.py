@@ -63,19 +63,21 @@ def ml_bound_sim(spec: CodeSpec, p: float, trials: int, seed: int = 0) -> float:
     Runs plain SC; every block error whose re-encoded output matches the
     channel output on all non-erased positions would fool any decoder
     (both codewords have the same likelihood), so the rate of such events
-    lower-bounds the ML error rate.
+    lower-bounds the ML error rate. The trials run batch.CHUNK at a time.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} out of range")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    ids = np.arange(trials)
-    msg = batch.sample_messages(spec, seed, ids)
-    u, x = batch.encode_batch(spec, msg)
-    erased = batch.sample_erasures(spec, p, seed, ids)
-    yp = batch.channel_planes(x, erased)
-    out = batch.decode_sc_batch(spec, yp, seed, ids)
-    block_err = (out.u_hat != u).any(axis=1)
-    x_hat = mat_mul(out.u_hat, spec.generator)
-    consistent = ((x_hat == x) | erased).all(axis=1)
-    return float(np.mean(block_err & consistent))
+    hits = 0
+    for start in range(0, trials, batch.CHUNK):
+        ids = np.arange(start, min(start + batch.CHUNK, trials))
+        u, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, ids))
+        erased = batch.sample_erasures(spec, p, seed, ids)
+        out = batch.decode_sc_batch(spec, batch.channel_planes(x, erased),
+                                    seed, ids)
+        block_err = (out.u_hat != u).any(axis=1)
+        consistent = ((mat_mul(out.u_hat, spec.generator) == x)
+                      | erased).all(axis=1)
+        hits += np.count_nonzero(block_err & consistent)
+    return hits / trials

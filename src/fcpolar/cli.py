@@ -35,8 +35,6 @@ from .scl import decode_scl
 
 CSV_HEADER = "p,bler,stderr,avg_visits,avg_iters,trials,errors"
 
-_CHUNK = 4096
-
 # Most points one grid flag may expand to.
 _GRID_MAX = 10_000
 
@@ -47,10 +45,11 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     """Simulate one channel point; returns the summary row plus metadata.
 
     Trials are evaluated in index order in chunks, one decoder call per
-    chunk: _CHUNK trials, or _CHUNK // list_size for SCL, whose rows are
-    (trial, path) pairs. Once the cumulative block-error count reaches
-    max_errors the point is cut at exactly that trial, every per-trial
-    count with it, so the result is identical to a sequential trial loop.
+    chunk: batch.CHUNK trials, or batch.CHUNK // list_size for SCL, whose
+    rows are (trial, path) pairs. Once the cumulative block-error count
+    reaches max_errors the point is cut at exactly that trial, every
+    per-trial count with it, so the result is identical to a sequential
+    trial loop.
     Under max_errors the chunks start at 64 trials and double up to that
     size, so little is decoded past the cut; outcomes never depend on the
     chunking. avg_iters counts i_max for each check that stops at a fixed
@@ -66,7 +65,7 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     parts: dict[str, list] = {k: [] for k in (
         "err", "dead", "visits", "backjumps", "iters", "checks")}
     # an SCL trial takes up to list_size rows of its chunk
-    cap = max(1, _CHUNK // list_size) if decoder == "scl" else _CHUNK
+    cap = max(1, batch.CHUNK // list_size) if decoder == "scl" else batch.CHUNK
     chunk = cap if max_errors is None else min(64, cap)
     done = 0
     while done < trials:
@@ -189,6 +188,22 @@ def _p_grid(text: str) -> list[float]:
     return grid
 
 
+def _esn0_grid(text: str) -> list[float]:
+    """Argument type of --esn0-grid: a grid of Es/N0 values in dB, each
+    with a finite positive noise variance."""
+    from .oracle import awgn_sigma2
+    grid = _parse_grid(text)
+    for esn0 in grid:
+        try:
+            ok = 0.0 < awgn_sigma2(esn0) < math.inf
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"Es/N0 {esn0:g} dB has no finite positive noise variance")
+    return grid
+
+
 def _count(text: str) -> int:
     """Argument type of the count and code-size flags: an integer of at
     least 1."""
@@ -292,25 +307,27 @@ def _cmd_mlbound(args) -> int:
 
 
 def _cmd_toy_compare(args) -> int:
+    """The three oracle decoders, batch.CHUNK trials per call."""
     from . import oracle
     spec = build_example1()
-    ids = np.arange(args.trials)
-    msg = batch.sample_messages(spec, args.seed, ids)
-    u, x = batch.encode_batch(spec, msg)
-    s = 1.0 - 2.0 * x.astype(float)
     lines = ["esn0_db,bler_sc,bler_bitwise,bler_blockwise,trials"]
     for esn0 in args.esn0_grid:
         sigma2 = oracle.awgn_sigma2(esn0)
-        noise = _gaussian_noise(args.seed, ids, spec.N, esn0) * np.sqrt(sigma2)
-        ll = oracle.awgn_loglik(s + noise, sigma2)
-        blers = []
-        for decode in (oracle.sc_marginal_decode_batch,
-                       oracle.bitwise_map_sc_decode_batch,
-                       oracle.blockwise_map_decode_batch):
-            u_hat = decode(spec, ll)
-            blers.append(float((u_hat != u).any(axis=1).mean()))
-        lines.append(f"{esn0:.6g}," + ",".join(f"{b:.8g}" for b in blers) +
-                     f",{args.trials}")
+        errors = np.zeros(3, dtype=np.int64)
+        for start in range(0, args.trials, batch.CHUNK):
+            ids = np.arange(start, min(start + batch.CHUNK, args.trials))
+            u, x = batch.encode_batch(
+                spec, batch.sample_messages(spec, args.seed, ids))
+            noise = _gaussian_noise(args.seed, ids, spec.N, esn0)
+            ll = oracle.awgn_loglik(
+                1.0 - 2.0 * x.astype(float) + noise * np.sqrt(sigma2), sigma2)
+            for d, decode in enumerate((oracle.sc_marginal_decode_batch,
+                                        oracle.bitwise_map_sc_decode_batch,
+                                        oracle.blockwise_map_decode_batch)):
+                wrong = (decode(spec, ll) != u).any(axis=1)
+                errors[d] += np.count_nonzero(wrong)
+        lines.append(f"{esn0:.6g}," + ",".join(
+            f"{b:.8g}" for b in errors / args.trials) + f",{args.trials}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -408,7 +425,7 @@ def main(argv=None) -> int:
 
     toy = sub.add_parser("toy-compare",
                          help="BI-AWGN MAP comparison on the worked example")
-    toy.add_argument("--esn0-grid", type=_parse_grid, default=[-2.0, 0.0, 2.0, 4.0])
+    toy.add_argument("--esn0-grid", type=_esn0_grid, default=[-2.0, 0.0, 2.0, 4.0])
     toy.add_argument("--trials", type=_count, default=10000)
     toy.add_argument("--seed", type=int, default=0)
     toy.add_argument("--out")

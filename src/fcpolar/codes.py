@@ -37,16 +37,6 @@ class OuterCode:
         return len(self.generator_taps) - 1
 
 
-@dataclass(frozen=True)
-class ReliabilityProfile:
-    """Sub-channel indices of one blocklength, most reliable last."""
-
-    order: tuple[int, ...]
-
-    def most_reliable(self, count: int) -> tuple[int, ...]:
-        return tuple(sorted(self.order[len(self.order) - count:]))
-
-
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
     """Everything the decoders need to know about one concatenated code."""
@@ -101,10 +91,11 @@ def load_nr_sequence() -> tuple[int, ...]:
     return tuple(vals)
 
 
-def nr_profile(N: int) -> ReliabilityProfile:
+def nr_profile(N: int) -> tuple[int, ...]:
+    """The sub-channel indices of blocklength N, most reliable last."""
     if N < 2 or N & (N - 1) or N > 1024:
         raise ValueError(f"N must be a power of two in [2, 1024], got {N}")
-    return ReliabilityProfile(order=tuple(i for i in load_nr_sequence() if i < N))
+    return tuple(i for i in load_nr_sequence() if i < N)
 
 
 def _assemble(n, N, A, P, F, T, outer) -> CodeSpec:
@@ -166,8 +157,7 @@ def build_nr_code(N: int, K: int, crc: str = "nr11") -> CodeSpec:
     if K + r > N:
         raise ValueError(f"K + {r} parity bits exceed N = {N}")
     n = int(N).bit_length() - 1
-    profile = nr_profile(N)
-    allocated = profile.most_reliable(K + r)
+    allocated = tuple(sorted(nr_profile(N)[N - K - r:]))
     A, P = allocated[:K], allocated[K:]
     F = tuple(sorted(set(range(N)) - set(allocated)))
 

@@ -27,7 +27,6 @@ __all__ = [
     "FcIndexSets",
     "future_constraints",
     "global_Q",
-    "instant_Q_full",
 ]
 
 
@@ -70,19 +69,6 @@ def future_constraints(spec: CodeSpec, i: int) -> FcIndexSets:
 def global_Q(spec: CodeSpec) -> np.ndarray:
     """Codeword-domain constraint matrix Q = G H', satisfying x Q = 0."""
     return mat_mul(spec.generator, spec.H_prime)
-
-
-def instant_Q_full(spec: CodeSpec, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-codeword instant system for decoding step i.
-
-    Returns (coeffs, offset_rows) with coeffs of shape (N, |L_i|) and
-    offset_rows of shape (i, |L_i|): for any consistent pair of prefix and
-    codeword, prefix . offset_rows + x . coeffs = 0.
-    """
-    L = list(future_constraints(spec, i).L)
-    G = spec.generator
-    coeffs = mat_mul(G[:, i:], spec.H[i:, L])
-    return coeffs, spec.H[:i, L].copy()
 
 
 def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:

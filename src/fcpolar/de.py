@@ -3,10 +3,11 @@
 A symbol PMF is a length-4 float row over (0, 1, erasure, conflict),
 indexed by the integer symbol codes; the PMFs of a stage are one (m, 4)
 array, one row per block variable. The stage transfer functions are the
-pushforwards of the combining operators under independent inputs; the
-forward-only per-bit run tracks the wrong-hypothesis check H_{i,1} under
-the all-zero-codeword convention and turns the per-bit pass probability
-into a block error estimate via the independence product.
+pushforwards of planes.plus and planes.dot, the decoders' operators,
+under independent inputs (_sum_plan reads their tables off the 16 symbol
+pairs). The forward-only per-bit run tracks the wrong-hypothesis check
+H_{i,1} under the all-zero-codeword convention and turns the per-bit pass
+probability into a block error estimate via the independence product.
 
 de_run sweeps all information bits of a point in one pass: a stage holds
 one array for every bit, bit by bit, and each step is one batched call
@@ -34,7 +35,8 @@ from .bitboard import left_partial_sums, pack_rows, unpack_rows
 from .codes import CodeSpec
 from .constraints import system_structure
 from .gf2 import mat_mul
-from .symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE, SYMBOLS
+from .planes import dot, from_symbols, plus, to_symbols
+from .symbols import CONFLICT, ERASURE
 
 __all__ = [
     "channel_pmf",
@@ -50,30 +52,31 @@ __all__ = [
 _SWAP01 = np.array([1, 0, 2, 3])
 
 
-def _sum_plan(table) -> tuple:
-    """How _pushforward sums the pushforward of an operator table.
+def _sum_plan(op) -> tuple:
+    """How _pushforward sums the pushforward of a planes operator.
 
-    The terms of symbol s are the pairs (a, b) with table[a][b] == s in
+    The terms of symbol s are the pairs (a, b) that op maps to s, in
     row-major order. Symbols are ranked by term count, ascending, and the
     terms laid out step-major: step r holds the r-th term of every symbol
     that has one, which is a trailing run of the ranking. Returns the
     operand indices of every term, the (start, width) of steps 1, 2, ...,
     and the ranking's inverse.
     """
-    terms = [[(a, b) for a in SYMBOLS for b in SYMBOLS if table[a][b] == s]
-             for s in SYMBOLS]
-    rank = sorted(SYMBOLS, key=lambda s: len(terms[s]))
+    a, b = np.divmod(np.arange(16), 4)
+    table = to_symbols(op(from_symbols(a), from_symbols(b)))
+    terms = [np.flatnonzero(table == s).tolist() for s in range(4)]
+    rank = sorted(range(4), key=lambda s: len(terms[s]))
     pairs, steps = [], []
     for r in range(len(terms[rank[-1]])):
         live = [terms[s][r] for s in rank if len(terms[s]) > r]
         steps.append((len(pairs), len(live)))
         pairs += live
-    a, b = np.array(pairs).T
+    a, b = np.divmod(pairs, 4)
     return a, b, steps[1:], np.argsort(rank)
 
 
-_PLUS = _sum_plan(BOX_PLUS)
-_DOT = _sum_plan(BOX_DOT)
+_PLUS = _sum_plan(plus)
+_DOT = _sum_plan(dot)
 
 
 def _pushforward(p1: np.ndarray, p2: np.ndarray, plan) -> np.ndarray:

@@ -8,10 +8,6 @@ likelihood work happens in the log domain on a score matrix with one
 column per candidate input word, so both sequential decoders are one loop,
 _sequential_decode: grouped log-sum-exp reductions over candidate blocks
 that share a prefix, SC deciding at every position and bitwise-MAP-SC at A.
-
-The same machinery doubles as a BEC oracle by swapping the Gaussian
-log-likelihoods for erasure indicators (0 for compatible, -inf for
-contradicted).
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ __all__ = [
     "sc_marginal_decode",
     "bitwise_map_sc_decode",
     "blockwise_map_decode",
-    "bec_candidate_messages",
     "sc_marginal_decode_batch",
     "bitwise_map_sc_decode_batch",
     "blockwise_map_decode_batch",
@@ -64,15 +59,6 @@ def awgn_loglik(y: np.ndarray, sigma2: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     s = np.array([1.0, -1.0])
     return -((y[..., None] - s) ** 2) / (2.0 * sigma2)
-
-
-def bec_loglik(y_symbols: np.ndarray) -> np.ndarray:
-    """Erasure-indicator log-likelihoods: 0 if compatible, -inf otherwise."""
-    y = np.asarray(y_symbols)
-    ll = np.zeros(y.shape + (2,))
-    for c in (0, 1):
-        ll[..., c] = np.where((y == 2) | (y == c), 0.0, -np.inf)
-    return ll
 
 
 def _scores(ll: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -141,10 +127,3 @@ def bitwise_map_sc_decode(spec: CodeSpec, y, sigma2: float) -> np.ndarray:
 def blockwise_map_decode(spec: CodeSpec, y, sigma2: float) -> np.ndarray:
     return blockwise_map_decode_batch(spec, awgn_loglik(np.atleast_2d(y), sigma2))[0]
 
-
-def bec_candidate_messages(spec: CodeSpec, y_symbols) -> np.ndarray:
-    """Messages whose codewords match the BEC output on unerased positions."""
-    x = _valid_words(spec)[1]
-    y = np.asarray(list(y_symbols))
-    ok = ((x == y) | (y == 2)).all(axis=1)
-    return np.flatnonzero(ok)

@@ -176,7 +176,8 @@ def test_check_engines_agree(ex1, nr16, nr64):
         for i in spec.A[::3] if spec.N >= 128 else spec.A:
             ell = processing_index(spec, i)
             for b in (0, 1):
-                ubuf = batch._extend_prefix(spec, u, i, ell, b)
+                ubuf = (batch._extend_prefix(spec, u, i, ell)
+                    ^ b * spec.T[i, :ell + 1])
                 popcount, blas = _round_maps(spec, ubuf, ell)
                 has_rounds |= bool(blas)
                 for i_max in (1, 3):
@@ -298,7 +299,8 @@ def test_sweep_one_descent_matches_full_update(N, K, p, step):
     for i in spec.A[::step]:
         ell = processing_index(spec, i)
         for b in (0, 1):
-            ubuf = batch._extend_prefix(spec, u, i, ell, b)
+            ubuf = (batch._extend_prefix(spec, u, i, ell)
+                    ^ b * spec.T[i, :ell + 1])
             for rounds in (*_round_maps(spec, ubuf, ell), {}):
                 for i_max in (1, 2, 3):
                     *want, clash = _full_update_check(spec, yv, ye, ubuf, ell,
@@ -331,7 +333,8 @@ def test_pair_check_matches_three_plane_reference_on_random_codes(
         for i in spec.A[::max(1, len(spec.A) // 8)]:
             ell = processing_index(spec, i)
             for b in (0, 1):
-                ubuf = batch._extend_prefix(spec, u, i, ell, b)
+                ubuf = (batch._extend_prefix(spec, u, i, ell)
+                    ^ b * spec.T[i, :ell + 1])
                 verdicts = []
                 for rounds in (*_round_maps(spec, ubuf, ell), {}):
                     for i_max in (1, 2, 3):
@@ -432,12 +435,15 @@ def test_speculative_hypothesis_is_not_counted(nr64, monkeypatch):
 
 @pytest.mark.parametrize("N,K,p,T,seed", [
     (64, 32, 0.25, 24, 1),
+    (64, 32, 0.35, 16, 3),
     (128, 64, 0.32, 10, 0),
     (256, 128, 0.35, 3, 0),
 ])
 def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed):
     # Each case has rows that fail both hypotheses at some bit, so the
-    # batched stack search backjumps, at N=64 and past it alike.
+    # batched stack search backjumps, at N=64 and past it alike. In the
+    # p=0.35 case, 65 of the 371 backjump steps pop more than one distinct
+    # checkpoint, so one backjump XORs different rows of T into its rows.
     spec = build_nr_code(N, K)
     trials = np.arange(T)
     _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))

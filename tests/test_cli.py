@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fcpolar import bounds, cli, de
+from fcpolar import batch, bounds, cli, de
 from fcpolar.codes import build_nr_code
 
 
@@ -56,7 +56,7 @@ def test_simulate_csv_reproducible(tmp_path):
 
 
 def test_chunking_does_not_change_results(nr16, monkeypatch):
-    # an SCL chunk holds _CHUNK // list_size trials: one trial at _CHUNK = 3;
+    # an SCL chunk holds CHUNK // list_size trials: one trial at CHUNK = 3;
     # the cut BP-SCC point runs chunks of 64 and 128 trials, then of 3
     nr32 = build_nr_code(32, 16)
     cases = [(nr16, "scc", 0.45, 500, {}), (nr16, "sc", 0.45, 150, {}),
@@ -64,7 +64,7 @@ def test_chunking_does_not_change_results(nr16, monkeypatch):
              (nr16, "scl", 0.45, 150, {"list_size": 2, "max_errors": 10}),
              (nr32, "bpscc", 0.1, 3000, {"i_max": 3, "max_errors": 5})]
     ref = [cli.run_point(c, d, p, n, seed=3, **kw) for c, d, p, n, kw in cases]
-    monkeypatch.setattr(cli, "_CHUNK", 3)
+    monkeypatch.setattr(batch, "CHUNK", 3)
     small = [cli.run_point(c, d, p, n, seed=3, **kw)
              for c, d, p, n, kw in cases]
     assert ref == small
@@ -90,7 +90,7 @@ def test_scl_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
             "--decoder", "scl", "--list-size", "3", "--p-grid", "0.4:0.5:0.05",
             "--trials", "100", "--seed", "5", "--out"]
     assert _run(argv + [str(tmp_path / "a.csv")]) == 0
-    monkeypatch.setattr(cli, "_CHUNK", 3)
+    monkeypatch.setattr(batch, "CHUNK", 3)
     assert _run(argv + [str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -210,6 +210,21 @@ def test_mlbound_subcommand(tmp_path):
     spec = build_nr_code(16, 6, crc="none")
     val = float(lines[1].split(",")[1])
     assert val == pytest.approx(bounds.ml_bound_sim(spec, 0.45, 400, 2))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mlbound", "--n", "4", "--k", "6", "--crc", "none", "--p-grid",
+     "0.4:0.5:0.05", "--trials", "100", "--seed", "2"],
+    ["toy-compare", "--esn0-grid=-2:2:2", "--trials", "60", "--seed", "4"],
+])
+def test_chunk_size_does_not_change_mlbound_or_toy_compare(argv, tmp_path,
+                                                           monkeypatch):
+    # Both commands decode batch.CHUNK trials per call and sum integer
+    # counts, so chunks of 7 give the bytes of one chunk for all trials.
+    assert _run(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    monkeypatch.setattr(batch, "CHUNK", 7)
+    assert _run(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_toy_compare_structure(tmp_path):
@@ -334,6 +349,19 @@ def test_bad_esn0_grid_rejected_while_parsing(capsys):
         _run(["toy-compare", "--esn0-grid=0:inf:1"])
     assert exc.value.code == 2
     assert "grid '0:inf:1' is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("esn0", ["4000", "-4000", "3080", "-3090"])
+def test_esn0_without_a_finite_noise_variance_rejected(esn0, capsys):
+    # 10^(Es/N0 / 10) overflows (4000) or its inverse does (-3090), or the
+    # variance underflows to 0 (3080) or its denominator does (-4000).
+    with pytest.raises(SystemExit) as exc:
+        _run(["toy-compare", f"--esn0-grid={esn0}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --esn0-grid: Es/N0 {esn0} dB has no finite positive " \
+        "noise variance" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,key,value,message", _BAD_VALUES,

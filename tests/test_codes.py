@@ -110,9 +110,7 @@ def test_nr_sequence_anchors():
 def test_nr_profile_nesting():
     full = load_nr_sequence()
     for N in (8, 64, 256):
-        prof = nr_profile(N)
-        assert prof.order == tuple(i for i in full if i < N)
-        assert len(prof.most_reliable(3)) == 3
+        assert nr_profile(N) == tuple(i for i in full if i < N)
     with pytest.raises(ValueError):
         nr_profile(48)
     with pytest.raises(ValueError):
@@ -123,7 +121,7 @@ def test_build_nr_code_structure(nr64):
     assert (nr64.N, nr64.K) == (64, 32)
     assert len(nr64.P) == 11
     assert len(nr64.F) == 64 - 32 - 11
-    assert set(nr64.A) | set(nr64.P) == set(nr_profile(64).most_reliable(43))
+    assert set(nr64.A) | set(nr64.P) == set(nr_profile(64)[-43:])
     # parity bits are the CRC of the message laid out over A
     rng = np.random.default_rng(11)
     msg = rng.integers(0, 2, size=32, dtype=np.uint8)
@@ -211,8 +209,8 @@ def test_index_tables_match_their_derivations(random_code):
 
 def test_recursion_matches_u_equals_vT(random_code):
     # The causal recursion of build_hypothesis gives u = vT on the prefix
-    # of every input word, and the one product of batch._extend_prefix on
-    # any prefix at all.
+    # of every input word. On any prefix at all, batch._extend_prefix's one
+    # product gives H_{i,0}, and that XOR T[i, :ell + 1] gives H_{i,1}.
     rng = np.random.default_rng(23)
     for _ in range(30):
         spec = random_code(rng, n=int(rng.integers(2, 7)))
@@ -221,15 +219,15 @@ def test_recursion_matches_u_equals_vT(random_code):
         for msg, junk in zip(msgs, noise):
             u = input_word(spec, msg)
             for i in spec.A:
+                ell = int(spec.ell[i])
                 for b in (0, 1):
                     want = build_hypothesis(spec, u[:i], i, b).prefix
                     assert np.array_equal(want[:i], u[:i])
                     if b == u[i]:
                         assert np.array_equal(want, u[:want.size])
-                    got = batch._extend_prefix(spec, u[None, :], i,
-                                               want.size - 1, b)
-                    assert np.array_equal(got[0], want)
-                    want = build_hypothesis(spec, junk[:i], i, b).prefix
-                    got = batch._extend_prefix(spec, junk[None, :], i,
-                                               want.size - 1, b)
-                    assert np.array_equal(got[0], want)
+                for past in (u, junk):
+                    h0 = batch._extend_prefix(spec, past[None, :], i, ell)[0]
+                    want = build_hypothesis(spec, past[:i], i, 0).prefix
+                    assert np.array_equal(h0, want)
+                    want = build_hypothesis(spec, past[:i], i, 1).prefix
+                    assert np.array_equal(h0 ^ spec.T[i, :ell + 1], want)

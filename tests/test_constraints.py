@@ -4,7 +4,7 @@ import pytest
 
 from fcpolar.codes import CodeSpec, build_nr_code, input_word
 from fcpolar.constraints import (check_lists, future_constraints, global_Q,
-                                 instant_Q_full, system_structure)
+                                 system_structure)
 from fcpolar.gf2 import kron_power, mat_mul
 
 
@@ -18,12 +18,6 @@ def _stage_values(spec, u, lo, hi, t):
 
 
 def check_theorems(spec: CodeSpec, u: np.ndarray):
-    x = mat_mul(u[None, :], spec.generator)[0]
-    # whole-codeword form: prefix . offsets + x . coeffs = 0 at every step
-    for i in range(spec.N + 1):
-        coeffs, offsets = instant_Q_full(spec, i)
-        lhs = (mat_mul(u[None, :i], offsets) ^ mat_mul(x[None, :], coeffs))
-        assert not lhs.any(), f"whole-codeword system violated at i={i}"
     # stage-block form on the decoding-path block T(ell, t)
     for ell in range(spec.N):
         prefix = u[:ell + 1]

@@ -5,12 +5,10 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from fcpolar.codes import encode, input_word
-from fcpolar.oracle import (awgn_loglik, awgn_sigma2, bec_candidate_messages,
-                            bec_loglik, bitwise_map_sc_decode,
+from fcpolar.oracle import (awgn_loglik, awgn_sigma2, bitwise_map_sc_decode,
                             bitwise_map_sc_decode_batch, blockwise_map_decode,
                             blockwise_map_decode_batch, sc_marginal_decode,
                             sc_marginal_decode_batch)
-from fcpolar.symbols import ERASURE
 
 
 def _bpsk(x):
@@ -149,32 +147,6 @@ def test_blockwise_tie_breaks_to_smallest_message(ex1):
     y = np.zeros(8)
     got = blockwise_map_decode(ex1, y, 0.5)
     assert not got.any()
-
-
-def test_bec_candidates_brute_force(ex1):
-    # candidate indices use the MSB-first message enumeration
-    msgs = np.array([[(m >> (2 - j)) & 1 for j in range(3)]
-                     for m in range(8)], dtype=np.uint8)
-    codewords = np.array([encode(ex1, m) for m in msgs])
-    for m_idx, x in enumerate(codewords):
-        assert list(bec_candidate_messages(ex1, x)) == [m_idx]
-        y = np.full(8, ERASURE, dtype=np.uint8)
-        assert list(bec_candidate_messages(ex1, y)) == list(range(8))
-        y2 = np.array(x)
-        y2[[0, 1, 2, 3]] = ERASURE
-        cands = bec_candidate_messages(ex1, y2)
-        assert m_idx in cands
-        manual = [k for k in range(8)
-                  if (codewords[k][4:] == x[4:]).all()]
-        assert list(cands) == manual
-
-
-def test_bec_loglik_matches_indicators():
-    y = np.array([0, 1, ERASURE], dtype=np.uint8)
-    ll = bec_loglik(y)
-    assert ll[0, 0] == 0.0 and np.isneginf(ll[0, 1])
-    assert ll[1, 1] == 0.0 and np.isneginf(ll[1, 0])
-    assert ll[2, 0] == 0.0 and ll[2, 1] == 0.0
 
 
 def test_size_guards(nr64):
