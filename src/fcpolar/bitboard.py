@@ -10,8 +10,9 @@ pairs.
 
 check_batch64 is the sweep and verdict of every hypothesis check that the
 batched stack search of SCC and BP-SCC runs, at every N. It holds each
-stage block as a (value, erased) word pair with the planes pair operators:
-a check only asks whether a row clashed anywhere, so each dot and each
+stage block as a (value, erased) word pair and applies plus_pair,
+dot_pair and plus_bits (on valid pairs, plus_pair with concrete bits): a
+check only asks whether a row clashed anywhere, so each dot and each
 FCCN round returns its clash words and the sweep folds them into one
 per-row fail flag. batch._check_batch hands it each stage's FCCN round,
 bound to the operands of _round_plan; both rounds take a word pair and
@@ -31,8 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import CodeSpec
-from .planes import (Pair, dot, dot_pair, plus, plus_bits, plus_bits_pair,
-                     plus_pair)
+from .planes import Pair, dot, dot_pair, plus, plus_bits, plus_pair
 
 U64 = np.uint64
 _ONE = U64(1)
@@ -263,7 +263,7 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
                 clashes.append(clash)
             a, c = split(state[t + 1], t)
             right = (ell >> t) & 1
-            down = (flagged_dot(plus_bits_pair(a, betas[t]), c) if right
+            down = (flagged_dot(plus_bits(a, betas[t]), c) if right
                     else plus_pair(a, c))
             if it == 1:
                 state[t] = down
@@ -271,7 +271,7 @@ def check_batch64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
             old = state[t]
             state[t] = flagged_dot(old, down)
             if right:
-                na = flagged_dot(plus_bits_pair(old, betas[t]), a)
+                na = flagged_dot(plus_bits(old, betas[t]), a)
                 nc = flagged_dot(old, c)
             else:
                 na = flagged_dot(a, plus_pair(old, c))

@@ -190,17 +190,27 @@ def _p_grid(text: str) -> list[float]:
 
 def _esn0_grid(text: str) -> list[float]:
     """Argument type of --esn0-grid: a grid of Es/N0 values in dB, each
-    with a finite positive noise variance."""
+    with a finite positive noise variance sigma2 under which toy-compare's
+    log-likelihoods stay finite. A received value is at most d = 2 +
+    z sigma away from either symbol, z = |ndtri(2^-65)| the largest finite
+    noise magnitude of _gaussian_noise, so d^2 and a score, N d^2 /
+    (2 sigma2), must be finite: -3066 <= Es/N0 <= 3067 dB on the
+    integers."""
+    from scipy.special import ndtri
     from .oracle import awgn_sigma2
+    z, N = -float(ndtri(2.0 ** -65)), build_example1().N
     grid = _parse_grid(text)
     for esn0 in grid:
         try:
-            ok = 0.0 < awgn_sigma2(esn0) < math.inf
+            sigma2 = awgn_sigma2(esn0)
+            d2 = (2.0 + z * math.sqrt(sigma2)) ** 2
+            ok = sigma2 > 0.0 and math.isfinite(d2 / (2.0 * sigma2) * N)
         except (OverflowError, ZeroDivisionError):
             ok = False
         if not ok:
             raise argparse.ArgumentTypeError(
-                f"Es/N0 {esn0:g} dB has no finite positive noise variance")
+                f"Es/N0 {esn0:g} dB has no finite positive noise variance "
+                "with finite log-likelihoods")
     return grid
 
 

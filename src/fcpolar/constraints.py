@@ -79,9 +79,8 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     minus T(ell, t - 1) that lie above ell and outside A, ascending: the
     upper half of T(ell, t) when ell sits in its lower half, none
     otherwise. Over t = 1..n they partition L_{ell+1}. The batch engines'
-    FCCN round is products with Q; the member lists the scalar engine
-    walks come from check_lists, and DE reads the same lists off the
-    support of Q.
+    FCCN round is products with Q; the members of check j are the support
+    of column j of Q.
     """
     if not 1 <= t <= spec.n:
         raise ValueError(f"stage {t} out of range")
@@ -98,19 +97,3 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
         cached = (tuple(cols), Q, spec.H[:ell + 1, cols].copy())
         spec._cache[key] = cached
     return cached
-
-
-def _row_supports(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Column indices of the nonzero entries of each row of m."""
-    cols = np.nonzero(m)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(m, axis=1)).tolist()
-    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
-
-
-def check_lists(spec: CodeSpec, ell: int, t: int) -> tuple:
-    """vn_of of the stage-t systems, memoized: the variables of each check,
-    ascending."""
-    key = ("lists", ell, t)
-    if key not in spec._cache:
-        spec._cache[key] = _row_supports(system_structure(spec, ell, t)[1].T)
-    return spec._cache[key]

@@ -1,13 +1,14 @@
 """Density evolution for erasure-channel SC-family decoders.
 
 A symbol PMF is a length-4 float row over (0, 1, erasure, conflict),
-indexed by the integer symbol codes; the PMFs of a stage are one (m, 4)
-array, one row per block variable. The stage transfer functions are the
-pushforwards of planes.plus and planes.dot, the decoders' operators,
-under independent inputs (_sum_plan reads their tables off the 16 symbol
-pairs). The forward-only per-bit run tracks the wrong-hypothesis check
-H_{i,1} under the all-zero-codeword convention and turns the per-bit pass
-probability into a block error estimate via the independence product.
+indexed by the symbol codes of planes (ERASURE and CONFLICT are columns 2
+and 3); the PMFs of a stage are one (m, 4) array, one row per block
+variable. The stage transfer functions are the pushforwards of
+planes.plus and planes.dot, the decoders' operators, under independent
+inputs (_sum_plan reads their tables off the 16 symbol pairs). The
+forward-only per-bit run tracks the wrong-hypothesis check H_{i,1} under
+the all-zero-codeword convention and turns the per-bit pass probability
+into a block error estimate via the independence product.
 
 de_run sweeps all information bits of a point in one pass: a stage holds
 one array for every bit, bit by bit, and each step is one batched call
@@ -26,7 +27,6 @@ per-bit values in the last digits.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -35,16 +35,13 @@ from .bitboard import left_partial_sums, pack_rows, unpack_rows
 from .codes import CodeSpec
 from .constraints import system_structure
 from .gf2 import mat_mul
-from .planes import dot, from_symbols, plus, to_symbols
-from .symbols import CONFLICT, ERASURE
+from .planes import CONFLICT, ERASURE, dot, from_symbols, plus, to_symbols
 
 __all__ = [
     "channel_pmf",
-    "point_mass",
     "psi_boxplus",
     "psi_boxdot",
     "FccnPlan",
-    "fccn_plan",
     "de_fccn_update",
     "de_run",
 ]
@@ -98,12 +95,6 @@ def _pushforward(p1: np.ndarray, p2: np.ndarray, plan) -> np.ndarray:
     return acc[:, unrank].reshape(shape)
 
 
-def point_mass(symbol: int) -> np.ndarray:
-    pmf = np.zeros(4)
-    pmf[symbol] = 1.0
-    return pmf
-
-
 def channel_pmf(p: float) -> np.ndarray:
     return np.array([1.0 - p, 0.0, p, 0.0])
 
@@ -128,7 +119,7 @@ def psi_boxdot(p1: np.ndarray, p2: np.ndarray, b=0) -> np.ndarray:
 
 
 class FccnPlan(NamedTuple):
-    """Index plan of one batched FCCN round; see fccn_plan."""
+    """Index plan of one batched FCCN round; see _fccn_plan."""
     order: np.ndarray      # checks with members, by degree, descending
     deg: np.ndarray        # the degree of each ranked check
     first: np.ndarray      # pair of each ranked check's first member
@@ -138,19 +129,11 @@ class FccnPlan(NamedTuple):
     vns: np.ndarray        # the VN of each run, ascending
 
 
-def fccn_plan(vn_of) -> FccnPlan:
-    """Plan of the FCCN round over the checks' member lists vn_of (each
-    ascending), as built by constraints.check_lists: the checks ranked by
-    degree, descending, and their (check, member) pairs check by check."""
-    deg = np.fromiter(map(len, vn_of), dtype=np.int64, count=len(vn_of))
-    members = np.fromiter(chain.from_iterable(vn_of), dtype=np.int32,
-                          count=int(deg.sum()))
-    return _fccn_plan(deg, members)
-
-
 def _fccn_plan(deg: np.ndarray, members: np.ndarray) -> FccnPlan:
-    """fccn_plan of the checks with deg[j] members each, whose member lists
-    members holds one after the other."""
+    """Plan of the FCCN round over the checks with deg[j] members each,
+    whose member lists (each ascending) members holds one after the other:
+    the checks ranked by degree, descending, and their (check, member)
+    pairs check by check."""
     begin = np.cumsum(deg) - deg
     order = np.argsort(-deg, kind="stable")
     order = order[deg[order] > 0]
@@ -169,7 +152,7 @@ def de_fccn_update(pmfs: np.ndarray, plan: FccnPlan, phi: np.ndarray) -> None:
     """Combine each attached VN with its most conflict-informative check.
 
     pmfs is the (m, 4) array of the block's PMFs, updated in place; plan is
-    fccn_plan of the checks' member lists and phi their offsets. For every
+    _fccn_plan of the checks' member lists and phi their offsets. For every
     pair of a check j and a member k, the check-to-variable PMF q_{j->k}
     starts at the point mass at phi_j and folds, through psi_boxplus, the
     round-start PMFs of the other members of j in ascending order (the

@@ -8,7 +8,10 @@ check nodes (FCCNs) at each stage, and reports whether the hypothesis
 survived: r = 0 exactly when a conflict was detected.
 
 This module is the scalar reference engine; batch.py vectorizes the same
-update rules across trials and is cross-checked against this one.
+update rules across trials and is cross-checked against this one. No
+production module calls it. It walks each FCCN's member list
+(check_lists, the support of the check's column of Q) with the symbol
+tables of symbols.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .constraints import check_lists, system_structure
+from .constraints import system_structure
 from .gf2 import kron_power, mat_mul
 from .symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE
 
@@ -28,6 +31,7 @@ __all__ = [
     "HypothesisReport",
     "processing_index",
     "build_hypothesis",
+    "check_lists",
     "make_graph",
     "cancel_prefix",
     "sc_decode_bit",
@@ -95,6 +99,22 @@ def build_hypothesis(spec: CodeSpec, prefix_estimates, i: int, b: int) -> Hypoth
     for j in range(i + 1, ell + 1):
         u[j] = int(u[:j] @ spec.T[:j, j]) & 1
     return Hypothesis(i=i, b=b, ell=ell, prefix=u)
+
+
+def _row_supports(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Column indices of the nonzero entries of each row of m."""
+    cols = np.nonzero(m)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(m, axis=1)).tolist()
+    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
+
+
+def check_lists(spec: CodeSpec, ell: int, t: int) -> tuple:
+    """vn_of of the stage-t systems, memoized: the variables of each check,
+    ascending (the support of its column of Q)."""
+    key = ("lists", ell, t)
+    if key not in spec._cache:
+        spec._cache[key] = _row_supports(system_structure(spec, ell, t)[1].T)
+    return spec._cache[key]
 
 
 def make_graph(spec: CodeSpec, y, hyp: Hypothesis, use_fccn: bool) -> InstantGraph:

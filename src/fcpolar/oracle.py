@@ -8,6 +8,8 @@ likelihood work happens in the log domain on a score matrix with one
 column per candidate input word, so both sequential decoders are one loop,
 _sequential_decode: grouped log-sum-exp reductions over candidate blocks
 that share a prefix, SC deciding at every position and bitwise-MAP-SC at A.
+Each decoder takes a batch of trials as their awgn_loglik rows, shape
+(trials, N, 2), and returns one input word per trial.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .gf2 import mat_mul
 
 __all__ = [
     "awgn_sigma2",
-    "sc_marginal_decode",
-    "bitwise_map_sc_decode",
-    "blockwise_map_decode",
     "sc_marginal_decode_batch",
     "bitwise_map_sc_decode_batch",
     "blockwise_map_decode_batch",
@@ -114,16 +113,4 @@ def blockwise_map_decode_batch(spec: CodeSpec, ll: np.ndarray) -> np.ndarray:
     words, x = _valid_words(spec)
     scores = _scores(ll, x)
     return words[np.argmax(scores, axis=1)]
-
-
-def sc_marginal_decode(spec: CodeSpec, y, sigma2: float) -> np.ndarray:
-    return sc_marginal_decode_batch(spec, awgn_loglik(np.atleast_2d(y), sigma2))[0]
-
-
-def bitwise_map_sc_decode(spec: CodeSpec, y, sigma2: float) -> np.ndarray:
-    return bitwise_map_sc_decode_batch(spec, awgn_loglik(np.atleast_2d(y), sigma2))[0]
-
-
-def blockwise_map_decode(spec: CodeSpec, y, sigma2: float) -> np.ndarray:
-    return blockwise_map_decode_batch(spec, awgn_loglik(np.atleast_2d(y), sigma2))[0]
 

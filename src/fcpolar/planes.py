@@ -1,25 +1,26 @@
-"""The one vectorized form of the erasure-symbol operators.
+"""The erasure-symbol code and the one vectorized form of its operators.
 
-A batch of symbols is held as a (value, erased) pair of same-shaped arrays
-(V, E): symbol s is the pair (s & 1, s >> 1), so (0, 1) is an erasure and
-(1, 1) the conflict, and to_symbols reads V + 2E back. A pair is valid when
-it holds no conflict. The pair operators map valid pairs to valid pairs,
-and dot_pair relies on it. dot_pair also returns its clash: the symbols
-where two concrete operands disagree, which box_dot maps to a conflict.
-Where a clash is set the pair holds some valid symbol that means nothing,
-so a caller that only asks whether a row clashed anywhere (the hypothesis
-check of bitboard.check_batch64) ORs the clashes into a per-row flag and
-never stores conflicts.
+This module owns the symbol code: a batch of symbols is a (value, erased)
+pair of same-shaped arrays (V, E), symbol s = V + 2E, so ERASURE = 2 is
+(0, 1) and CONFLICT = 3 is (1, 1). from_symbols and to_symbols convert;
+DE's PMF columns and the scalar tables in symbols use the same codes. A
+pair is valid when it holds no conflict. Every operator uses only &, |, ^
+and ~, so it serves boolean planes (one symbol per element) and the
+uint64 words of the bitboard layout (64 symbols per element, unused high
+bits kept zero) alike:
 
-SC and SCL need conflicts per symbol (a coin at a conflicted leaf, path
-death), so plus, plus_bits and dot take all four symbols: the pair operator
-with the conflicts of the operands, c(x) = x_v & x_e, carried through.
-Together they reproduce box_plus and box_dot elementwise using only &, |,
-^ and ~, so the same functions serve boolean planes (one symbol per
-element) and the uint64 words of the bitboard layout (64 symbols per
-element, unused high bits kept zero). Boolean planes remain the channel's
-form (batch.channel_planes) and the tests' way in, and the scalar tables
-in symbols are the operators' oracle.
+- plus_pair and dot_pair map valid pairs to valid pairs, and dot_pair
+  relies on it. dot_pair also returns its clash: the symbols where two
+  concrete operands disagree, which box_dot maps to a conflict. Where a
+  clash is set the pair holds a valid symbol that means nothing, so the
+  hypothesis check (bitboard.check_batch64) ORs the clashes into a
+  per-row fail flag and never stores conflicts.
+- plus and dot take all four symbols, as SC, SCL (a coin at a conflicted
+  leaf, path death) and DE's pushforwards need: the pair operator with
+  the operands' conflicts, c(x) = x_v & x_e, carried through. They
+  reproduce box_plus and box_dot elementwise.
+- plus_bits is ⊞ with concrete bits and passes erased and conflict
+  symbols unchanged, so it serves both: on a valid pair it is plus_pair.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 Pair = tuple[np.ndarray, np.ndarray]
+
+ERASURE, CONFLICT = 2, 3
 
 
 def from_symbols(symbols: np.ndarray) -> Pair:
@@ -43,12 +46,6 @@ def plus_pair(a: Pair, b: Pair) -> Pair:
     """box_plus on pairs: erased if either operand is, else the XOR."""
     e = a[1] | b[1]
     return (a[0] ^ b[0]) & ~e, e
-
-
-def plus_bits_pair(a: Pair, bits: np.ndarray) -> Pair:
-    """box_plus with concrete bits (no erasures); bits must have the
-    pair's dtype."""
-    return (a[0] ^ bits) & ~a[1], a[1]
 
 
 def dot_pair(a: Pair, b: Pair) -> tuple[Pair, np.ndarray]:
@@ -72,7 +69,8 @@ def plus(a: Pair, b: Pair) -> Pair:
 
 def plus_bits(a: Pair, bits: np.ndarray) -> Pair:
     """box_plus with concrete bits (no erasures, no conflicts); bits must
-    have the pair's dtype. Erased and conflict symbols pass unchanged."""
+    have the pair's dtype. Erased and conflict symbols pass unchanged, so
+    on a valid pair it equals ((v ^ bits) & ~e, e)."""
     return a[0] ^ (bits & ~a[1]), a[1]
 
 

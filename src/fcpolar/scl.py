@@ -38,6 +38,7 @@ import numpy as np
 from .bitboard import pack_rows, refresh, unpack_rows, update_partial_sums
 from .codes import CodeSpec
 from .gf2 import mat_mul
+from .planes import from_symbols
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 
 __all__ = ["SclOutcome", "decode_scl"]
@@ -73,7 +74,7 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
         raise ValueError("need one trial id per row of y")
     trials = trials.astype(U64)
 
-    channel = pack_rows(y & 1), pack_rows(y >> 1)
+    channel = tuple(pack_rows(p) for p in from_symbols(y))
     alpha: list = [None] * (n + 1)
     ps: dict[int, np.ndarray] = {}
     tid = np.arange(B)

@@ -6,17 +6,18 @@ same bit. The conflict branch of box_dot fires only when both operands are
 concrete and unequal; an erasure never conflicts with anything, it just
 defers to the other operand.
 
-The codes are chosen so that their bits are the (value, erased) pair of
-the vectorized operators in planes: symbol s is (s & 1, s >> 1), so an
-erasure is (0, 1) and the conflict is (1, 1).
+The codes are those of planes, which owns them: symbol s is the (value,
+erased) pair (s & 1, s >> 1) of the vectorized operators, so an erasure is
+(0, 1) and the conflict is (1, 1). This module is the scalar reference
+engine's alphabet and the tests' oracle for the planes operators.
 """
 
 from __future__ import annotations
 
+from .planes import CONFLICT, ERASURE
+
 ZERO = 0
 ONE = 1
-ERASURE = 2
-CONFLICT = 3
 
 SYMBOLS = (ZERO, ONE, ERASURE, CONFLICT)
 

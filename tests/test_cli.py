@@ -351,17 +351,30 @@ def test_bad_esn0_grid_rejected_while_parsing(capsys):
     assert "grid '0:inf:1' is not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("esn0", ["4000", "-4000", "3080", "-3090"])
+@pytest.mark.parametrize("esn0", ["4000", "-4000", "3080", "-3090", "3070",
+                                  "-3085"])
 def test_esn0_without_a_finite_noise_variance_rejected(esn0, capsys):
     # 10^(Es/N0 / 10) overflows (4000) or its inverse does (-3090), or the
-    # variance underflows to 0 (3080) or its denominator does (-4000).
+    # variance underflows to 0 (3080) or its denominator does (-4000). At
+    # 3070 the variance is finite but a score overflows, and at -3085 the
+    # square of a large noise draw does.
     with pytest.raises(SystemExit) as exc:
-        _run(["toy-compare", f"--esn0-grid={esn0}"])
+        _run(["toy-compare", f"--esn0-grid={esn0}", "--trials", "20"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
+    assert err.startswith("usage: fcpolar toy-compare")
     assert f"argument --esn0-grid: Es/N0 {esn0} dB has no finite positive " \
         "noise variance" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("esn0,row", [("3060", "3060,0,0,0,20"),
+                                      ("-3060", "-3060,0.95,0.95,0.95,20")])
+def test_esn0_inside_the_overflow_limits_prints_rows(esn0, row, capsys):
+    assert _run(["toy-compare", f"--esn0-grid={esn0}", "--trials", "20"]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[1] == row
+    assert not out.err
 
 
 @pytest.mark.parametrize("command,key,value,message", _BAD_VALUES,

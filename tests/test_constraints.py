@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from fcpolar.codes import CodeSpec, build_nr_code, input_word
-from fcpolar.constraints import (check_lists, future_constraints, global_Q,
-                                 system_structure)
+from fcpolar.constraints import future_constraints, global_Q, system_structure
+from fcpolar.decoders import check_lists
 from fcpolar.gf2 import kron_power, mat_mul
 
 

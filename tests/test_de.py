@@ -7,10 +7,11 @@ from hypothesis import example, given, strategies as st
 
 from fcpolar import de
 from fcpolar.codes import build_nr_code, encode, input_word
-from fcpolar.constraints import check_lists, system_structure
-from fcpolar.de import (channel_pmf, de_fccn_update, de_run, fccn_plan,
-                        point_mass, psi_boxdot, psi_boxplus)
-from fcpolar.decoders import bp_scc_check, build_hypothesis, make_graph
+from fcpolar.constraints import system_structure
+from fcpolar.de import (channel_pmf, de_fccn_update, de_run, psi_boxdot,
+                        psi_boxplus)
+from fcpolar.decoders import (bp_scc_check, build_hypothesis, check_lists,
+                              make_graph)
 from fcpolar.gf2 import kron_power
 from fcpolar.symbols import BOX_DOT, BOX_PLUS, CONFLICT, ERASURE
 
@@ -21,6 +22,17 @@ pmf_strategy = st.lists(
 _ONE_HOT_PLUS = (np.asarray(BOX_PLUS)[:, :, None] == np.arange(4)).astype(float)
 _ONE_HOT_DOT = (np.asarray(BOX_DOT)[:, :, None] == np.arange(4)).astype(float)
 _SWAP01 = np.array([1, 0, 2, 3])
+
+
+def point_mass(symbol):
+    return np.eye(4)[symbol]
+
+
+def fccn_plan(vn_of):
+    """The round plan of the checks' member lists vn_of, each ascending."""
+    return de._fccn_plan(
+        np.array([len(members) for members in vn_of], dtype=np.int64),
+        np.array([k for members in vn_of for k in members], dtype=np.int32))
 
 
 def _einsum_plus(p1, p2):

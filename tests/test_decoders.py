@@ -1,7 +1,9 @@
 """Hypothesis checks on the instant graph: structure, soundness, SC leaf."""
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ import pytest
 import fcpolar
 
 from fcpolar.codes import build_example1, encode, input_word
-from fcpolar.constraints import check_lists, system_structure
-from fcpolar.decoders import (bp_scc_check, build_hypothesis, make_graph,
-                              processing_index, sc_decode_bit)
+from fcpolar.constraints import system_structure
+from fcpolar.decoders import (bp_scc_check, build_hypothesis, check_lists,
+                              make_graph, processing_index, sc_decode_bit)
 from fcpolar.gf2 import mat_mul
 from fcpolar.symbols import CONFLICT, ERASURE
 
@@ -131,13 +133,13 @@ def test_conflict_reported_as_refutation(ex1):
 
 
 def test_only_the_scalar_engine_binds_decoders_and_search():
-    # decoders and search are the scalar reference: no other module binds
-    # a name to one of their functions or classes (or to the modules), so
-    # the batch engines cannot lean on them. batch.decode_with_fc is the
-    # one exception: a benchmark span wraps it by that name. bitboard, the
-    # word layout, sits below the constraint layer too: batch hands it the
-    # FCCN rounds ready to run.
-    scalar = ("fcpolar.decoders", "fcpolar.search")
+    # decoders, search and symbols are the scalar reference: no other
+    # module binds a name to one of their functions or classes (or to the
+    # modules), so the batch engines cannot lean on them.
+    # batch.decode_with_fc is the one exception: a benchmark span wraps it
+    # by that name. bitboard, the word layout, sits below the constraint
+    # layer too: batch hands it the FCCN rounds ready to run.
+    scalar = ("fcpolar.decoders", "fcpolar.search", "fcpolar.symbols")
     below = {"fcpolar.bitboard": scalar + ("fcpolar.constraints",)}
     allowed = {"fcpolar.batch.decode_with_fc"}
     bound = []
@@ -154,3 +156,35 @@ def test_only_the_scalar_engine_binds_decoders_and_search():
                     and f"{info.name}.{name}" not in allowed):
                 bound.append(f"{info.name}.{name}")
     assert not bound
+
+
+def _imports(path):
+    """(module, name) of every import statement in the fcpolar module at
+    path, nested ones too, relative modules resolved; name is None for a
+    plain import."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, (
+                "fcpolar" if node.level else None, node.module)))
+            yield from ((module, alias.name) for alias in node.names)
+
+
+def test_no_production_module_imports_the_scalar_engine():
+    # The import statements themselves, which the attribute scan above
+    # cannot see for a constant such as an int symbol code: no module
+    # outside decoders, search and symbols imports one of them, or a name
+    # from one. batch's benchmark hook decode_with_fc is the exception.
+    scalar = {"fcpolar.decoders", "fcpolar.search", "fcpolar.symbols"}
+    allowed = {("fcpolar.batch", "fcpolar.search", "decode_with_fc")}
+    found = []
+    for info in pkgutil.iter_modules(fcpolar.__path__, "fcpolar."):
+        if info.name in scalar:
+            continue
+        path = Path(fcpolar.__path__[0], info.name.split(".")[-1] + ".py")
+        for module, name in _imports(path):
+            target = f"{module}.{name}" if f"{module}.{name}" in scalar else module
+            if target in scalar and (info.name, target, name) not in allowed:
+                found.append(f"{info.name} imports {target}")
+    assert not found

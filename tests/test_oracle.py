@@ -5,10 +5,23 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from fcpolar.codes import encode, input_word
-from fcpolar.oracle import (awgn_loglik, awgn_sigma2, bitwise_map_sc_decode,
-                            bitwise_map_sc_decode_batch, blockwise_map_decode,
-                            blockwise_map_decode_batch, sc_marginal_decode,
+from fcpolar.oracle import (awgn_loglik, awgn_sigma2,
+                            bitwise_map_sc_decode_batch,
+                            blockwise_map_decode_batch,
                             sc_marginal_decode_batch)
+
+
+def _one_row(decode_batch):
+    """decode_batch on one received word y at noise variance sigma2."""
+    def decode(spec, y, sigma2):
+        return decode_batch(spec, awgn_loglik(np.atleast_2d(y), sigma2))[0]
+    decode.__name__ = decode_batch.__name__.removesuffix("_batch")
+    return decode
+
+
+sc_marginal_decode = _one_row(sc_marginal_decode_batch)
+bitwise_map_sc_decode = _one_row(bitwise_map_sc_decode_batch)
+blockwise_map_decode = _one_row(blockwise_map_decode_batch)
 
 
 def _bpsk(x):

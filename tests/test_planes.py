@@ -32,6 +32,9 @@ def test_pair_is_the_symbol_code():
     v, e = planes.from_symbols(np.arange(4, dtype=np.uint8))
     assert v.tolist() == [False, True, False, True]
     assert e.tolist() == [False, False, True, True]
+    for code, pair in ((planes.ERASURE, (False, True)),
+                       (planes.CONFLICT, (True, True))):
+        assert tuple(x.item() for x in planes.from_symbols(code)) == pair
 
 
 def test_symbol_round_trip():
@@ -62,6 +65,22 @@ def test_plus_bits_is_plus_with_concrete_plane():
         want = _both_layouts(planes.plus, a, bits)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[0])
+
+
+def test_plus_bits_on_valid_pairs_is_the_pair_form():
+    # the hypothesis check applies plus_bits to valid pairs only, where it
+    # must equal ((v ^ bits) & ~e, e): an erased symbol keeps value 0.
+    # Checked on boolean planes and on packed words (three words, the last
+    # partly used).
+    a, b = _all_pairs()
+    valid = (a != planes.CONFLICT) & (b < 2)
+    v, e = (np.tile(x, 30) for x in planes.from_symbols(a[valid]))
+    bits = np.tile(b[valid], 30).astype(bool)
+    packed = tuple(bitboard.pack_rows(x[None, :]) for x in (v, e, bits))
+    for v, e, bits in ((v, e, bits), packed):
+        got_v, got_e = planes.plus_bits((v, e), bits)
+        assert np.array_equal(got_v, (v ^ bits) & ~e)
+        assert np.array_equal(got_e, e)
 
 
 def test_split_join_round_trip():
