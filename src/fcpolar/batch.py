@@ -222,7 +222,7 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Pair, engine: str = "bp_scc",
 
     The channel planes are packed to words once and every row goes through
     the one stack search, _dfs_recover64. The search draws no coins, so seed
-    and trials are unused; they are kept for callers that pass them.
+    and trials are unused; they are kept only for perfbench's spot check.
     """
     if engine not in ("scc", "bp_scc"):
         raise ValueError(f"unknown engine {engine!r}")

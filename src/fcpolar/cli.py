@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, batch, de, planes
+from . import __version__, batch, de
 from .codes import CodeSpec, build_example1, build_nr_code
 from .constraints import future_constraints
 from .gf2 import format_matrix, mat_mul
@@ -77,8 +77,7 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
         if decoder == "sc":
             out = batch.decode_sc_batch(spec, yp, seed, ids)
         elif decoder == "scl":
-            res = decode_scl(spec, planes.to_symbols(yp), list_size,
-                             seed=seed, trial=ids)
+            res = decode_scl(spec, yp, list_size, seed, ids)
             ones = np.ones(ids.size, dtype=np.int64)
             out = batch.BatchOutcome(
                 success=res.success, u_hat=res.u_hat,
@@ -87,8 +86,7 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
         else:
             engine = "scc" if decoder == "scc" else "bp_scc"
             out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
-                                        sbj=decoder == "bpscc-sbj", seed=seed,
-                                        trials=ids)
+                                        sbj=decoder == "bpscc-sbj")
         wrong = (out.u_hat[:, a_cols] != u[:, a_cols]).any(axis=1)
         for k, v in (("err", ~out.success | wrong), ("dead", ~out.success),
                      ("visits", out.visits), ("backjumps", out.backjumps),
@@ -225,7 +223,7 @@ def _count(text: str) -> int:
 def _read_config(path: str) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -234,7 +232,7 @@ def _read_config(path: str) -> dict:
                     raise SystemExit(f"bad config line in {path}: {raw.rstrip()}")
                 key, val = (t.strip() for t in line.split("=", 1))
                 values[key.replace("-", "_")] = val
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"cannot read config {path}: {exc}")
     return values
 
@@ -257,17 +255,14 @@ def _add_code_args(sub):
     sub.add_argument("--crc", choices=("nr11", "none"), default="nr11")
 
 
-def _meta(spec: CodeSpec, args, extra: dict | None = None) -> dict:
-    meta = {
+def _meta(spec: CodeSpec, args) -> dict:
+    return {
         "version": __version__,
         "seed": args.seed,
         "code_hash": spec.code_hash(),
         "config": {k: v for k, v in sorted(vars(args).items())
                    if k != "func" and v is not None},
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _cmd_simulate(args) -> int:
@@ -343,12 +338,14 @@ def _cmd_toy_compare(args) -> int:
 
 
 def _gaussian_noise(seed: int, ids: np.ndarray, N: int, tag: float) -> np.ndarray:
-    """Standard normal draws keyed per (trial, position, SNR tag)."""
+    """Standard normal draws keyed per (trial, position, SNR tag); the
+    uniform is clamped below 1.0, so every draw is finite."""
     from scipy.special import ndtri
     tag_key = np.uint64(int(round(1000 * tag)) & 0xFFFFFFFF)
     h = keyed_array(seed, STREAM_CHANNEL, np.asarray(ids, dtype=np.uint64)[:, None],
                     np.arange(N, dtype=np.uint64)[None, :], tag_key)
-    return ndtri((h.astype(np.float64) + 0.5) / 2.0 ** 64)
+    return ndtri(np.minimum((h.astype(np.float64) + 0.5) / 2.0 ** 64,
+                            np.nextafter(1.0, 0.0)))
 
 
 def _cmd_build_code(args) -> int:
@@ -423,7 +420,7 @@ def main(argv=None) -> int:
     _add_code_args(bnd)
     bnd.add_argument("--p-grid", type=_p_grid, default=[0.5])
     bnd.add_argument("--out")
-    bnd.set_defaults(func=_cmd_bounds, seed=0)
+    bnd.set_defaults(func=_cmd_bounds)
 
     mlb = sub.add_parser("mlbound", help="simulation-based ML lower bound")
     _add_code_args(mlb)
@@ -443,17 +440,17 @@ def main(argv=None) -> int:
 
     bld = sub.add_parser("build-code", help="print code construction summary")
     _add_code_args(bld)
-    bld.set_defaults(func=_cmd_build_code, seed=0)
+    bld.set_defaults(func=_cmd_build_code)
 
     dfc = sub.add_parser("dump-fc", help="future-constraint index sets per bit")
     _add_code_args(dfc)
     dfc.add_argument("--i", type=int, help="restrict to one information bit")
-    dfc.set_defaults(func=_cmd_dump_fc, seed=0)
+    dfc.set_defaults(func=_cmd_dump_fc)
 
     dmx = sub.add_parser("dump-matrices", help="emit T, H, G, TG, Q as text")
     _add_code_args(dmx)
     dmx.add_argument("--out")
-    dmx.set_defaults(func=_cmd_dump_matrices, seed=0)
+    dmx.set_defaults(func=_cmd_dump_matrices)
 
     args = parser.parse_args(argv)
     if args.config:

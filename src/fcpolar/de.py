@@ -77,15 +77,13 @@ _DOT = _sum_plan(dot)
 
 
 def _pushforward(p1: np.ndarray, p2: np.ndarray, plan) -> np.ndarray:
-    """Rows of the PMF of table(a, b) for independent a ~ p1, b ~ p2. Each
-    symbol's terms are added left to right; one add per step covers every
-    symbol that still has a term. A call holds 16 products per row, and
-    de_run's calls grow with K * N, the PMF rows of its stage n."""
+    """Rows of the PMF of table(a, b) for independent a ~ p1, b ~ p2, two
+    PMF arrays of equal shape. Each symbol's terms are added left to right;
+    one add per step covers every symbol that still has a term. A call
+    holds 16 products per row, and de_run's calls grow with K * N, the PMF
+    rows of its stage n."""
     a, b, steps, unrank = plan
     shape = p1.shape
-    if p2.shape != shape:
-        shape = np.broadcast_shapes(shape, p2.shape)
-        p1, p2 = np.broadcast_to(p1, shape), np.broadcast_to(p2, shape)
     p1, p2 = p1.reshape(-1, 4), p2.reshape(-1, 4)
     prod = p1[:, a]
     prod *= p2[:, b]
@@ -100,8 +98,8 @@ def channel_pmf(p: float) -> np.ndarray:
 
 
 def psi_boxplus(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """PMF of a ⊞ b for independent symbols a ~ p1, b ~ p2, row by row
-    (the rows of p1 and p2 broadcast)."""
+    """PMF of a ⊞ b for independent symbols a ~ p1, b ~ p2, row by row;
+    p1 and p2 have equal shapes."""
     return _pushforward(p1, p2, _PLUS)
 
 

@@ -8,16 +8,17 @@ parity-consistent survivors is uniform as well. visited_nodes sums the
 trial's list size over the bits decoded; a trial whose list dies stops
 counting there.
 
-One call decodes a batch of trials. The row axis is (trial, path): tid
-holds each row's trial, in ascending order, and within a trial the rows
-keep the list's path order. At an information bit a trial's candidates
-are its single paths, then its 0-forks, then its 1-forks, each in path
-order. A trial with more than L candidates keeps the L smallest priorities
-keyed_uniform_array(seed, STREAM_PRUNE, trial, i, candidate index), taken
-per trial by one sort on (tid, priority); equal priorities go to the lower
-candidate index, and two only tie if their 64-bit hashes agree in the top
-53 bits. Every draw is keyed by the trial id, so a trial's outcome does not
-depend on the rest of the batch.
+One call decodes a batch of trials, their channel planes and trial ids.
+The row axis is (trial, path): tid holds each row's trial, in ascending
+order, and within a trial the rows keep the list's path order. At an
+information bit a trial's candidates are its single paths, then its
+0-forks, then its 1-forks, each in path order. A trial with more than L
+candidates keeps the L smallest priorities keyed_uniform_array(seed,
+STREAM_PRUNE, trial, i, candidate index), taken per trial by one sort on
+(tid, priority); equal priorities go to the lower candidate index, and two
+only tie if their 64-bit hashes agree in the top 53 bits. Every draw is
+keyed by the trial id, so a trial's outcome does not depend on the rest of
+the batch.
 
 Per-path symbols live as (value, erased) word pairs in the bitboard word
 layout, one row per path, a conflict held as (1, 1), and bitboard.refresh
@@ -38,7 +39,7 @@ import numpy as np
 from .bitboard import pack_rows, refresh, unpack_rows, update_partial_sums
 from .codes import CodeSpec
 from .gf2 import mat_mul
-from .planes import from_symbols
+from .planes import Pair
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 
 __all__ = ["SclOutcome", "decode_scl"]
@@ -54,27 +55,22 @@ class SclOutcome:
     visited_nodes: np.ndarray  # (trials,) int64, summed list sizes
 
 
-def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
-               trial=None) -> SclOutcome:
-    """List-decode each row of y, a (trials, N) or (N,) symbol array.
-
-    trial gives each row's trial id, the key of its random draws (an int for
-    a 1-D y; the default numbers the rows from 0).
-    """
+def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
+               trials: np.ndarray) -> SclOutcome:
+    """List-decode every row of yp, the (value, erased) channel planes of
+    batch.channel_planes, each (trials, N); trials holds each row's trial
+    id, the key of its random draws."""
     if L < 1:
         raise ValueError("list size must be at least 1")
-    y = np.asarray(y)
-    if y.ndim == 1:
-        y = y[None, :]
-    if y.ndim != 2 or y.shape[1] != spec.N:
-        raise ValueError("y must have length N")
-    B, N, n = y.shape[0], spec.N, spec.n
-    trials = np.arange(B) if trial is None else np.atleast_1d(trial)
-    if trials.shape != (B,):
-        raise ValueError("need one trial id per row of y")
+    yv, ye = yp
+    if yv.shape != ye.shape or yv.ndim != 2 or yv.shape[1] != spec.N:
+        raise ValueError("yp must be two (trials, N) planes")
+    B, N, n = yv.shape[0], spec.N, spec.n
+    if np.shape(trials) != (B,):
+        raise ValueError("need one trial id per row of yp")
     trials = trials.astype(U64)
 
-    channel = tuple(pack_rows(p) for p in from_symbols(y))
+    channel = (pack_rows(yv), pack_rows(ye))
     alpha: list = [None] * (n + 1)
     ps: dict[int, np.ndarray] = {}
     tid = np.arange(B)
@@ -119,10 +115,6 @@ def decode_scl(spec: CodeSpec, y, L: int, seed: int = 0,
             src, bits, ctid = src[keep], bits[keep], ctid[keep]
             counts = np.minimum(counts, L)
         visited += counts
-        if src.size == 0:
-            return SclOutcome(success=np.zeros(B, dtype=bool),
-                              u_hat=np.zeros((B, N), dtype=np.uint8),
-                              visited_nodes=visited)
         if forks or src.size < tid.size:  # else src is every row, in order
             tid = ctid
             u = u[src]

@@ -43,7 +43,7 @@ def test_fc_batch_matches_scalar(ex1, nr16, engine, i_max, sbj):
         erased = batch.sample_erasures(spec, p, seed=2, trials=trials)
         yp = batch.channel_planes(x, erased)
         out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
-                                    sbj=sbj, seed=2, trials=trials)
+                                    sbj=sbj)
         _assert_rows_match_scalar(spec, yp, out, trials, engine=engine,
                                   i_max=i_max, sbj=sbj)
 
@@ -448,7 +448,7 @@ def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed):
     trials = np.arange(T)
     _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))
     yp = batch.channel_planes(x, batch.sample_erasures(spec, p, seed, trials))
-    out = batch.decode_fc_batch(spec, yp, sbj=True, seed=seed, trials=trials)
+    out = batch.decode_fc_batch(spec, yp, sbj=True)
     assert out.backjumps.any()
     _assert_rows_match_scalar(spec, yp, out, trials, engine="bp_scc", sbj=True)
 

@@ -437,3 +437,33 @@ def test_config_rejects_what_the_flag_rejects(line, message, tmp_path, capsys):
         _run(["--config", str(cfg), "simulate", "--n", "4", "--k", "6"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_gaussian_noise_is_finite_at_the_top_hashes(monkeypatch):
+    # (h + 0.5) / 2^64 rounds to 1.0 for the top 1024 hashes h; the clamp
+    # gives them the draw of h = 2^64 - 1025 and leaves the others alone
+    from scipy.special import ndtri
+    top = 2 ** 64
+    h = np.array([[0, top - 1025, top - 1024, top - 1]], dtype=np.uint64)
+    monkeypatch.setattr(cli, "keyed_array", lambda *args: h)
+    noise = cli._gaussian_noise(0, np.arange(1), 4, 0.0)[0]
+    assert np.isfinite(noise).all()
+    unclamped = ndtri((h[0, :2].astype(np.float64) + 0.5) / 2.0 ** 64)
+    assert np.array_equal(noise[:2], unclamped)
+    assert (noise[2:] == noise[1]).all()
+
+
+def test_config_that_is_not_utf8_exits_with_message(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"trials = 5\n# \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        _run(["--config", str(cfg), "simulate", "--n", "4", "--k", "6"])
+    assert str(exc.value.code).startswith(f"cannot read config {cfg}: ")
+
+
+def test_config_with_a_byte_order_mark_parses(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("trials = 123\n".encode("utf-8-sig"))
+    assert _run(["--config", str(cfg), "simulate", "--n", "4", "--k", "6",
+                 "--crc", "none", "--decoder", "sc"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[5] == "123"

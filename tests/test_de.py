@@ -163,8 +163,6 @@ def test_psi_rows_match_einsum_row_by_row(rows):
         assert np.array_equal(dot[r], _einsum_dot(p1[r], p2[r], b[r]))
         assert np.array_equal(plus[r], psi_boxplus(p1[r], p2[r]))
         assert np.array_equal(dot[r], psi_boxdot(p1[r], p2[r], b[r]))
-    assert np.array_equal(psi_boxplus(p1[0], p2),
-                          psi_boxplus(p1[[0] * len(rows)], p2))
 
 
 @given(pmf_strategy, pmf_strategy)

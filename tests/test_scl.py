@@ -87,6 +87,14 @@ def reference_scl(spec, y, L, seed, trial):
     return True, u[pick].copy(), visited, overflowed
 
 
+def decode_symbols(spec, y, L, seed=0, trials=None):
+    """decode_scl on a (rows, N) or (N,) symbol array; the trial ids number
+    the rows from 0 unless given."""
+    y = np.atleast_2d(y)
+    trials = np.arange(len(y)) if trials is None else np.atleast_1d(trials)
+    return decode_scl(spec, planes.from_symbols(y), L, seed, trials)
+
+
 _CODES = {
     "ex1": None,
     "nr16": None,
@@ -131,7 +139,7 @@ def test_batch_matches_per_trial_reference(codes, name, light, heavy, L):
     spec = codes[name]
     L = 2 ** spec.K if L == "2^K" else L
     y, ids = _mixed_batch(spec, spec.N + len(str(L)), light, heavy)
-    out = decode_scl(spec, y, L, seed=11, trial=ids)
+    out = decode_symbols(spec, y, L, seed=11, trials=ids)
     visited, overflowed = [], []
     for r in range(len(ids)):
         ok, u_hat, v, over = reference_scl(spec, y[r], L, seed=11,
@@ -168,7 +176,7 @@ def _received(spec, rng, p, count):
 
 def test_noiseless_exact_single_path(ex1, all_ex1_messages):
     y = np.array([encode(ex1, msg) for msg in all_ex1_messages])
-    out = decode_scl(ex1, y, L=8)
+    out = decode_symbols(ex1, y, L=8)
     assert out.success.all()
     for msg, u_hat in zip(all_ex1_messages, out.u_hat):
         assert np.array_equal(u_hat, input_word(ex1, msg))
@@ -178,7 +186,7 @@ def test_noiseless_exact_single_path(ex1, all_ex1_messages):
 
 def test_success_is_valid_input_word(nr16):
     _, _, y = _received(nr16, np.random.default_rng(1), 0.5, 100)
-    out = decode_scl(nr16, y, L=4, seed=2, trial=np.arange(100))
+    out = decode_symbols(nr16, y, L=4, seed=2)
     assert out.success.any()
     assert not mat_mul(out.u_hat[out.success], nr16.H_prime).any()
 
@@ -190,7 +198,7 @@ def test_unpruned_list_is_maximum_likelihood(nr16):
     # restricted to unerased positions
     M = _message_to_codeword_map(nr16)
     msgs, ers, y = _received(nr16, np.random.default_rng(3), 0.45, 400)
-    out = decode_scl(nr16, y, L=64, seed=5, trial=np.arange(400))
+    out = decode_symbols(nr16, y, L=64, seed=5)
     hits, mean, var = 0, 0.0, 0.0
     for t, (msg, er) in enumerate(zip(msgs, ers)):
         ok = out.success[t] and np.array_equal(out.u_hat[t],
@@ -208,14 +216,14 @@ def test_pruning_only_hurts(nr16):
     u = np.array([input_word(nr16, msg) for msg in msgs])
     wins = {}
     for L in (2, 64):
-        out = decode_scl(nr16, y, L=L, seed=6, trial=np.arange(300))
+        out = decode_symbols(nr16, y, L=L, seed=6)
         wins[L] = int((out.success & (out.u_hat == u).all(axis=1)).sum())
     assert wins[64] >= wins[2]
 
 
 def test_visits_sum_list_sizes(nr16):
     _, _, y = _received(nr16, np.random.default_rng(7), 0.5, 50)
-    out = decode_scl(nr16, y, L=4, seed=8, trial=np.arange(50))
+    out = decode_symbols(nr16, y, L=4, seed=8)
     visited = out.visited_nodes
     assert ((nr16.N <= visited) & (visited <= nr16.N * 4)).all()
 
@@ -224,9 +232,9 @@ def test_deterministic_per_trial(nr16):
     msg = np.ones(nr16.K, dtype=np.uint8)
     x = encode(nr16, msg)
     y = np.where(np.arange(16) % 2 == 0, ERASURE, x).astype(np.uint8)
-    a = decode_scl(nr16, y, L=4, seed=9, trial=3)
-    b = decode_scl(nr16, np.stack([x, y, y]), L=4, seed=9,
-                   trial=np.array([7, 3, 5]))
+    a = decode_symbols(nr16, y, L=4, seed=9, trials=3)
+    b = decode_symbols(nr16, np.stack([x, y, y]), L=4, seed=9,
+                       trials=np.array([7, 3, 5]))
     assert a.success[0] == b.success[1]
     assert a.visited_nodes[0] == b.visited_nodes[1]
     assert np.array_equal(a.u_hat[0], b.u_hat[1])
@@ -237,15 +245,48 @@ def test_all_paths_dead_is_failure(ex1):
     msg = np.zeros(3, dtype=np.uint8)
     y = encode(ex1, msg)
     y[7] ^= 1  # not a codeword any more
-    out = decode_scl(ex1, y, L=8)
+    out = decode_symbols(ex1, y, L=8)
     assert not out.success[0]
     assert not out.u_hat.any()
 
 
 def test_bad_list_size_rejected(ex1):
     with pytest.raises(ValueError):
-        decode_scl(ex1, np.zeros(8, dtype=np.uint8), L=0)
+        decode_symbols(ex1, np.zeros(8, dtype=np.uint8), L=0)
     with pytest.raises(ValueError):
-        decode_scl(ex1, np.zeros(4, dtype=np.uint8), L=2)
+        decode_symbols(ex1, np.zeros(4, dtype=np.uint8), L=2)
     with pytest.raises(ValueError):
-        decode_scl(ex1, np.zeros((3, 8), dtype=np.uint8), L=2, trial=[0, 1])
+        decode_symbols(ex1, np.zeros((3, 8), dtype=np.uint8), L=2,
+                       trials=[0, 1])
+
+
+def test_decode_scl_takes_channel_planes_and_one_trial_id_per_row(ex1):
+    ids = np.array([4, 9, 2])
+    u, x = batch.encode_batch(ex1, batch.sample_messages(ex1, 3, ids))
+    yp = batch.channel_planes(x, np.zeros(x.shape, dtype=bool))
+    out = decode_scl(ex1, yp, 8, 3, ids)
+    assert out.success.all() and np.array_equal(out.u_hat, u)
+    yv, ye = yp
+    with pytest.raises(ValueError, match="two"):
+        decode_scl(ex1, (yv, ye[:2]), 8, 3, ids)
+    with pytest.raises(ValueError, match="two"):
+        decode_scl(ex1, (yv[0], ye[0]), 8, 3, ids[:1])
+    with pytest.raises(ValueError, match="two"):
+        decode_scl(ex1, (yv[:, :4], ye[:, :4]), 8, 3, ids)
+    with pytest.raises(ValueError, match="one trial id per row"):
+        decode_scl(ex1, yp, 8, 3, ids[:2])
+
+
+@pytest.mark.parametrize("name", ["ex1", "nr128", "nr256"])
+def test_a_batch_whose_lists_all_die_fails_with_no_visits(codes, name):
+    # every row flips its last position, unerased, so every input bit
+    # flips and each list dies at bit 0; the rest runs on no rows
+    spec = codes[name]
+    ids = np.arange(5)
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, 1, ids))
+    x[:, -1] ^= 1
+    yp = batch.channel_planes(x, np.zeros(x.shape, dtype=bool))
+    out = decode_scl(spec, yp, 8, 1, ids)
+    assert not out.success.any()
+    assert not out.visited_nodes.any()
+    assert not out.u_hat.any()

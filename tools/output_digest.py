@@ -1,0 +1,82 @@
+"""Print a SHA-256 digest of every output of a fixed set of fcpolar runs.
+
+    python3 tools/output_digest.py [CHECKOUT]
+
+CHECKOUT is a source tree of this project (default: the one holding this
+script); its src/ goes on PYTHONPATH. Every command runs in a fresh
+temporary directory with a relative --out name, because the simulate and
+de sidecars record the path. Each line is "<sha256>  <file>", for every CSV
+and every JSON sidecar, in file-name order, so two checkouts that produce
+the same bytes print the same lines:
+
+    diff <(python3 tools/output_digest.py ../parent) \\
+         <(python3 tools/output_digest.py)
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (n, k, p grid, trials) of the simulate points
+_SIM_CODES = ((6, 32, "0.25:0.40:0.05", 200), (8, 128, "0.30:0.36:0.03", 60),
+              (10, 512, "0.38", 8))
+_SIM_DECODERS = ("sc", "scc", "bpscc", "bpscc-sbj", "scl")
+_IMAX_DECODERS = ("scc", "bpscc", "bpscc-sbj")
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(output name, fcpolar arguments before --out) of every run."""
+    runs = []
+    for n, k, grid, trials in _SIM_CODES:
+        for dec in _SIM_DECODERS:
+            for imax in (1, 3) if dec in _IMAX_DECODERS else (1,):
+                runs.append((f"simulate-{dec}-n{n}-imax{imax}.csv", [
+                    "simulate", "--n", str(n), "--k", str(k), "--decoder", dec,
+                    "--imax", str(imax), "--p-grid", grid,
+                    "--trials", str(trials), "--seed", "1"]))
+    runs.append(("simulate-bpscc-n6-maxerr.csv", [
+        "simulate", "--n", "6", "--k", "32", "--decoder", "bpscc",
+        "--p-grid", "0.40", "--trials", "2000", "--max-errors", "25",
+        "--seed", "2"]))
+    for n in (6, 7, 8, 9):
+        for dec in ("sc", "scc", "bpscc1"):
+            runs.append((f"de-{dec}-n{n}.csv", [
+                "de", "--n", str(n), "--k", str(1 << (n - 1)),
+                "--decoder", dec, "--p-grid", "0.30:0.40:0.05"]))
+    runs.append(("de-bpscc1-n10.csv", [
+        "de", "--n", "10", "--k", "512", "--decoder", "bpscc1",
+        "--p-grid", "0.40"]))
+    runs.append(("bounds-n8.csv", [
+        "bounds", "--n", "8", "--k", "128", "--p-grid", "0.30:0.46:0.04"]))
+    for n, k in ((6, 32), (8, 128)):
+        runs.append((f"mlbound-n{n}.csv", [
+            "mlbound", "--n", str(n), "--k", str(k),
+            "--p-grid", "0.30:0.40:0.05", "--trials", "300", "--seed", "3"]))
+    runs.append(("toy-compare.csv", ["toy-compare", "--trials", "2000"]))
+    return runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkout", nargs="?",
+                        default=str(Path(__file__).resolve().parents[1]))
+    checkout = Path(parser.parse_args(argv).checkout).resolve()
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    with tempfile.TemporaryDirectory(prefix="fcpolar-digest-") as tmp:
+        for out, args in commands():
+            subprocess.run([sys.executable, "-m", "fcpolar", *args,
+                            "--out", out], cwd=tmp, env=env, check=True)
+        for path in sorted(Path(tmp).iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
