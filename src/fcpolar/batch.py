@@ -58,6 +58,7 @@ _RECENT = 32
 
 @dataclass
 class BatchOutcome:
+    """The per-trial record of every decoder; counts it does not keep are 0."""
     success: np.ndarray      # (rows,) bool, traversal completed
     u_hat: np.ndarray        # (rows, N) uint8, meaningful where success
     visits: np.ndarray       # (rows,) int64 node-visit counts
@@ -66,6 +67,11 @@ class BatchOutcome:
                              # checks before the first backjump
     checks: np.ndarray       # (rows,) int64, hypothesis checks run before
                              # the first backjump
+
+    @property
+    def visited_nodes(self) -> np.ndarray:
+        # Read only by perfbench's scl.decode observer, until it reads visits.
+        return self.visits
 
 
 def sample_messages(spec: CodeSpec, seed: int, trials: np.ndarray) -> np.ndarray:
@@ -208,11 +214,9 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
             committed[:, i] = mat_mul(committed[:, :i],
                                       spec.T[:i, i][:, None])[:, 0]
         bitboard.update_partial_sums(ps, i, committed[:, i])
-    return BatchOutcome(success=np.ones(rows, dtype=bool), u_hat=committed,
-                        visits=np.full(rows, spec.N, dtype=np.int64),
-                        backjumps=np.zeros(rows, dtype=np.int64),
-                        iters_sum=np.full(rows, spec.N, dtype=np.int64),
-                        checks=np.full(rows, spec.N, dtype=np.int64))
+    return BatchOutcome(np.ones(rows, dtype=bool), committed,
+                        np.full(rows, spec.N, dtype=np.int64),
+                        *(np.zeros(rows, dtype=np.int64) for _ in range(3)))
 
 
 def decode_fc_batch(spec: CodeSpec, yp: planes.Pair, engine: str = "bp_scc",

@@ -35,6 +35,9 @@ from .scl import decode_scl
 
 CSV_HEADER = "p,bler,stderr,avg_visits,avg_iters,trials,errors"
 
+# The decoders run_point simulates, and simulate's --decoder choices.
+DECODERS = ("sc", "scc", "bpscc", "bpscc-sbj", "scl")
+
 # Most points one grid flag may expand to.
 _GRID_MAX = 10_000
 
@@ -54,8 +57,9 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     size, so little is decoded past the cut; outcomes never depend on the
     chunking. avg_iters counts i_max for each check that stops at a fixed
     point with its leaf erased, so it grows with i_max without more sweeps.
+    sc and scl run no hypothesis check, so avg_iters falls back to 1.0.
     """
-    if decoder not in ("sc", "scc", "bpscc", "bpscc-sbj", "scl"):
+    if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} out of range")
@@ -77,12 +81,7 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
         if decoder == "sc":
             out = batch.decode_sc_batch(spec, yp, seed, ids)
         elif decoder == "scl":
-            res = decode_scl(spec, yp, list_size, seed, ids)
-            ones = np.ones(ids.size, dtype=np.int64)
-            out = batch.BatchOutcome(
-                success=res.success, u_hat=res.u_hat,
-                visits=res.visited_nodes, backjumps=np.zeros_like(ones),
-                iters_sum=ones, checks=ones)
+            out = decode_scl(spec, yp, list_size, seed, ids)
         else:
             engine = "scc" if decoder == "scc" else "bp_scc"
             out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
@@ -396,7 +395,7 @@ def main(argv=None) -> int:
     sim = sub.add_parser("simulate", help="Monte-Carlo BLER/complexity curves")
     _add_code_args(sim)
     sim.add_argument("--decoder", default="bpscc-sbj",
-                     choices=("sc", "scc", "bpscc", "bpscc-sbj", "scl"))
+                     choices=DECODERS)
     sim.add_argument("--imax", type=_count, default=1, help=(
         "avg_iters counts i_max for each check that stops at a fixed point "
         "with its leaf erased, so it grows with --imax without more sweeps"))
@@ -411,7 +410,7 @@ def main(argv=None) -> int:
     dep = sub.add_parser("de", help="density evolution curves")
     _add_code_args(dep)
     dep.add_argument("--decoder", default="bpscc1",
-                     choices=("sc", "scc", "bpscc1"))
+                     choices=de.DECODERS)
     dep.add_argument("--p-grid", type=_p_grid, default=[0.5])
     dep.add_argument("--out")
     dep.set_defaults(func=_cmd_de, seed=0)

@@ -46,6 +46,9 @@ __all__ = [
     "de_run",
 ]
 
+# The decoders de_run analyzes, and fcpolar de's --decoder choices.
+DECODERS = ("sc", "scc", "bpscc1")
+
 _SWAP01 = np.array([1, 0, 2, 3])
 
 
@@ -292,7 +295,7 @@ def de_run(spec: CodeSpec, decoder: str, p: float):
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} out of range")
-    if decoder not in ("sc", "scc", "bpscc1"):
+    if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r} for density evolution")
     leaf, stages = _sweep(spec, decoder)
     K = leaf.size

@@ -4,9 +4,8 @@ Paths fork wherever the SC recursion leaves an information bit erased and
 die on conflicts; when a trial's list overflows the cap L, a uniformly
 random L-subset survives (instead of giving up), using a pruning RNG
 substream decoupled from the channel. The final pick among a trial's
-parity-consistent survivors is uniform as well. visited_nodes sums the
-trial's list size over the bits decoded; a trial whose list dies stops
-counting there.
+parity-consistent survivors is uniform as well. A trial's visits sum its
+list size over the bits decoded, up to the bit where its list dies.
 
 One call decodes a batch of trials, their channel planes and trial ids.
 The row axis is (trial, path): tid holds each row's trial, in ascending
@@ -32,34 +31,27 @@ word mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .batch import BatchOutcome
 from .bitboard import pack_rows, refresh, unpack_rows, update_partial_sums
 from .codes import CodeSpec
 from .gf2 import mat_mul
 from .planes import Pair
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 
-__all__ = ["SclOutcome", "decode_scl"]
+__all__ = ["decode_scl"]
 
 U64 = np.uint64
 _ONE = U64(1)
 
 
-@dataclass
-class SclOutcome:
-    success: np.ndarray        # (trials,) bool, a consistent path survived
-    u_hat: np.ndarray          # (trials, N) uint8, the pick; zeros on failure
-    visited_nodes: np.ndarray  # (trials,) int64, summed list sizes
-
-
 def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
-               trials: np.ndarray) -> SclOutcome:
+               trials: np.ndarray) -> BatchOutcome:
     """List-decode every row of yp, the (value, erased) channel planes of
     batch.channel_planes, each (trials, N); trials holds each row's trial
-    id, the key of its random draws."""
+    id, the key of its random draws. SCL checks no hypothesis and never
+    backjumps, so the BatchOutcome's counts other than visits are 0."""
     if L < 1:
         raise ValueError("list size must be at least 1")
     yv, ye = yp
@@ -140,7 +132,8 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
     first = np.cumsum(survivors) - survivors
     u_hat = np.zeros((B, N), dtype=np.uint8)
     u_hat[won] = words[good[first[won] + pick]]
-    return SclOutcome(success=success, u_hat=u_hat, visited_nodes=visited)
+    return BatchOutcome(success, u_hat, visited,
+                        *(np.zeros(B, dtype=np.int64) for _ in range(3)))
 
 
 def _prune(seed: int, trials: np.ndarray, i: int, ctid: np.ndarray,

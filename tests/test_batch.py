@@ -7,6 +7,7 @@ from fcpolar.codes import build_nr_code
 from fcpolar.constraints import system_structure
 from fcpolar.decoders import processing_index
 from fcpolar.gf2 import kron_power, mat_mul
+from fcpolar.scl import decode_scl
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
 
@@ -451,6 +452,37 @@ def test_sbj_engines_match_scalar_on_nr_codes(N, K, p, T, seed):
     out = batch.decode_fc_batch(spec, yp, sbj=True)
     assert out.backjumps.any()
     _assert_rows_match_scalar(spec, yp, out, trials, engine="bp_scc", sbj=True)
+
+
+def test_every_decoder_returns_one_record():
+    # One BatchOutcome per decoder, one int64 count per row. SC and SCL run
+    # no hypothesis check and never backjump, so those counts are 0.
+    trials = np.arange(12)
+    spec, yp = _nr_batch(64, 32, 0.3, 5, trials)
+    outs = {"sc": batch.decode_sc_batch(spec, yp, 5, trials),
+            "scl": decode_scl(spec, yp, 4, 5, trials)}
+    for engine in ("scc", "bp_scc"):
+        for sbj in (False, True):
+            outs[engine, sbj] = batch.decode_fc_batch(spec, yp, engine=engine,
+                                                      sbj=sbj)
+    for name, out in outs.items():
+        assert type(out) is batch.BatchOutcome, name
+        assert out.success.shape == (12,), name
+        assert out.success.dtype == bool, name
+        assert out.u_hat.shape == (12, spec.N), name
+        for field in ("visits", "backjumps", "iters_sum", "checks"):
+            count = getattr(out, field)
+            assert count.shape == (12,), (name, field)
+            assert count.dtype == np.int64, (name, field)
+        assert out.visited_nodes is out.visits
+        assert out.visits.all(), name
+    for name in ("sc", "scl"):
+        out = outs[name]
+        assert not out.backjumps.any(), name
+        assert not out.iters_sum.any() and not out.checks.any(), name
+    assert (outs["sc"].visits == spec.N).all()
+    assert outs["bp_scc", False].checks.all()
+    assert outs["scc", True].backjumps.any()
 
 
 def test_sampling_is_reproducible(ex1):

@@ -115,6 +115,19 @@ def test_run_point_validation(nr16):
         cli.run_point(nr16, "scl", 0.5, 10, seed=0, list_size=0)
 
 
+@pytest.mark.parametrize("command,decoder", [
+    *(("simulate", d) for d in cli.DECODERS),
+    *(("de", d) for d in de.DECODERS)])
+def test_every_listed_decoder_runs(command, decoder, tmp_path):
+    # One tuple per command is both the --decoder choices and the names
+    # run_point or de_run accepts.
+    out = tmp_path / "out.csv"
+    argv = [command, "--n", "4", "--k", "6", "--crc", "none",
+            "--decoder", decoder, "--p-grid", "0.3", "--out", str(out)]
+    assert _run(argv + (["--trials", "2"] if command == "simulate" else [])) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_parse_grid():
     assert cli._parse_grid("0.5") == [0.5]
     assert cli._parse_grid("0.35:0.5:0.05") == [0.35, 0.4, 0.45, 0.5]

@@ -147,7 +147,7 @@ def test_batch_matches_per_trial_reference(codes, name, light, heavy, L):
         visited.append(v)
         overflowed.append(over)
         assert out.success[r] == ok
-        assert out.visited_nodes[r] == v
+        assert out.visits[r] == v
         expect = u_hat if ok else np.zeros(spec.N, dtype=np.uint8)
         assert np.array_equal(out.u_hat[r], expect)
     # the batch mixes trials that never fork, die early, and overflow
@@ -181,7 +181,7 @@ def test_noiseless_exact_single_path(ex1, all_ex1_messages):
     for msg, u_hat in zip(all_ex1_messages, out.u_hat):
         assert np.array_equal(u_hat, input_word(ex1, msg))
     # the list never forks without erasures: one path, N steps
-    assert (out.visited_nodes == ex1.N).all()
+    assert (out.visits == ex1.N).all()
 
 
 def test_success_is_valid_input_word(nr16):
@@ -224,7 +224,7 @@ def test_pruning_only_hurts(nr16):
 def test_visits_sum_list_sizes(nr16):
     _, _, y = _received(nr16, np.random.default_rng(7), 0.5, 50)
     out = decode_symbols(nr16, y, L=4, seed=8)
-    visited = out.visited_nodes
+    visited = out.visits
     assert ((nr16.N <= visited) & (visited <= nr16.N * 4)).all()
 
 
@@ -236,7 +236,7 @@ def test_deterministic_per_trial(nr16):
     b = decode_symbols(nr16, np.stack([x, y, y]), L=4, seed=9,
                        trials=np.array([7, 3, 5]))
     assert a.success[0] == b.success[1]
-    assert a.visited_nodes[0] == b.visited_nodes[1]
+    assert a.visits[0] == b.visits[1]
     assert np.array_equal(a.u_hat[0], b.u_hat[1])
 
 
@@ -288,5 +288,5 @@ def test_a_batch_whose_lists_all_die_fails_with_no_visits(codes, name):
     yp = batch.channel_planes(x, np.zeros(x.shape, dtype=bool))
     out = decode_scl(spec, yp, 8, 1, ids)
     assert not out.success.any()
-    assert not out.visited_nodes.any()
+    assert not out.visits.any()
     assert not out.u_hat.any()

@@ -28,6 +28,9 @@ _SIM_CODES = ((6, 32, "0.25:0.40:0.05", 200), (8, 128, "0.30:0.36:0.03", 60),
               (10, 512, "0.38", 8))
 _SIM_DECODERS = ("sc", "scc", "bpscc", "bpscc-sbj", "scl")
 _IMAX_DECODERS = ("scc", "bpscc", "bpscc-sbj")
+# (decoder, imax, p, max errors) of the --max-errors cuts, all on NR(64, 32)
+_CUTS = (("bpscc", 1, "0.40", 25), ("sc", 1, "0.25", 25),
+         ("scl", 1, "0.40", 25), ("bpscc-sbj", 3, "0.42", 10))
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -40,10 +43,12 @@ def commands() -> list[tuple[str, list[str]]]:
                     "simulate", "--n", str(n), "--k", str(k), "--decoder", dec,
                     "--imax", str(imax), "--p-grid", grid,
                     "--trials", str(trials), "--seed", "1"]))
-    runs.append(("simulate-bpscc-n6-maxerr.csv", [
-        "simulate", "--n", "6", "--k", "32", "--decoder", "bpscc",
-        "--p-grid", "0.40", "--trials", "2000", "--max-errors", "25",
-        "--seed", "2"]))
+    for dec, imax, p, errors in _CUTS:
+        tag = f"-imax{imax}" if imax > 1 else ""
+        runs.append((f"simulate-{dec}-n6{tag}-maxerr.csv", [
+            "simulate", "--n", "6", "--k", "32", "--decoder", dec,
+            "--imax", str(imax), "--p-grid", p, "--trials", "2000",
+            "--max-errors", str(errors), "--seed", "2"]))
     for n in (6, 7, 8, 9):
         for dec in ("sc", "scc", "bpscc1"):
             runs.append((f"de-{dec}-n{n}.csv", [
@@ -54,10 +59,11 @@ def commands() -> list[tuple[str, list[str]]]:
         "--p-grid", "0.40"]))
     runs.append(("bounds-n8.csv", [
         "bounds", "--n", "8", "--k", "128", "--p-grid", "0.30:0.46:0.04"]))
+    # near capacity, where the bound is not 0 on 300 trials
     for n, k in ((6, 32), (8, 128)):
         runs.append((f"mlbound-n{n}.csv", [
             "mlbound", "--n", str(n), "--k", str(k),
-            "--p-grid", "0.30:0.40:0.05", "--trials", "300", "--seed", "3"]))
+            "--p-grid", "0.45:0.55:0.05", "--trials", "300", "--seed", "3"]))
     runs.append(("toy-compare.csv", ["toy-compare", "--trials", "2000"]))
     return runs
 
