@@ -11,10 +11,11 @@ advances the SC recursion on the word layout at every bit, on (value,
 erased) word pairs that hold a conflict as (1, 1), and a keyed coin
 decides wherever the leaf's erased bit is set: an erasure or a conflict.
 SCC and BP-SCC, with or without stack-based backjumping (SBJ), are one
-stack search over all rows (_dfs_recover64); without SBJ every stack
-stays empty. Each search step checks both hypotheses of its rows in one
-_check_batch call, which binds each stage's memoized FCCN round and runs
-bitboard.check_batch64, the one stage sweep, on the packed channel words.
+stack search over all rows (_dfs_recover64) that reads its checkpoints
+off each row's committed word; without SBJ no row has one. Each search
+step checks both hypotheses of its rows in one _check_batch call, which
+binds each stage's memoized FCCN round and runs bitboard.check_batch64,
+the one stage sweep, on the packed channel words.
 The check holds (value, erased) word pairs and folds every clash into a
 per-row fail flag, forms its partial sums by one butterfly on the packed
 prefix, and stops a row at a fixed point of its sweeps.
@@ -242,20 +243,25 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     Each step takes the rows at one information position k and checks
     H_{k,0} and H_{k,1} for all of them in one _check_batch call, on twice
     the rows; the H_{k,1} prefixes are the H_{k,0} ones XOR row spec.A[k]
-    of T. Rows that pass H_{k,0} commit 0 and, under sbj, push k; their
-    H_{k,1} verdicts are dropped. The rest commit 1 if H_{k,1} passes. The
-    counts (visits, iters_sum, checks, the budget) take H_{k,1} only where
-    H_{k,0} failed, as the scalar search runs it. One call per step costs
-    far less than two, since a check's time is mostly per call. A row that
-    fails both pops its most recent checkpoint k' and commits 1 at
-    spec.A[k'] unchecked, or fails if its stack is empty; without sbj every
-    stack stays empty. No bit up to the processing index of k' changes
-    while k' is on the stack, so a checkpoint is its position alone, and a
-    backjump XORs row spec.A[k'] of T into each row, whatever k' it pops.
-    The bits this flips above that index are rewritten before the search
-    reads them. Rows never interact and the check is deterministic, so
-    each row walks the scalar search's path exactly; the order of the steps
-    only decides which rows share a check call.
+    of T. Rows that pass H_{k,0} commit 0, and their H_{k,1} verdicts are
+    dropped. The rest commit 1 if H_{k,1} passes. The counts (visits,
+    iters_sum, checks) take H_{k,1} only where H_{k,0} failed, as the
+    scalar search runs it. One call per step costs far less than two, since
+    a check's time is mostly per call. A row that fails both backjumps to
+    its most recent checkpoint k' and commits 1 at spec.A[k'] unchecked, or
+    fails if it has none. Its checkpoints are the information positions
+    below k whose committed bit is 0 (none without sbj): only a passing
+    H_{k,0} commits a 0, and a backjump XORs row spec.A[k'] of T into the
+    row, which flips bit spec.A[k'] alone of the information bits, since
+    codes._assemble makes their columns of T unit columns. No bit up to the
+    processing index of k' changes while k' is open, so one XOR serves every
+    row, whatever k' it takes; the bits it flips above that index are
+    rewritten before the search reads them. Rows never interact and the
+    check is deterministic, so each row walks the scalar search's path
+    exactly; the order of the steps only decides which rows share a check
+    call. A row raises past 2^min(K, 40) backjumps: its position only rises
+    between them, so a stuck search backjumps without bound, while a correct
+    one pops each of its at most 2^K - 1 checkpoints once.
 
     That order is a sweep led by the rows that backjumped in the last
     _RECENT steps: each step takes the lowest position above the previous
@@ -275,25 +281,23 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     span wraps.
     """
     rows = yv.shape[0]
-    info = spec.A
-    K = len(info)
-    ell_of = spec.ell[list(info)].tolist()
+    info = np.array(spec.A)
+    K = spec.K
+    ell_of = spec.ell[info].tolist()
     spans = np.diff(ell_of, prepend=-1)
-    check_cap = 1 << min(spec.K + 1, 40)
-    flip = spec.T[list(info)]
+    backjump_cap = 1 << min(K, 40)
+    flip = spec.T[info]
 
     committed = np.zeros((rows, spec.N), dtype=np.uint8)
     pos = np.zeros(rows, dtype=np.intp)
     alive = np.ones(rows, dtype=bool)
-    depth = np.zeros(rows, dtype=np.intp)
-    stack = np.zeros((rows, K), dtype=np.min_scalar_type(K))
-    visits, backjumps, iters_sum, checks, ran = (
-        np.zeros(rows, dtype=np.int64) for _ in range(5))
+    visits, backjumps, iters_sum, checks = (
+        np.zeros(rows, dtype=np.int64) for _ in range(4))
 
     def check(sel, k):
-        # H_{k,0} and H_{k,1} of rows sel in one call; returns where H_{k,0}
-        # passed and where either did. H_{k,1} is speculative: it counts,
-        # and commits, only where H_{k,0} failed.
+        # H_{k,0} and H_{k,1} of rows sel in one call; returns where either
+        # passed. H_{k,1} is speculative: it counts, and commits, only where
+        # H_{k,0} failed.
         i, ell = info[k], ell_of[k]
         m = sel.size
         both = np.concatenate((sel, sel))
@@ -304,7 +308,6 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         ok0, ok1 = ok[:m], ok[m:] & ~ok[:m]
         runs = 2 - ok0
         visits[sel] += spans[k] * runs
-        ran[sel] += runs
         first = backjumps[sel] == 0
         checks[sel[first]] += runs[first]
         iters_sum[sel[first]] += (it[:m] + np.where(ok0, 0, it[m:]))[first]
@@ -314,7 +317,7 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         committed[passed, i:ell + 1] = ubuf[np.flatnonzero(win)
                                             + m * ok1[win], i:]
         pos[passed] = k + 1
-        return ok0, win
+        return win
 
     live = np.arange(rows)
     last_bj = np.full(rows, -_RECENT)
@@ -328,25 +331,21 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         lead = (at > k) & (step - last_bj[live] < _RECENT)
         k = at[lead].min() if lead.any() else at.min()
         sel = live[at == k]
-        ok0, ok = check(sel, k)
-        if sbj:
-            p0 = sel[ok0]
-            stack[p0, depth[p0]] = k
-            depth[p0] += 1
-        dead = sel[~ok]
-        failed = dead[depth[dead] == 0]
+        dead = sel[~check(sel, k)]
+        zero = (committed[dead[:, None], info[:k]] == 0) & sbj
+        jumps = zero.any(axis=1)
+        failed = dead[~jumps]
         alive[failed] = False
         pos[failed] = K
-        bj = dead[depth[dead] > 0]
+        bj = dead[jumps]
         if bj.size == 0:
             continue
-        depth[bj] -= 1
-        kk = stack[bj, depth[bj]]
+        kk = k - 1 - zero[jumps, ::-1].argmax(axis=1)
         backjumps[bj] += 1
         visits[bj] += 1
         last_bj[bj] = step
         committed[bj] ^= flip[kk]
         pos[bj] = kk + 1
-        if ran[bj].max() > check_cap:
-            raise RuntimeError("check budget exceeded; traversal is stuck")
+        if backjumps[bj].max() > backjump_cap:
+            raise RuntimeError("backjump budget exceeded; traversal is stuck")
     return alive, committed, visits, backjumps, iters_sum, checks

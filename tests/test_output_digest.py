@@ -1,0 +1,46 @@
+"""The byte-identity digest (tools/output_digest.py) covers the whole CLI.
+
+The digest is the check that a change leaves every output unchanged, so a
+subcommand or decoder it never runs could change its bytes unseen. These
+tests read the digest's command list without running it.
+"""
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+from fcpolar import cli, de
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+
+
+def _digest_commands():
+    module_spec = importlib.util.spec_from_file_location("output_digest",
+                                                         _TOOL)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return [args for _, args in module.commands()]
+
+
+def _flag(args, name):
+    return args[args.index(name) + 1]
+
+
+def test_digest_runs_every_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    listed = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+    run = {args[0] for args in _digest_commands()}
+    assert set(listed.split(",")) <= run
+
+
+def test_digest_runs_every_decoder():
+    commands = _digest_commands()
+    simulate = {(_flag(a, "--n"), _flag(a, "--decoder"))
+                for a in commands if a[0] == "simulate"}
+    sizes = {n for n, _ in simulate}
+    assert len(sizes) >= 3
+    assert {(n, d) for n in sizes for d in cli.DECODERS} <= simulate
+    assert set(de.DECODERS) <= {_flag(a, "--decoder")
+                                for a in commands if a[0] == "de"}

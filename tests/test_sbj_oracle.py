@@ -50,20 +50,23 @@ def least_consistent_message(spec, x, erased):
 
 def _sbj_against_oracle(spec, p, seed, trials, configs):
     """Decode a keyed batch under each (engine, i_max) with SBJ and check
-    every row against the oracle; returns the rows' nullities."""
+    every row against the oracle; returns the rows' nullities and their
+    backjumps, one row per config."""
     trials = np.arange(trials)
     _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))
     erased = batch.sample_erasures(spec, p, seed, trials)
     yp = batch.channel_planes(x, erased)
     want, nullity = zip(*(least_consistent_message(spec, x[r], erased[r])
                           for r in range(trials.size)))
+    backjumps = []
     for engine, i_max in configs:
         out = batch.decode_fc_batch(spec, yp, engine=engine, i_max=i_max,
                                     sbj=True)
         key = (spec.N, spec.A, engine, i_max)
         assert out.success.all(), key
         assert np.array_equal(out.u_hat[:, list(spec.A)], np.array(want)), key
-    return np.array(nullity)
+        backjumps.append(out.backjumps)
+    return np.array(nullity), np.array(backjumps)
 
 
 def test_oracle_with_nothing_or_everything_erased(nr16):
@@ -83,9 +86,17 @@ def test_oracle_with_nothing_or_everything_erased(nr16):
 def test_sbj_word_is_least_consistent_message_on_nr64():
     # bp_scc only: scc's search takes several times longer at this size.
     # Two of the 16 rows have more than one consistent message.
-    nullity = _sbj_against_oracle(build_nr_code(64, 32), 0.40, 1, 16,
-                                  [("bp_scc", 1), ("bp_scc", 3)])
+    nullity, _ = _sbj_against_oracle(build_nr_code(64, 32), 0.40, 1, 16,
+                                     [("bp_scc", 1), ("bp_scc", 3)])
     assert (nullity > 0).any()
+
+
+def test_sbj_word_is_least_consistent_message_on_nr1024():
+    # Backjumps over stage blocks of several words, through the float32
+    # BLAS round of the FCCN pass; no other oracle case goes past N = 64.
+    _, backjumps = _sbj_against_oracle(build_nr_code(1024, 512), 0.42, 1, 8,
+                                       [("bp_scc", 1)])
+    assert backjumps.any()
 
 
 def test_sbj_word_is_least_consistent_message_on_random_codes(random_code):
@@ -97,5 +108,6 @@ def test_sbj_word_is_least_consistent_message_on_random_codes(random_code):
     tied = 0
     for n in (1, 1, 2, 2, 3, 3, 4, 4, 4, 5, 5, 5):
         spec = random_code(rng, n)
-        tied += (_sbj_against_oracle(spec, 0.5, 2, 32, configs) > 0).sum()
+        nullity, _ = _sbj_against_oracle(spec, 0.5, 2, 32, configs)
+        tied += (nullity > 0).sum()
     assert tied > 0

@@ -3,11 +3,13 @@
     python3 tools/output_digest.py [CHECKOUT]
 
 CHECKOUT is a source tree of this project (default: the one holding this
-script); its src/ goes on PYTHONPATH. Every command runs in a fresh
-temporary directory with a relative --out name, because the simulate and
-de sidecars record the path. Each line is "<sha256>  <file>", for every CSV
-and every JSON sidecar, in file-name order, so two checkouts that produce
-the same bytes print the same lines:
+script); its src/ goes on PYTHONPATH. The runs cover every subcommand.
+Every command runs in a fresh temporary directory with a relative --out
+name, because the simulate and de sidecars record the path; build-code and
+dump-fc have no --out, so their stdout goes to a named file there. Each
+line is "<sha256>  <file>", for every output and every JSON sidecar, in
+file-name order, so two checkouts that produce the same bytes print the
+same lines:
 
     diff <(python3 tools/output_digest.py ../parent) \\
          <(python3 tools/output_digest.py)
@@ -25,12 +27,14 @@ from pathlib import Path
 
 # (n, k, p grid, trials) of the simulate points
 _SIM_CODES = ((6, 32, "0.25:0.40:0.05", 200), (8, 128, "0.30:0.36:0.03", 60),
-              (10, 512, "0.38", 8))
+              (10, 512, "0.38:0.42:0.04", 8))
 _SIM_DECODERS = ("sc", "scc", "bpscc", "bpscc-sbj", "scl")
 _IMAX_DECODERS = ("scc", "bpscc", "bpscc-sbj")
 # (decoder, imax, p, max errors) of the --max-errors cuts, all on NR(64, 32)
 _CUTS = (("bpscc", 1, "0.40", 25), ("sc", 1, "0.25", 25),
          ("scl", 1, "0.40", 25), ("bpscc-sbj", 3, "0.42", 10))
+# subcommands that print their output and take no --out
+_PRINTERS = ("build-code", "dump-fc")
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -65,6 +69,11 @@ def commands() -> list[tuple[str, list[str]]]:
             "mlbound", "--n", str(n), "--k", str(k),
             "--p-grid", "0.45:0.55:0.05", "--trials", "300", "--seed", "3"]))
     runs.append(("toy-compare.csv", ["toy-compare", "--trials", "2000"]))
+    runs.append(("build-code-n8.txt", ["build-code", "--n", "8", "--k", "128"]))
+    runs.append(("dump-fc-n6.txt", ["dump-fc", "--n", "6", "--k", "32"]))
+    runs.append(("dump-fc-example1.txt", ["dump-fc"]))
+    runs.append(("dump-matrices-n5.txt", [
+        "dump-matrices", "--n", "5", "--k", "16"]))
     return runs
 
 
@@ -76,8 +85,14 @@ def main(argv=None) -> int:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory(prefix="fcpolar-digest-") as tmp:
         for out, args in commands():
-            subprocess.run([sys.executable, "-m", "fcpolar", *args,
-                            "--out", out], cwd=tmp, env=env, check=True)
+            run = [sys.executable, "-m", "fcpolar", *args]
+            if args[0] in _PRINTERS:
+                with open(Path(tmp, out), "wb") as stdout:
+                    subprocess.run(run, cwd=tmp, env=env, check=True,
+                                   stdout=stdout)
+            else:
+                subprocess.run([*run, "--out", out], cwd=tmp, env=env,
+                               check=True)
         for path in sorted(Path(tmp).iterdir()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.name}")
