@@ -21,8 +21,7 @@ under each check's member masks give its parity a_j and erasure count c_j,
 and the masks each predicate selects OR-reduce to the members' messages
 (exact: the combine operator is commutative and associative). The BLAS
 round for longer codes is batch._fccn_pass_batch. left_partial_sums forms
-every beta_t of a check from its packed prefix by one in-word butterfly,
-here and in DE.
+every beta_t of a check from its packed prefix by one in-word butterfly.
 """
 
 from __future__ import annotations

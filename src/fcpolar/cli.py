@@ -122,7 +122,7 @@ def run_point(spec: CodeSpec, decoder: str, p: float, trials: int, seed: int,
     }
 
 
-def emit_results(rows: list[dict], out_path: str | None, meta: dict) -> str:
+def emit_results(rows: list[dict], out_path: str | None, meta: dict) -> None:
     """Render the pinned CSV and persist it (plus a JSON sidecar) if asked."""
     lines = [CSV_HEADER]
     for row in rows:
@@ -130,9 +130,7 @@ def emit_results(rows: list[dict], out_path: str | None, meta: dict) -> str:
             f"{row['p']:.6g},{row['bler']:.8g},{row['stderr']:.6g},"
             f"{row['avg_visits']:.8g},{row['avg_iters']:.8g},"
             f"{row['trials']},{row['errors']}")
-    text = "\n".join(lines) + "\n"
-    _write(text, out_path, {**meta, "points": rows})
-    return text
+    _write("\n".join(lines) + "\n", out_path, {**meta, "points": rows})
 
 
 def _write(text: str, out_path: str | None, sidecar: dict | None = None) -> None:
@@ -352,7 +350,7 @@ def _cmd_build_code(args) -> int:
     out = [
         f"N = {spec.N}",
         f"K = {spec.K}",
-        f"outer = {spec.outer.kind if spec.outer else 'none'}",
+        f"outer = {spec.outer or 'none'}",
         f"code_hash = {spec.code_hash()}",
         f"A = {' '.join(map(str, spec.A))}",
         f"P = {' '.join(map(str, spec.P))}",

@@ -25,18 +25,6 @@ from .gf2 import kron_power, mat_mul
 NR_CRC11_TAPS = (1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1)  # D^11+D^10+D^9+D^5+1
 
 
-@dataclass(frozen=True)
-class OuterCode:
-    """Outer systematic code appending CRC-style parity to the message."""
-
-    kind: str
-    generator_taps: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.generator_taps) - 1
-
-
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
     """Everything the decoders need to know about one concatenated code."""
@@ -50,7 +38,7 @@ class CodeSpec:
     T: np.ndarray
     H: np.ndarray
     H_prime: np.ndarray
-    outer: OuterCode | None
+    outer: str | None        # the outer code: "crc", "parity" or None
     info_mask: np.ndarray    # (N,) bool: i in A
     parity_mask: np.ndarray  # (N,) bool: i in P
     ell: np.ndarray          # (N,) next index in A minus 1, else N - 1
@@ -135,7 +123,7 @@ def build_example1() -> CodeSpec:
     for i in A:
         T[i, i] = 1
     T[3, 6] = T[5, 6] = 1
-    return _assemble(3, N, A, P, F, T, OuterCode(kind="parity", generator_taps=(1, 1)))
+    return _assemble(3, N, A, P, F, T, "parity")
 
 
 def build_nr_code(N: int, K: int, crc: str = "nr11") -> CodeSpec:
@@ -147,13 +135,10 @@ def build_nr_code(N: int, K: int, crc: str = "nr11") -> CodeSpec:
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    if crc == "nr11":
-        outer = OuterCode(kind="crc", generator_taps=NR_CRC11_TAPS)
-    elif crc == "none":
-        outer = None
-    else:
+    if crc not in ("nr11", "none"):
         raise ValueError(f"unknown outer code {crc!r}")
-    r = outer.degree if outer else 0
+    outer = "crc" if crc == "nr11" else None
+    r = len(NR_CRC11_TAPS) - 1 if outer else 0
     if K + r > N:
         raise ValueError(f"K + {r} parity bits exceed N = {N}")
     n = int(N).bit_length() - 1
@@ -166,7 +151,7 @@ def build_nr_code(N: int, K: int, crc: str = "nr11") -> CodeSpec:
         T[i, i] = 1
     if outer:
         T[np.ix_(A, P)] = crc_remainder(np.eye(K, dtype=np.uint8),
-                                        outer.generator_taps)
+                                        NR_CRC11_TAPS)
     return _assemble(n, N, A, P, F, T, outer)
 
 

@@ -39,7 +39,6 @@ class FcIndexSets:
     comparison itself. The union over t recovers all of L_i.
     """
 
-    i: int
     L: tuple[int, ...]
     per_stage: tuple[tuple[int, ...], ...]
 
@@ -63,7 +62,7 @@ def future_constraints(spec: CodeSpec, i: int) -> FcIndexSets:
         lo, hi = _block(i, t)
         prev_lo, prev_hi = _block(i, t - 1)
         per_stage.append(tuple(k for k in L if lo <= k < hi and not prev_lo <= k < prev_hi))
-    return FcIndexSets(i=i, L=L, per_stage=tuple(per_stage))
+    return FcIndexSets(L=L, per_stage=tuple(per_stage))
 
 
 def global_Q(spec: CodeSpec) -> np.ndarray:

@@ -31,10 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitboard import left_partial_sums, pack_rows, unpack_rows
 from .codes import CodeSpec
 from .constraints import system_structure
-from .gf2 import mat_mul
+from .gf2 import kron_power, mat_mul
 from .planes import CONFLICT, ERASURE, dot, from_symbols, plus, to_symbols
 
 __all__ = [
@@ -229,8 +228,9 @@ def _hypothesis(spec: CodeSpec, decoder: str, i: int) -> tuple:
 
 
 def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
-    """Stage t of the sweep of bits, a list of (ell, prefix, betas), betas
-    the prefix's partial sums as bitboard.left_partial_sums words.
+    """Stage t of the sweep of bits, the _hypothesis (ell, prefix) pairs.
+    A bit with bit t of ell set takes the ⊡ row with beta_t, by definition
+    its left sibling block [lo, lo + 2^t) of the prefix times kron_power(t).
 
     The union FCCN plan lists the bits' stage-(t + 1) checks in bit order,
     each check's members ascending (the support of its column of Q) and
@@ -241,7 +241,7 @@ def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
     plan = phi = None
     if use_fccn:
         deg, members, phis = [], [], []
-        for g, (ell, prefix, _) in enumerate(bits):
+        for g, (ell, prefix) in enumerate(bits):
             cols, Q, offsets = system_structure(spec, ell, t + 1)
             if cols:
                 deg.append(np.count_nonzero(Q, axis=0))
@@ -250,26 +250,24 @@ def _stage(spec: CodeSpec, bits: list, t: int, use_fccn: bool) -> _Stage:
         if deg:
             plan = _fccn_plan(np.concatenate(deg), np.concatenate(members))
             phi = np.concatenate(phis)
-    side = np.array([(ell >> t) & 1 for ell, *_ in bits], dtype=bool)
-    beta = [unpack_rows(betas[t], 1 << t)[0] for ell, _, betas in bits
-            if (ell >> t) & 1]
+    side = np.array([(ell >> t) & 1 for ell, _ in bits], dtype=bool)
+    left = [prefix[(ell >> (t + 1)) << (t + 1):][:1 << t]
+            for ell, prefix in bits if (ell >> t) & 1]
+    beta = mat_mul(np.reshape(left, (-1, 1 << t)), kron_power(t))
     return _Stage(plan=plan, phi=phi, plus=np.flatnonzero(~side),
-                  dot=np.flatnonzero(side),
-                  beta=np.array(beta, dtype=bool).reshape(-1, 1 << t))
+                  dot=np.flatnonzero(side), beta=beta.astype(bool))
 
 
 def _sweep(spec: CodeSpec, decoder: str) -> tuple:
-    """The plan of de_run's sweep, memoized on the spec per decoder: the
-    hypothesized value of each information bit at its leaf, and the _Stage
-    of every t = n - 1 down to 0."""
+    """The plan of de_run's sweep, memoized on the spec per decoder: from
+    each information bit's _hypothesis, its hypothesized value at its leaf
+    and the _Stage of every t = n - 1 down to 0."""
     key = ("de_sweep", decoder)
     if key not in spec._cache:
         use_fccn = decoder == "bpscc1"
-        bits = [(ell, prefix, left_partial_sums(pack_rows(prefix[None, :]), ell))
-                for ell, prefix in (_hypothesis(spec, decoder, i)
-                                    for i in spec.A)]
+        bits = [_hypothesis(spec, decoder, i) for i in spec.A]
         spec._cache[key] = (
-            np.array([prefix[ell] for ell, prefix, _ in bits], dtype=np.int64),
+            np.array([prefix[ell] for ell, prefix in bits], dtype=np.int64),
             tuple(_stage(spec, bits, t, use_fccn)
                   for t in range(spec.n - 1, -1, -1)))
     return spec._cache[key]

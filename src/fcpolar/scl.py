@@ -3,9 +3,11 @@
 Paths fork wherever the SC recursion leaves an information bit erased and
 die on conflicts; when a trial's list overflows the cap L, a uniformly
 random L-subset survives (instead of giving up), using a pruning RNG
-substream decoupled from the channel. The final pick among a trial's
-parity-consistent survivors is uniform as well. A trial's visits sum its
-list size over the bits decoded, up to the bit where its list dies.
+substream decoupled from the channel. Every path takes the forced value
+of each frozen or parity bit and dies where its leaf disagrees, so every
+survivor is a valid input word (u H' = 0) and needs no parity test; the
+final pick among a trial's survivors is uniform as well. A trial's visits
+sum its list size over the bits decoded, up to the bit where its list dies.
 
 One call decodes a batch of trials, their channel planes and trial ids.
 The row axis is (trial, path): tid holds each row's trial, in ascending
@@ -36,7 +38,6 @@ import numpy as np
 from .batch import BatchOutcome
 from .bitboard import pack_rows, refresh, unpack_rows, update_partial_sums
 from .codes import CodeSpec
-from .gf2 import mat_mul
 from .planes import Pair
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 
@@ -50,8 +51,9 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
                trials: np.ndarray) -> BatchOutcome:
     """List-decode every row of yp, the (value, erased) channel planes of
     batch.channel_planes, each (trials, N); trials holds each row's trial
-    id, the key of its random draws. SCL checks no hypothesis and never
-    backjumps, so the BatchOutcome's counts other than visits are 0."""
+    id, the key of its random draws. A trial succeeds if a path survives.
+    SCL checks no hypothesis and never backjumps, so the BatchOutcome's
+    counts other than visits are 0."""
     if L < 1:
         raise ValueError("list size must be at least 1")
     yv, ye = yp
@@ -122,16 +124,14 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
         u[:, i >> 6] |= bits << U64(i & 63)
         update_partial_sums(ps, i, bits)
 
-    words = unpack_rows(u, N)
-    good = np.flatnonzero(~mat_mul(words, spec.H_prime).any(axis=1))
-    survivors = np.bincount(tid[good], minlength=B)
+    survivors = np.bincount(tid, minlength=B)
     success = survivors > 0
     won = np.flatnonzero(success)
     pick = (keyed_array(seed, STREAM_PRUNE, trials[won], N, 0)
             % survivors[won].astype(U64)).astype(np.int64)
     first = np.cumsum(survivors) - survivors
     u_hat = np.zeros((B, N), dtype=np.uint8)
-    u_hat[won] = words[good[first[won] + pick]]
+    u_hat[won] = unpack_rows(u[first[won] + pick], N)
     return BatchOutcome(success, u_hat, visited,
                         *(np.zeros(B, dtype=np.int64) for _ in range(3)))
 

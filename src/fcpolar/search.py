@@ -68,15 +68,16 @@ def decode_sc(spec: CodeSpec, y, seed: int = 0, trial: int = 0) -> DecodeOutcome
 
 
 def decode_with_fc(spec: CodeSpec, y, engine: str = "bp_scc", i_max: int = 1,
-                   sbj: bool = False, seed: int = 0, trial: int = 0,
-                   debug: bool = False) -> DecodeOutcome:
+                   sbj: bool = False, seed: int = 0,
+                   trial: int = 0) -> DecodeOutcome:
     """Hypothesis-check traversal for SCC (engine="scc") and BP-SCC.
 
     Per information bit: check H_{i,0}; on pass proceed with 0 and push the
     complementary branch; otherwise check H_{i,1}; on pass proceed with 1;
     otherwise backjump to the most recent checkpoint (sbj) or fail. The
     traversal is deterministic given the channel output: an unrefuted zero
-    hypothesis is always taken first, so no random tie-breaking is needed.
+    hypothesis is always taken first, so no coin (seed, trial) is drawn.
+    A checkpoint is popped once, so no tree node is checked twice.
     """
     if engine not in ("scc", "bp_scc"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -86,7 +87,6 @@ def decode_with_fc(spec: CodeSpec, y, engine: str = "bp_scc", i_max: int = 1,
     next_pos = {info_bits[k]: k + 1 for k in range(len(info_bits))}
 
     stack: list[BranchCheckpoint] = []
-    visited: set[tuple[int, tuple[int, ...], int]] = set()
     committed: list[int] = []
     for j in range(info_bits[0]):
         committed.append(_forced_value(spec, committed, j))
@@ -101,10 +101,6 @@ def decode_with_fc(spec: CodeSpec, y, engine: str = "bp_scc", i_max: int = 1,
         prev_ell = ell_of[info_bits[next_pos[i] - 2]] if next_pos[i] >= 2 else -1
         visits += ell_of[i] - prev_ell
         checks += 1
-        if debug:
-            node = (i, tuple(committed), b)
-            assert node not in visited, "tree node visited twice"
-            visited.add(node)
         hyp = build_hypothesis(spec, committed, i, b)
         graph = make_graph(spec, y, hyp, use_fccn)
         report = bp_scc_check(spec, graph, hyp, i_max=i_max, use_fccn=use_fccn)

@@ -44,3 +44,16 @@ def test_digest_runs_every_decoder():
     assert {(n, d) for n in sizes for d in cli.DECODERS} <= simulate
     assert set(de.DECODERS) <= {_flag(a, "--decoder")
                                 for a in commands if a[0] == "de"}
+
+
+def test_digest_builds_every_outer_code(capsys):
+    # a run without --crc builds the default NR + CRC11 code
+    with pytest.raises(SystemExit):
+        cli.main(["build-code", "--help"])
+    listed = re.search(r"--crc \{([a-z0-9,]+)\}",
+                       capsys.readouterr().out).group(1)
+    commands = _digest_commands()
+    for command in ("build-code", "simulate"):
+        built = {_flag(a, "--crc") if "--crc" in a else "nr11"
+                 for a in commands if a[0] == command}
+        assert set(listed.split(",")) <= built

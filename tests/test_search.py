@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fcpolar import batch
+from fcpolar import batch, search
 from fcpolar.codes import build_example1, encode, input_word
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
@@ -85,14 +85,27 @@ def test_backjump_recovers_engineered_dead_end(ex1):
     assert np.array_equal(out_bp.u_hat, u)
 
 
-def test_debug_mode_never_revisits_a_node(ex1):
+def test_search_never_revisits_a_node(ex1, monkeypatch):
+    # A check of H_{i,b} runs at the tree node (i, committed past, b); at
+    # check time the committed past is the hypothesis prefix up to i.
+    nodes = []
+    check = search.bp_scc_check
+
+    def spy(spec, graph, hyp, **kwargs):
+        nodes.append((hyp.i, tuple(hyp.prefix[:hyp.i].tolist()), hyp.b))
+        return check(spec, graph, hyp, **kwargs)
+
+    monkeypatch.setattr(search, "bp_scc_check", spy)
     rng = np.random.default_rng(5)
     for _ in range(200):
         msg = rng.integers(0, 2, size=3).astype(np.uint8)
         x = encode(ex1, msg)
         y = _erase(x, np.flatnonzero(rng.random(8) < 0.5))
         for engine in ("scc", "bp_scc"):
-            decode_with_fc(ex1, y, engine=engine, i_max=2, sbj=True, debug=True)
+            nodes.clear()
+            decode_with_fc(ex1, y, engine=engine, i_max=2, sbj=True)
+            assert nodes
+            assert len(set(nodes)) == len(nodes)
 
 
 def test_fc_deterministic(ex1):

@@ -3,7 +3,8 @@
     python3 tools/output_digest.py [CHECKOUT]
 
 CHECKOUT is a source tree of this project (default: the one holding this
-script); its src/ goes on PYTHONPATH. The runs cover every subcommand.
+script); its src/ goes on PYTHONPATH. The runs cover every subcommand,
+and build-code, simulate and de on a code with and without the CRC.
 Every command runs in a fresh temporary directory with a relative --out
 name, because the simulate and de sidecars record the path; build-code and
 dump-fc have no --out, so their stdout goes to a named file there. Each
@@ -30,6 +31,7 @@ _SIM_CODES = ((6, 32, "0.25:0.40:0.05", 200), (8, 128, "0.30:0.36:0.03", 60),
               (10, 512, "0.38:0.42:0.04", 8))
 _SIM_DECODERS = ("sc", "scc", "bpscc", "bpscc-sbj", "scl")
 _IMAX_DECODERS = ("scc", "bpscc", "bpscc-sbj")
+_DE_DECODERS = ("sc", "scc", "bpscc1")
 # (decoder, imax, p, max errors) of the --max-errors cuts, all on NR(64, 32)
 _CUTS = (("bpscc", 1, "0.40", 25), ("sc", 1, "0.25", 25),
          ("scl", 1, "0.40", 25), ("bpscc-sbj", 3, "0.42", 10))
@@ -54,7 +56,7 @@ def commands() -> list[tuple[str, list[str]]]:
             "--imax", str(imax), "--p-grid", p, "--trials", "2000",
             "--max-errors", str(errors), "--seed", "2"]))
     for n in (6, 7, 8, 9):
-        for dec in ("sc", "scc", "bpscc1"):
+        for dec in _DE_DECODERS:
             runs.append((f"de-{dec}-n{n}.csv", [
                 "de", "--n", str(n), "--k", str(1 << (n - 1)),
                 "--decoder", dec, "--p-grid", "0.30:0.40:0.05"]))
@@ -70,6 +72,16 @@ def commands() -> list[tuple[str, list[str]]]:
             "--p-grid", "0.45:0.55:0.05", "--trials", "300", "--seed", "3"]))
     runs.append(("toy-compare.csv", ["toy-compare", "--trials", "2000"]))
     runs.append(("build-code-n8.txt", ["build-code", "--n", "8", "--k", "128"]))
+    # a plain polar code: no CRC, so no parity bits
+    plain = ["--n", "6", "--k", "32", "--crc", "none"]
+    runs.append(("build-code-n6-nocrc.txt", ["build-code", *plain]))
+    for dec in _SIM_DECODERS:
+        runs.append((f"simulate-{dec}-n6-nocrc.csv", [
+            "simulate", *plain, "--decoder", dec, "--p-grid",
+            "0.30:0.40:0.05", "--trials", "200", "--seed", "1"]))
+    for dec in _DE_DECODERS:
+        runs.append((f"de-{dec}-n6-nocrc.csv", [
+            "de", *plain, "--decoder", dec, "--p-grid", "0.30:0.40:0.05"]))
     runs.append(("dump-fc-n6.txt", ["dump-fc", "--n", "6", "--k", "32"]))
     runs.append(("dump-fc-example1.txt", ["dump-fc"]))
     runs.append(("dump-matrices-n5.txt", [
