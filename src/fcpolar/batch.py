@@ -6,10 +6,11 @@ flips) is keyed by (trial, position, count) rather than consumed from a
 sequential stream. All of it runs on the planes operators over the
 bitboard word layout.
 
-Plain SC is the SCL loop with one path per row: bitboard.refresh
-advances the SC recursion on the word layout at every bit, on (value,
-erased) word pairs that hold a conflict as (1, 1), and a keyed coin
-decides wherever the leaf's erased bit is set: an erasure or a conflict.
+Plain SC is the SCL loop with one path per row: it advances the SC
+recursion on the word layout in the steps of bitboard.steps (a run of
+frozen leaves and the leaf after it), on (value, erased) word pairs that
+hold a conflict as (1, 1), and a keyed coin decides wherever the leaf's
+erased bit is set: an erasure or a conflict.
 SCC and BP-SCC, with or without stack-based backjumping (SBJ), are one
 stack search over all rows (_dfs_recover64) that reads its checkpoints
 off each row's committed word; without SBJ no row has one. Each search
@@ -198,23 +199,27 @@ def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
 
 def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
                     trials: np.ndarray) -> BatchOutcome:
-    """Plain SC over all rows: coin-flip unresolved bits, never backtrack."""
+    """Plain SC over all rows, one step of bitboard.steps at a time:
+    coin-flip unresolved bits, never backtrack."""
     rows = yp[0].shape[0]
     trials = np.asarray(trials, dtype=np.uint64)
     alpha: list = [None] * (spec.n + 1)
     alpha[spec.n] = tuple(bitboard.pack_rows(p) for p in yp)
     ps: dict[int, np.ndarray] = {}
     committed = np.zeros((rows, spec.N), dtype=np.uint8)
-    for i in range(spec.N):
-        bitboard.refresh(alpha, ps, i, spec.n)
+    for i0, t in bitboard.steps(spec):
+        bitboard.refresh(alpha, ps, i0, t, spec.n)
+        i = i0 + (1 << t) - 1
         if spec.info_mask[i]:
-            lv, le = alpha[0]
+            last = np.uint64(((1 << t) - 1) & 63)
+            lv, le = ((w[:, -1] >> last) & _ONE
+                      for w in bitboard.leaf_symbols(alpha[t], t))
             coin = keyed_bit_array(seed, STREAM_COIN, trials, i, 0)
-            committed[:, i] = np.where(le[:, 0] & _ONE, coin, lv[:, 0] & _ONE)
+            committed[:, i] = np.where(le, coin, lv)
         elif spec.parity_mask[i]:
             committed[:, i] = mat_mul(committed[:, :i],
                                       spec.T[:i, i][:, None])[:, 0]
-        bitboard.update_partial_sums(ps, i, committed[:, i])
+        bitboard.update_partial_sums(ps, i, committed[:, i], t)
     return BatchOutcome(np.ones(rows, dtype=bool), committed,
                         np.full(rows, spec.N, dtype=np.int64),
                         *(np.zeros(rows, dtype=np.int64) for _ in range(3)))

@@ -2,11 +2,11 @@
 
 A stage-t block holds 2^t symbols in ceil(2^t / 64) uint64 words per plane,
 little-endian within each word and across words; unused high bits stay
-zero. pack_rows, unpack_rows, mask, split, join, refresh and
-update_partial_sums are the whole layout: the SC recursion of
-batch.decode_sc_batch and of scl runs on it for any N, with the
-four-symbol planes.plus / plus_bits / dot applied to (value, erased) word
-pairs.
+zero. pack_rows, unpack_rows, mask, split, join, steps, refresh,
+leaf_symbols and update_partial_sums are the whole layout: the SC
+recursion of batch.decode_sc_batch and of scl runs on it for any N, one
+step of steps(spec) at a time, with the four-symbol planes.plus /
+plus_bits / dot applied to (value, erased) word pairs.
 
 check_batch64 is the sweep and verdict of every hypothesis check that the
 batched stack search of SCC and BP-SCC runs, at every N. It holds each
@@ -90,28 +90,79 @@ def join(a: tuple, c: tuple, t: int) -> tuple:
     return tuple(_cat(x, y, t) for x, y in zip(a, c))
 
 
-def refresh(alpha: list, ps: dict[int, np.ndarray], i: int, n: int) -> None:
-    """Recompute the SC stage blocks alpha[t] that move when the leaf
-    advances to bit i; alpha[n] is the channel, ps the partial sums."""
-    top = (i & -i).bit_length() - 1 if i else n - 1
-    for t in range(top, -1, -1):
-        a, c = split(alpha[t + 1], t)
-        if (i >> t) & 1 == 0:
-            alpha[t] = plus(a, c)
+def steps(spec: CodeSpec) -> tuple[tuple[int, int], ...]:
+    """The SC schedule of spec, memoized: (i0, t) for each step, in order,
+    the largest aligned block [i0, i0 + 2^t) whose leaves but the last are
+    statically frozen (neither information nor parity). A path commits 0
+    at each of them, so their partial sums within the block are zero."""
+    plan = spec._cache.get("steps")
+    if plan is None:
+        # unfrozen[k]: the information and parity leaves below k
+        unfrozen = [0, *np.cumsum(spec.info_mask | spec.parity_mask).tolist()]
+        plan, i0 = [], 0
+        while i0 < spec.N:
+            t = 0
+            while (i0 % (2 << t) == 0 and i0 + (2 << t) <= spec.N
+                   and unfrozen[i0 + (2 << t) - 1] == unfrozen[i0]):
+                t += 1
+            plan.append((i0, t))
+            i0 += 1 << t
+        plan = spec._cache["steps"] = tuple(plan)
+    return plan
+
+
+def refresh(alpha: list, ps: dict[int, np.ndarray], i0: int, t: int,
+            n: int) -> None:
+    """Recompute the SC stage blocks alpha[s], s >= t, that move when a
+    step of 2^t leaves starts at leaf i0 (aligned to 2^t); alpha[n] is the
+    channel, ps the partial sums. alpha[t] is then the step's block."""
+    top = (i0 & -i0).bit_length() - 1 if i0 else n - 1
+    for s in range(top, t - 1, -1):
+        a, c = split(alpha[s + 1], s)
+        if (i0 >> s) & 1 == 0:
+            alpha[s] = plus(a, c)
         else:
-            alpha[t] = dot(plus_bits(a, ps[t]), c)
+            alpha[s] = dot(plus_bits(a, ps[s]), c)
+
+
+# In-word left halves of the 2^(s+1)-symbol groups: bits j, bit s clear.
+_HALVES = tuple(U64(sum(1 << j for j in range(64) if not (j >> s) & 1))
+                for s in range(6))
+
+
+def leaf_symbols(block: Pair, t: int) -> Pair:
+    """Every leaf symbol of a stage-t block with zero partial sums, leaf j
+    at symbol j: each level of one butterfly splits every group into
+    plus(a, c) and dot(a, c), as refresh does (plus_bits(a, 0) is a).
+    Levels from 6 up move whole words, the others act within each word."""
+    v, e = block
+    rows, width = v.shape
+    for s in range(t - 1, 5, -1):
+        groups = [x.reshape(rows, -1, 2, 1 << (s - 6)) for x in (v, e)]
+        a, c = (tuple(x[:, :, h] for x in groups) for h in (0, 1))
+        v, e = (np.stack(halves, axis=2).reshape(rows, width)
+                for halves in zip(plus(a, c), dot(a, c)))
+    for s in range(min(t, 6) - 1, -1, -1):
+        m, shift = _HALVES[s], _SHIFT[s]
+        a, c = (v & m, e & m), ((v >> shift) & m, (e >> shift) & m)
+        (lv, le), (rv, re) = plus(a, c), dot(a, c)
+        v, e = lv | (rv << shift), le | (re << shift)
+    return v, e
 
 
 def update_partial_sums(ps: dict[int, np.ndarray], i: int,
-                        value: np.ndarray) -> None:
-    """Fold committed bit i (one per row) into the partial-sum words.
+                        value: np.ndarray, t: int) -> None:
+    """Fold the step of 2^t leaves ending at leaf i into the partial-sum
+    words; value is its last bit, one per row, and its other bits are 0.
 
-    ps[t] holds the stage-t transform of the most recently completed left
+    ps[s] holds the stage-s transform of the most recently completed left
     block, which is exactly the beta needed when the path next descends
-    right at stage t.
+    right at stage s. The step's own transform is value in every position
+    (the last row of kron_power(t) is all ones); ps[s] below t goes stale.
     """
-    carry = value.astype(U64).reshape(-1, 1)
-    t = 0
+    carry = value.astype(U64).reshape(-1, 1) * mask(1 << t)
+    if t > 6:
+        carry = np.repeat(carry, 1 << (t - 6), axis=1)
     while (i >> t) & 1:
         carry = _cat(ps[t] ^ carry, carry, t)
         t += 1

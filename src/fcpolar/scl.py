@@ -22,13 +22,14 @@ keyed by the trial id, so a trial's outcome does not depend on the rest of
 the batch.
 
 Per-path symbols live as (value, erased) word pairs in the bitboard word
-layout, one row per path, a conflict held as (1, 1), and bitboard.refresh
-only recomputes the stages whose block moved at each bit. After a prune,
-a stage block is gathered onto the surviving rows only while it will
-still be read before it is recomputed; the channel block is taken from
-the trial's row when it is read. Committed bits are packed into uint64
-words, so a dynamic frozen bit is the parity of its T column under the
-word mask.
+layout, one row per path, a conflict held as (1, 1). Each step of
+bitboard.steps (a run of frozen leaves and the leaf after it) recomputes
+only the stages whose block moved and takes all the step's leaves from
+bitboard.leaf_symbols. After rows change, a stage block is gathered onto
+the surviving rows only while it will still be read before it is
+recomputed; the channel block is taken from the trial's row when it is
+read. Committed bits are packed into uint64 words, so a dynamic frozen
+bit is the parity of its T column under the word mask.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from __future__ import annotations
 import numpy as np
 
 from .batch import BatchOutcome
-from .bitboard import pack_rows, refresh, unpack_rows, update_partial_sums
+from .bitboard import (leaf_symbols, pack_rows, refresh, steps, unpack_rows,
+                       update_partial_sums)
 from .codes import CodeSpec
 from .planes import Pair
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
@@ -69,17 +71,31 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
     ps: dict[int, np.ndarray] = {}
     tid = np.arange(B)
     u = np.zeros((B, -(-N // 64)), dtype=U64)
-    t_cols = pack_rows(np.triu(spec.T, 1).T)
+    t_cols = spec._cache.get("parity_taps")
+    if t_cols is None:
+        t_cols = spec._cache["parity_taps"] = pack_rows(np.triu(spec.T, 1).T)
     info, dynamic = spec.info_mask, spec.parity_mask
     visited = np.zeros(B, dtype=np.int64)
 
-    for i in range(N):
-        if i in (0, N >> 1):  # the only bits whose refresh reads alpha[n]
+    for i0, t in steps(spec):
+        if i0 in (0, N >> 1):  # the only steps whose refresh reads alpha[n]
             alpha[n] = tuple(p[tid] for p in channel)
-        refresh(alpha, ps, i, n)
-        # a stage-0 word is one symbol: known at e = 0, erased at (0, 1),
-        # a conflict at (1, 1)
-        val, e = (p[:, 0] for p in alpha[0])
+        refresh(alpha, ps, i0, t, n)
+        i = i0 + (1 << t) - 1
+        leaves = leaf_symbols(alpha[t], t)
+        # a leaf: known at e = 0, erased at (0, 1), a conflict at (1, 1)
+        val, e = ((w[:, -1] >> U64(((1 << t) - 1) & 63)) & _ONE
+                  for w in leaves)
+        if t:
+            # a path dies at its first frozen leaf whose value bit is set
+            # (a known 1 or a conflict), having visited the leaves before
+            # it; a conflict at the last leaf ends the dead paths
+            ones = unpack_rows(leaves[0], 1 << t)
+            ones[:, -1] = 1
+            dies = ones.argmax(axis=1)
+            visited += np.bincount(tid, dies, B).astype(np.int64)
+            dead = (dies < (1 << t) - 1).astype(U64)
+            val, e = val | dead, e | dead
         erased = e & ~val
         forks = info[i] and erased.any()
         if forks:
@@ -112,17 +128,19 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
         if forks or src.size < tid.size:  # else src is every row, in order
             tid = ctid
             u = u[src]
-            # stage t is read by the first later refresh at a bit
-            # i' = 2^(t-1) mod 2^t unless one at i' = 0 mod 2^t recomputes
-            # it first; ps[t] is read later only while bit t of i is set
-            for t in range(1, n):
-                if 0 < (i + 1) % (1 << t) <= 1 << (t - 1):
-                    alpha[t] = tuple(p[src] for p in alpha[t])
-            for t in ps:
-                if (i >> t) & 1:
-                    ps[t] = ps[t][src]
+            # stage s is read by the first later refresh at a leaf
+            # i' = 2^(s-1) mod 2^s unless one at i' = 0 mod 2^s recomputes
+            # it first (so never for s <= t: i + 1 = 0 mod 2^t); ps[s] is
+            # read later only while bit s of i is set, and below t it is
+            # stale
+            for s in range(t + 1, n):
+                if 0 < (i + 1) % (1 << s) <= 1 << (s - 1):
+                    alpha[s] = tuple(p[src] for p in alpha[s])
+            for s in ps:
+                if s >= t and (i >> s) & 1:
+                    ps[s] = ps[s][src]
         u[:, i >> 6] |= bits << U64(i & 63)
-        update_partial_sums(ps, i, bits)
+        update_partial_sums(ps, i, bits, t)
 
     survivors = np.bincount(tid, minlength=B)
     success = survivors > 0
@@ -151,3 +169,4 @@ def _prune(seed: int, trials: np.ndarray, i: int, ctid: np.ndarray,
     # k-th entry's trial and rank cand[k] within it
     keep[over[order[cand >= L]]] = False
     return keep
+

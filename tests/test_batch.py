@@ -14,8 +14,11 @@ from fcpolar.symbols import ERASURE
 
 @pytest.mark.parametrize("p", [0.25, 0.55])
 def test_sc_batch_matches_scalar(ex1, p):
-    # NR(128, 64) runs the multi-word blocks of the word layout
-    for spec, T in ((ex1, 80), (build_nr_code(128, 64), 24)):
+    # NR(128, 64) runs the multi-word blocks of the word layout; NR(256, 8)
+    # has a step of 128 leaves, and NR(128, 1) is one step
+    for spec, T in ((ex1, 80), (build_nr_code(128, 64), 24),
+                    (build_nr_code(256, 8, crc="none"), 24),
+                    (build_nr_code(128, 1, crc="none"), 40)):
         trials = np.arange(T)
         msgs = batch.sample_messages(spec, seed=1, trials=trials)
         _, x = batch.encode_batch(spec, msgs)

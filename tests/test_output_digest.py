@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fcpolar import cli, de
+from fcpolar import bitboard, cli, de
+from fcpolar.codes import build_nr_code
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
@@ -57,3 +58,17 @@ def test_digest_builds_every_outer_code(capsys):
         built = {_flag(a, "--crc") if "--crc" in a else "nr11"
                  for a in commands if a[0] == command}
         assert set(listed.split(",")) <= built
+
+
+def test_digest_decodes_a_long_step():
+    # SC and SCL take a run of frozen leaves and the leaf after it as one
+    # step; the digest runs both on a code with a step of 128 leaves.
+    long_step = set()
+    for args in _digest_commands():
+        if args[0] == "simulate" and _flag(args, "--decoder") in ("sc", "scl"):
+            crc = _flag(args, "--crc") if "--crc" in args else "nr11"
+            spec = build_nr_code(1 << int(_flag(args, "--n")),
+                                 int(_flag(args, "--k")), crc=crc)
+            if max(t for _, t in bitboard.steps(spec)) >= 7:
+                long_step.add(_flag(args, "--decoder"))
+    assert long_step == {"sc", "scl"}

@@ -3,6 +3,7 @@ must mirror the scalar operator tables; the word layout must round-trip."""
 import numpy as np
 
 from fcpolar import bitboard, planes
+from fcpolar.codes import build_nr_code
 from fcpolar.gf2 import kron_power, mat_mul
 from fcpolar.symbols import BOX_DOT, BOX_PLUS
 
@@ -107,11 +108,93 @@ def test_update_partial_sums_tracks_kron_transform():
     u = rng.integers(0, 2, size=(3, N)).astype(np.uint8)
     ps = {}
     for i in range(N):
-        bitboard.update_partial_sums(ps, i, u[:, i])
+        bitboard.update_partial_sums(ps, i, u[:, i], 0)
         t = (~i & (i + 1)).bit_length() - 1
         width = 1 << t
         want = mat_mul(u[:, i + 1 - width:i + 1], kron_power(t))
         assert np.array_equal(bitboard.unpack_rows(ps[t], width), want), i
+
+
+def _assert_maximal_frozen_steps(spec):
+    frozen = ~(spec.info_mask | spec.parity_mask)
+    plan = bitboard.steps(spec)
+    assert bitboard.steps(spec) is plan
+    end = 0
+    for i0, t in plan:
+        assert i0 == end and i0 % (1 << t) == 0, (spec.N, i0, t)
+        end = i0 + (1 << t)
+        assert frozen[i0:end - 1].all(), (spec.N, i0, t)
+        if t < spec.n:
+            lo = (i0 >> (t + 1)) << (t + 1)
+            assert not frozen[lo:lo + (2 << t) - 1].all(), (spec.N, i0, t)
+    assert end == spec.N
+
+
+def test_steps_are_maximal_frozen_runs(ex1, random_code):
+    # The steps partition 0..N-1 in order into aligned blocks whose leaves
+    # but the last are all statically frozen, and no step's aligned parent
+    # block is one.
+    for n in range(1, 11):
+        N = 1 << n
+        _assert_maximal_frozen_steps(build_nr_code(N, N // 2, crc="none"))
+        if N >= 16:  # the CRC's 11 parity bits fit
+            _assert_maximal_frozen_steps(
+                build_nr_code(N, N // 2 if N > 16 else 5))
+    _assert_maximal_frozen_steps(ex1)
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 4, 5, 6, 7) * 10:
+        _assert_maximal_frozen_steps(random_code(rng, n))
+    counts = {N: len(bitboard.steps(build_nr_code(N, N // 2)))
+              for N in (64, 256, 1024)}
+    assert counts == {64: 44, 256: 145, 1024: 541}
+    assert bitboard.steps(build_nr_code(8, 1, crc="none")) == ((0, 3),)
+
+
+def _leaf_blocks(rng, t):
+    """Stage-t blocks whose leaves vary: codewords of input words that are
+    mostly 0, erased at rates 0 to 0.97, with a few symbols flipped or made
+    conflicts, and one row of uniform symbols (whose leaves are mostly
+    conflicts)."""
+    width = 1 << t
+    rows = []
+    for p in (0.0, 0.3, 0.6, 0.9, 0.97):
+        for ones in (0.0, 0.02):
+            u = (rng.random(width) < ones).astype(np.uint8)
+            u[-1] = rng.integers(0, 2)
+            x = mat_mul(u[None, :], kron_power(t))[0]
+            symbols = np.where(rng.random(width) < p, planes.ERASURE, x)
+            noise = rng.random(width) * width
+            symbols[noise < 0.25] = planes.CONFLICT
+            symbols[(noise > width - 0.25) & (symbols < 2)] ^= 1
+            rows.append(symbols)
+    rows.append(rng.integers(0, 4, size=width))
+    return np.array(rows)
+
+
+def test_leaf_symbols_match_per_leaf_refresh():
+    # The butterfly against refresh leaf by leaf with zero partial sums, on
+    # four-symbol blocks, conflicts included; from t = 7 up it moves whole
+    # words.
+    rng = np.random.default_rng(7)
+    for t in range(1, 9):
+        width = 1 << t
+        symbols = _leaf_blocks(rng, t)
+        rows = symbols.shape[0]
+        block = tuple(bitboard.pack_rows(x)
+                      for x in planes.from_symbols(symbols))
+        got = planes.to_symbols(tuple(
+            bitboard.unpack_rows(w, width)
+            for w in bitboard.leaf_symbols(block, t)))
+        alpha = [None] * t + [block]
+        ps = {s: np.zeros((rows, -(-(1 << s) // 64)), dtype=np.uint64)
+              for s in range(t)}
+        for j in range(width):
+            bitboard.refresh(alpha, ps, j, 0, t)
+            want = planes.to_symbols(tuple(w[:, 0] & np.uint64(1)
+                                           for w in alpha[0]))
+            assert np.array_equal(got[:, j], want), (t, j)
+        assert set(np.unique(got)) == {0, 1, planes.ERASURE,
+                                       planes.CONFLICT}, t
 
 
 def test_left_partial_sums_match_product_form():

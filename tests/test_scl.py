@@ -32,7 +32,7 @@ def reference_scl(spec, y, L, seed, trial):
     overflowed = False
 
     for i in range(spec.N):
-        refresh(alpha, ps, i, n)
+        refresh(alpha, ps, i, 0, n)
         val, e = ((p[:, 0] & _ONE).astype(bool) for p in alpha[0])
         conflict = val & e
         erased = e & ~val
@@ -75,7 +75,7 @@ def reference_scl(spec, y, L, seed, trial):
             alpha[t] = (p[0][keep_idx], p[1][keep_idx])
         for t in list(ps):
             ps[t] = ps[t][keep_idx]
-        update_partial_sums(ps, i, new_vals)
+        update_partial_sums(ps, i, new_vals, 0)
         visited += u.shape[0]
 
     ok = (u.astype(np.int64) @ spec.H_prime.astype(np.int64) % 2 == 0).all(axis=1)
@@ -100,6 +100,9 @@ _CODES = {
     "nr16": None,
     "nr128": (128, 64),
     "nr256": (256, 128),
+    # a step of 128 leaves, and a K = 1 code that is one step
+    "nr256k8": (256, 8, "none"),
+    "nr128k1": (128, 1, "none"),
 }
 
 
@@ -133,7 +136,7 @@ def _mixed_batch(spec, seed, light, heavy):
 
 @pytest.mark.parametrize("name,light,heavy", [
     ("ex1", 0.5, 0.75), ("nr16", 0.5, 0.75), ("nr128", 0.3, 0.4),
-    ("nr256", 0.3, 0.4)])
+    ("nr256", 0.3, 0.4), ("nr256k8", 0.6, 0.99), ("nr128k1", 0.5, 0.995)])
 @pytest.mark.parametrize("L", [1, 2, 8, "2^K"])
 def test_batch_matches_per_trial_reference(codes, name, light, heavy, L):
     spec = codes[name]

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fcpolar import batch, search
+from fcpolar import batch, planes, search
 from fcpolar.codes import build_example1, encode, input_word
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
@@ -85,14 +85,20 @@ def test_backjump_recovers_engineered_dead_end(ex1):
     assert np.array_equal(out_bp.u_hat, u)
 
 
-def test_search_never_revisits_a_node(ex1, monkeypatch):
+def test_search_never_revisits_a_node(ex1, nr64, monkeypatch):
     # A check of H_{i,b} runs at the tree node (i, committed past, b); at
-    # check time the committed past is the hypothesis prefix up to i.
-    nodes = []
+    # check time the committed past is the hypothesis prefix up to i. The
+    # spy raises at the first repeated node, so a search that comes back to
+    # one fails here instead of running on. NR(64, 32) at p=0.45 backjumps
+    # in chains, where a checkpoint popped twice would repeat its nodes.
+    nodes = set()
     check = search.bp_scc_check
 
     def spy(spec, graph, hyp, **kwargs):
-        nodes.append((hyp.i, tuple(hyp.prefix[:hyp.i].tolist()), hyp.b))
+        node = (hyp.i, tuple(hyp.prefix[:hyp.i].tolist()), hyp.b)
+        if node in nodes:
+            raise AssertionError(f"node i={hyp.i}, b={hyp.b} checked twice")
+        nodes.add(node)
         return check(spec, graph, hyp, **kwargs)
 
     monkeypatch.setattr(search, "bp_scc_check", spy)
@@ -105,7 +111,15 @@ def test_search_never_revisits_a_node(ex1, monkeypatch):
             nodes.clear()
             decode_with_fc(ex1, y, engine=engine, i_max=2, sbj=True)
             assert nodes
-            assert len(set(nodes)) == len(nodes)
+    trials = np.arange(4)
+    _, x = batch.encode_batch(nr64, batch.sample_messages(nr64, 2, trials))
+    erased = batch.sample_erasures(nr64, 0.45, 2, trials)
+    for y in planes.to_symbols(batch.channel_planes(x, erased)):
+        for engine in ("scc", "bp_scc"):
+            nodes.clear()
+            out = decode_with_fc(nr64, y, engine=engine, i_max=1, sbj=True)
+            assert out.status == "success"
+            assert out.backjumps >= 2
 
 
 def test_fc_deterministic(ex1):

@@ -4,7 +4,8 @@
 
 CHECKOUT is a source tree of this project (default: the one holding this
 script); its src/ goes on PYTHONPATH. The runs cover every subcommand,
-and build-code, simulate and de on a code with and without the CRC.
+build-code, simulate and de on a code with and without the CRC, and sc
+and scl on a code with a step of 128 leaves (bitboard.steps).
 Every command runs in a fresh temporary directory with a relative --out
 name, because the simulate and de sidecars record the path; build-code and
 dump-fc have no --out, so their stdout goes to a named file there. Each
@@ -82,6 +83,13 @@ def commands() -> list[tuple[str, list[str]]]:
     for dec in _DE_DECODERS:
         runs.append((f"de-{dec}-n6-nocrc.csv", [
             "de", *plain, "--decoder", dec, "--p-grid", "0.30:0.40:0.05"]))
+    # NR(256, 8) has a step of 128 frozen leaves and one information leaf;
+    # near p = 0.97 the list forks and paths die on its frozen leaves
+    for dec in ("sc", "scl"):
+        runs.append((f"simulate-{dec}-n8-k8-nocrc.csv", [
+            "simulate", "--n", "8", "--k", "8", "--crc", "none",
+            "--decoder", dec, "--p-grid", "0.85:0.97:0.04",
+            "--trials", "200", "--seed", "4", "--list-size", "4"]))
     runs.append(("dump-fc-n6.txt", ["dump-fc", "--n", "6", "--k", "32"]))
     runs.append(("dump-fc-example1.txt", ["dump-fc"]))
     runs.append(("dump-matrices-n5.txt", [
