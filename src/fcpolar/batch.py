@@ -214,8 +214,12 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
             last = np.uint64(((1 << t) - 1) & 63)
             lv, le = ((w[:, -1] >> last) & _ONE
                       for w in bitboard.leaf_symbols(alpha[t], t))
-            coin = keyed_bit_array(seed, STREAM_COIN, trials, i, 0)
-            committed[:, i] = np.where(le, coin, lv)
+            committed[:, i] = lv
+            # a coin only where the leaf is erased or in conflict
+            hit = np.flatnonzero(le)
+            if hit.size:
+                committed[hit, i] = keyed_bit_array(seed, STREAM_COIN,
+                                                    trials[hit], i, 0)
         elif spec.parity_mask[i]:
             committed[:, i] = mat_mul(committed[:, :i],
                                       spec.T[:i, i][:, None])[:, 0]

@@ -9,9 +9,15 @@ decoding tree:
 
     prefix . H[0:i, L] + x_block^(t) . Q = 0
 
-with Q built from a column slice of the t-fold kernel power. Systems never
-reference anything below the current stage, so they can be evaluated (and
-message-passed over) mid-decode.
+with Q built from the t-fold kernel power. Systems never reference anything
+below the current stage, so they can be evaluated (and message-passed over)
+mid-decode.
+
+The two kinds of future constraint build differently. codes._assemble makes
+the column of H of a frozen bit c the unit column e_c, so its check is
+u_c = 0: column c - lo of the kernel power (Arikan 2009), with no offset,
+and it takes no product. Only a parity (dynamic frozen) bit reads the past,
+through its rows of H, so only parity columns take a GF(2) product.
 """
 
 from __future__ import annotations
@@ -80,6 +86,12 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     otherwise. Over t = 1..n they partition L_{ell+1}. The batch engines'
     FCCN round is products with Q; the members of check j are the support
     of column j of Q.
+
+    Q[:, j] = kron_power(t)[:, ell + 1 - lo:] . H[ell + 1:hi, c_j] and the
+    offset rows are H[:ell + 1, cols], with lo, hi the bounds of T(ell, t).
+    Only the parity columns take that product: a frozen c has H[:, c] = e_c
+    with c > ell, so its Q column is kron_power(t)[:, c - lo] and its offset
+    column is zero. A stage without columns takes no work at all.
     """
     if not 1 <= t <= spec.n:
         raise ValueError(f"stage {t} out of range")
@@ -88,11 +100,16 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     if cached is None:
         lo, hi = _block(ell, t)
         start = _block(ell, t - 1)[1]
-        cols = [k for k in range(start, hi) if not spec.info_mask[k]]
-        rows = np.arange(ell + 1, hi)
-        Q = mat_mul(kron_power(t)[:, rows - lo], spec.H[np.ix_(rows, cols)])
-        # copy(): the mixed index leaves the offset rows in F order, and
-        # every check's phi product reads them in C order faster
-        cached = (tuple(cols), Q, spec.H[:ell + 1, cols].copy())
+        cols = start + np.flatnonzero(~spec.info_mask[start:hi])
+        Q = np.zeros((hi - lo, cols.size), dtype=np.uint8)
+        offsets = np.zeros((ell + 1, cols.size), dtype=np.uint8)
+        if cols.size:
+            par = spec.parity_mask[cols]
+            Q[:, ~par] = kron_power(t)[:, cols[~par] - lo]
+            if par.any():
+                Q[:, par] = mat_mul(kron_power(t)[:, ell + 1 - lo:],
+                                    spec.H[ell + 1:hi, cols[par]])
+                offsets[:, par] = spec.H[:ell + 1, cols[par]]
+        cached = (tuple(cols.tolist()), Q, offsets)
         spec._cache[key] = cached
     return cached

@@ -7,6 +7,7 @@ from fcpolar.codes import build_nr_code
 from fcpolar.constraints import system_structure
 from fcpolar.decoders import processing_index
 from fcpolar.gf2 import kron_power, mat_mul
+from fcpolar.rng import keyed_bit_array
 from fcpolar.scl import decode_scl
 from fcpolar.search import decode_sc, decode_with_fc
 from fcpolar.symbols import ERASURE
@@ -29,6 +30,34 @@ def test_sc_batch_matches_scalar(ex1, p):
         for t in range(T):
             ref = decode_sc(spec, rows[t], seed=1, trial=t)
             assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
+
+
+def test_sc_batch_draws_coins_only_for_erased_leaves(monkeypatch):
+    # SC reads a coin only where the leaf is erased or in conflict, so it
+    # draws one only for those rows: none on an erasure-free channel.
+    drawn = []
+
+    def spy(seed, stream, trials, *keys):
+        drawn.append(len(trials))
+        return keyed_bit_array(seed, stream, trials, *keys)
+
+    monkeypatch.setattr(batch, "keyed_bit_array", spy)
+    spec = build_nr_code(128, 64)
+    trials = np.arange(32)
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, 1, trials))
+    for p in (0.0, 0.3):
+        erased = batch.sample_erasures(spec, p, seed=1, trials=trials)
+        yp = batch.channel_planes(x, erased)
+        drawn.clear()
+        out = batch.decode_sc_batch(spec, yp, seed=1, trials=trials)
+        rows = planes.to_symbols(yp)
+        for t in range(trials.size):
+            ref = decode_sc(spec, rows[t], seed=1, trial=t)
+            assert np.array_equal(out.u_hat[t], ref.u_hat), (p, t)
+        if p == 0.0:
+            assert drawn == []
+        else:
+            assert 0 < sum(drawn) < spec.K * trials.size
 
 
 @pytest.mark.parametrize("engine,i_max,sbj", [

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from fcpolar import constraints
 from fcpolar.codes import CodeSpec, build_nr_code, input_word
 from fcpolar.constraints import future_constraints, global_Q, system_structure
-from fcpolar.decoders import check_lists
+from fcpolar.decoders import check_lists, processing_index
 from fcpolar.gf2 import kron_power, mat_mul
 
 
@@ -95,15 +96,75 @@ def test_system_structure_memoized(nr64):
         system_structure(nr64, 18, nr64.n + 1)
 
 
+def _dense_structure(spec, ell, t):
+    """(cols, Q, offsets) by one dense product over every column, the
+    parity ones and the frozen ones alike."""
+    lo = (ell >> t) << t
+    hi = lo + (1 << t)
+    start = ((ell >> (t - 1)) + 1) << (t - 1)
+    cols = [k for k in range(start, hi) if not spec.info_mask[k]]
+    rows = np.arange(ell + 1, hi)
+    Q = mat_mul(kron_power(t)[:, rows - lo], spec.H[np.ix_(rows, cols)])
+    return tuple(cols), Q, spec.H[:ell + 1, cols].copy()
+
+
+@pytest.mark.parametrize("code", ["ex1", "nr64", "nr64-nocrc", "nr256",
+                                  "random"])
+def test_structure_matches_dense_products(code, ex1, nr64, random_code):
+    rng = np.random.default_rng(31)
+    specs = {"ex1": lambda: [ex1], "nr64": lambda: [nr64],
+             "nr64-nocrc": lambda: [build_nr_code(64, 32, crc="none")],
+             "nr256": lambda: [build_nr_code(256, 128)],
+             "random": lambda: [random_code(rng, n) for n in range(1, 7)
+                                for _ in range(3)]}[code]()
+    for spec in specs:
+        for ell in range(spec.N):
+            for t in range(1, spec.n + 1):
+                got = system_structure(spec, ell, t)
+                want = _dense_structure(spec, ell, t)
+                assert got[0] == want[0], (spec.N, ell, t)
+                assert all(type(c) is int for c in got[0])
+                for a, b in zip(got[1:], want[1:]):
+                    assert a.dtype == b.dtype == np.uint8
+                    assert a.shape == b.shape, (spec.N, ell, t)
+                    assert a.flags.c_contiguous
+                    assert np.array_equal(a, b), (spec.N, ell, t)
+                # a frozen check is a column of the kernel power, unshifted
+                cols, Q, offsets = got
+                lo = (ell >> t) << t
+                for j, c in enumerate(cols):
+                    if not spec.parity_mask[c]:
+                        assert np.array_equal(Q[:, j],
+                                              kron_power(t)[:, c - lo])
+                        assert not offsets[:, j].any()
+
+
+def test_only_parity_stages_take_a_product(monkeypatch):
+    # The (ell, t) pairs of perfbench's sbj-n256 set-up: one product for
+    # each of the 131 with a parity column, none for the 837 empty and the
+    # 56 frozen-only ones.
+    spec = build_nr_code(256, 128)
+    calls = []
+    monkeypatch.setattr(constraints, "mat_mul",
+                        lambda a, b: calls.append(1) or mat_mul(a, b))
+    kinds = {"empty": 0, "frozen": 0, "parity": 0}
+    for i in spec.A:
+        ell = processing_index(spec, i)
+        for t in range(1, spec.n + 1):
+            calls.clear()
+            cols = system_structure(spec, ell, t)[0]
+            kind = ("parity" if spec.parity_mask[list(cols)].any() else
+                    "frozen" if cols else "empty")
+            kinds[kind] += 1
+            assert len(calls) == (kind == "parity"), (ell, t)
+    assert kinds == {"empty": 837, "frozen": 56, "parity": 131}
+
+
 def test_structure_matches_integer_products_and_lists(nr64):
     for ell in range(nr64.N):
         for t in range(1, nr64.n + 1):
             cols, Q, _ = system_structure(nr64, ell, t)
-            lo = (ell >> t) << t
-            rows = list(range(max(lo, ell + 1), lo + (1 << t)))
-            want = mat_mul(kron_power(t)[:, [k - lo for k in rows]],
-                           nr64.H[np.ix_(rows, list(cols))])
-            assert np.array_equal(Q, want), (ell, t)
+            assert np.array_equal(Q, _dense_structure(nr64, ell, t)[1])
             assert check_lists(nr64, ell, t) == tuple(
                 tuple(int(k) for k in np.flatnonzero(Q[:, j]))
                 for j in range(len(cols)))

@@ -5,7 +5,8 @@
 CHECKOUT is a source tree of this project (default: the one holding this
 script); its src/ goes on PYTHONPATH. The runs cover every subcommand,
 build-code, simulate and de on a code with and without the CRC, and sc
-and scl on a code with a step of 128 leaves (bitboard.steps).
+and scl on codes with a step of 128 leaves (bitboard.steps), one of them
+past the first information leaf, where the list has forked.
 Every command runs in a fresh temporary directory with a relative --out
 name, because the simulate and de sidecars record the path; build-code and
 dump-fc have no --out, so their stdout goes to a named file there. Each
@@ -90,6 +91,14 @@ def commands() -> list[tuple[str, list[str]]]:
             "simulate", "--n", "8", "--k", "8", "--crc", "none",
             "--decoder", dec, "--p-grid", "0.85:0.97:0.04",
             "--trials", "200", "--seed", "4", "--list-size", "4"]))
+    # NR(512, 16) + CRC11 forks the list at its first information leaf
+    # (255), and paths die inside the next step, 128 leaves that end at
+    # the information leaf 383; every decoder runs at each simulate size
+    for dec in _SIM_DECODERS:
+        runs.append((f"simulate-{dec}-n9-k16.csv", [
+            "simulate", "--n", "9", "--k", "16", "--decoder", dec,
+            "--p-grid", "0.85:0.95:0.05", "--trials", "200", "--seed", "4",
+            "--list-size", "4"]))
     runs.append(("dump-fc-n6.txt", ["dump-fc", "--n", "6", "--k", "32"]))
     runs.append(("dump-fc-example1.txt", ["dump-fc"]))
     runs.append(("dump-matrices-n5.txt", [
