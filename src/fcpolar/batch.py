@@ -7,10 +7,15 @@ sequential stream. All of it runs on the planes operators over the
 bitboard word layout.
 
 Plain SC is the SCL loop with one path per row: it advances the SC
-recursion on the word layout in the steps of bitboard.steps (a run of
-frozen leaves and the leaf after it), on (value, erased) word pairs that
-hold a conflict as (1, 1), and a keyed coin decides wherever the leaf's
-erased bit is set: an erasure or a conflict.
+recursion on the word layout in the steps of bitboard.walk, on (value,
+erased) word pairs that hold a conflict as (1, 1), and a keyed coin
+decides wherever the leaf's erased bit is set: an erasure or a conflict.
+A step is a run of frozen leaves and the leaf after it, or a block of
+information leaves that no row has an erased or conflicting symbol on,
+whose bits are then the transform of its values with no coin; a block
+that some row has one on is taken as its halves, down to single leaves.
+SC keeps a row whose coin was wrong, and the conflicts it carries split
+the blocks after it, so SC takes fewer blocks whole than SCL.
 SCC and BP-SCC, with or without stack-based backjumping (SBJ), are one
 stack search over all rows (_dfs_recover64) that reads its checkpoints
 off each row's committed word; without SBJ no row has one. Each search
@@ -207,9 +212,16 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
     alpha[spec.n] = tuple(bitboard.pack_rows(p) for p in yp)
     ps: dict[int, np.ndarray] = {}
     committed = np.zeros((rows, spec.N), dtype=np.uint8)
-    for i0, t in bitboard.steps(spec):
-        bitboard.refresh(alpha, ps, i0, t, spec.n)
+    for i0, t in bitboard.walk(spec, alpha, ps):
         i = i0 + (1 << t) - 1
+        if t and spec.info_mask[i0]:
+            # a whole information block of known symbols: its bits are
+            # the transform of its values, which are its partial sums
+            values = alpha[t][0]
+            committed[:, i0:i + 1] = bitboard.unpack_rows(
+                bitboard.polar_transform(values, t), 1 << t)
+            bitboard.update_partial_sums(ps, i, values, t)
+            continue
         if spec.info_mask[i]:
             last = np.uint64(((1 << t) - 1) & 63)
             lv, le = ((w[:, -1] >> last) & _ONE
@@ -223,7 +235,8 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
         elif spec.parity_mask[i]:
             committed[:, i] = mat_mul(committed[:, :i],
                                       spec.T[:i, i][:, None])[:, 0]
-        bitboard.update_partial_sums(ps, i, committed[:, i], t)
+        bitboard.update_partial_sums(
+            ps, i, bitboard.spread(committed[:, i], t), t)
     return BatchOutcome(np.ones(rows, dtype=bool), committed,
                         np.full(rows, spec.N, dtype=np.int64),
                         *(np.zeros(rows, dtype=np.int64) for _ in range(3)))

@@ -2,11 +2,18 @@
 
 A stage-t block holds 2^t symbols in ceil(2^t / 64) uint64 words per plane,
 little-endian within each word and across words; unused high bits stay
-zero. pack_rows, unpack_rows, mask, split, join, steps, refresh,
-leaf_symbols and update_partial_sums are the whole layout: the SC
-recursion of batch.decode_sc_batch and of scl runs on it for any N, one
-step of steps(spec) at a time, with the four-symbol planes.plus /
-plus_bits / dot applied to (value, erased) word pairs.
+zero. pack_rows, unpack_rows, mask, split, join, steps, refresh, walk,
+leaf_symbols, spread, polar_transform and update_partial_sums are the
+whole layout: the SC recursion of batch.decode_sc_batch and of scl runs on
+it for any N, with the four-symbol planes.plus / plus_bits / dot applied
+to (value, erased) word pairs. walk takes it one step of steps(spec) at a
+time. A step is of one of two kinds: a frozen run (a run of frozen leaves
+and the leaf after it), whose leaves come from leaf_symbols, or an
+information block (only information leaves). An information block whose
+stage symbols are all known on every row is decided in one step: its bits
+are the polar_transform of its values, and its values are its partial
+sums. One with an erased or conflicting symbol is walked as its halves,
+down to single leaves.
 
 check_batch64 is the sweep and verdict of every hypothesis check that the
 batched stack search of SCC and BP-SCC runs, at every N. It holds each
@@ -92,18 +99,30 @@ def join(a: tuple, c: tuple, t: int) -> tuple:
 
 def steps(spec: CodeSpec) -> tuple[tuple[int, int], ...]:
     """The SC schedule of spec, memoized: (i0, t) for each step, in order,
-    the largest aligned block [i0, i0 + 2^t) whose leaves but the last are
-    statically frozen (neither information nor parity). A path commits 0
-    at each of them, so their partial sums within the block are zero."""
+    an aligned block [i0, i0 + 2^t) of one of two kinds, each as large as
+    it can be: a frozen run, whose leaves but the last are statically
+    frozen (neither information nor parity), or an information block,
+    whose leaves are all information bits. A path commits 0 at each
+    frozen leaf, so a frozen run's partial sums within the block are zero.
+    Only an information block of t > 0 starts at an information leaf; a
+    single information leaf is both."""
     plan = spec._cache.get("steps")
     if plan is None:
-        # unfrozen[k]: the information and parity leaves below k
-        unfrozen = [0, *np.cumsum(spec.info_mask | spec.parity_mask).tolist()]
+        info = spec.info_mask
+        ones = [0, *np.cumsum(info).tolist()]
+        unfrozen = [0, *np.cumsum(info | spec.parity_mask).tolist()]
+
+        def whole(i0: int, end: int) -> bool:
+            if info[i0]:  # every leaf an information leaf
+                return ones[end] - ones[i0] == end - i0
+            # no unfrozen leaf but the last
+            return unfrozen[end - 1] == unfrozen[i0]
+
         plan, i0 = [], 0
         while i0 < spec.N:
             t = 0
             while (i0 % (2 << t) == 0 and i0 + (2 << t) <= spec.N
-                   and unfrozen[i0 + (2 << t) - 1] == unfrozen[i0]):
+                   and whole(i0, i0 + (2 << t))):
                 t += 1
             plan.append((i0, t))
             i0 += 1 << t
@@ -112,17 +131,43 @@ def steps(spec: CodeSpec) -> tuple[tuple[int, int], ...]:
 
 
 def refresh(alpha: list, ps: dict[int, np.ndarray], i0: int, t: int,
-            n: int) -> None:
-    """Recompute the SC stage blocks alpha[s], s >= t, that move when a
-    step of 2^t leaves starts at leaf i0 (aligned to 2^t); alpha[n] is the
-    channel, ps the partial sums. alpha[t] is then the step's block."""
-    top = (i0 & -i0).bit_length() - 1 if i0 else n - 1
+            n: int, top: int | None = None) -> None:
+    """Recompute the SC stage blocks alpha[s], top >= s >= t, that move when
+    a step of 2^t leaves starts at leaf i0 (aligned to 2^t); alpha[n] is
+    the channel, ps the partial sums. By default top is the highest stage
+    that moves at i0; a left half of a block whose stage alpha[t + 1] is
+    current passes t. alpha[t] is then the step's block."""
+    if top is None:
+        top = (i0 & -i0).bit_length() - 1 if i0 else n - 1
     for s in range(top, t - 1, -1):
         a, c = split(alpha[s + 1], s)
         if (i0 >> s) & 1 == 0:
             alpha[s] = plus(a, c)
         else:
             alpha[s] = dot(plus_bits(a, ps[s]), c)
+
+
+def walk(spec: CodeSpec, alpha: list, ps: dict[int, np.ndarray],
+         channel=None):
+    """Run the SC schedule: refresh each step of steps(spec) in turn and
+    yield it as (i0, t), alpha[t] then its stage-t block. An information
+    block of t > 0 is yielded whole only if no row's block has an erased
+    or conflicting symbol; otherwise its halves are walked in the same
+    way, down to single leaves, and the left half's refresh computes stage
+    t - 1 alone. So no stage is refreshed twice. channel, if given, is
+    called for alpha[n] before each refresh that reads it: at leaves 0 and
+    N/2, never in a left half."""
+    work = [(i0, t, None) for i0, t in reversed(steps(spec))]
+    while work:
+        i0, t, top = work.pop()
+        if channel is not None and top is None and i0 in (0, spec.N >> 1):
+            alpha[spec.n] = channel()
+        refresh(alpha, ps, i0, t, spec.n, top)
+        if t and spec.info_mask[i0] and alpha[t][1].any():
+            half = 1 << (t - 1)
+            work += [(i0 + half, t - 1, None), (i0, t - 1, t - 1)]
+        else:
+            yield i0, t
 
 
 # In-word left halves of the 2^(s+1)-symbol groups: bits j, bit s clear.
@@ -150,19 +195,35 @@ def leaf_symbols(block: Pair, t: int) -> Pair:
     return v, e
 
 
+def spread(value: np.ndarray, t: int) -> np.ndarray:
+    """Each row's bit in all 2^t positions of a stage-t block of words."""
+    words = value.astype(U64).reshape(-1, 1) * mask(1 << t)
+    return np.repeat(words, 1 << (t - 6), axis=1) if t > 6 else words
+
+
+def polar_transform(words: np.ndarray, t: int) -> np.ndarray:
+    """The stage-t transform (Arikan's encoder) of each row's block of
+    words: every level of left_partial_sums's butterfly over the whole
+    block. It is its own inverse, so it also takes a block of known
+    symbols back to its leaves."""
+    x = words.copy()
+    for s in range(t):
+        _xor_level(x, s, _HALVES[s] if s < 6 else x.shape[1])
+    return x
+
+
 def update_partial_sums(ps: dict[int, np.ndarray], i: int,
-                        value: np.ndarray, t: int) -> None:
+                        words: np.ndarray, t: int) -> None:
     """Fold the step of 2^t leaves ending at leaf i into the partial-sum
-    words; value is its last bit, one per row, and its other bits are 0.
+    words; words is the step's own stage-t transform, (rows, W) words.
 
     ps[s] holds the stage-s transform of the most recently completed left
     block, which is exactly the beta needed when the path next descends
-    right at stage s. The step's own transform is value in every position
-    (the last row of kron_power(t) is all ones); ps[s] below t goes stale.
+    right at stage s. A frozen run's transform is spread(value, t), value
+    its last bit (the last row of kron_power(t) is all ones); a whole
+    information block's is its stage-t values. ps[s] below t goes stale.
     """
-    carry = value.astype(U64).reshape(-1, 1) * mask(1 << t)
-    if t > 6:
-        carry = np.repeat(carry, 1 << (t - 6), axis=1)
+    carry = words
     while (i >> t) & 1:
         carry = _cat(ps[t] ^ carry, carry, t)
         t += 1
@@ -187,6 +248,18 @@ def _butterfly(ell: int) -> tuple:
     return tuple(levels)
 
 
+def _xor_level(x: np.ndarray, s: int, m) -> None:
+    """Level s of the butterfly, in place: XOR the bit 2^s above into each
+    position with bit s clear, under the word masks m below 6 and over the
+    first m words from 6 up."""
+    if s < 6:
+        x ^= (x >> _SHIFT[s]) & m
+    else:
+        h = 1 << (s - 6)
+        v = x[:, :m].reshape(x.shape[0], m // (2 * h), 2, h, copy=False)
+        v[:, :, 0] ^= v[:, :, 1]
+
+
 def left_partial_sums(words: np.ndarray, ell: int) -> dict[int, np.ndarray]:
     """beta_t for every stage t where the path to leaf ell descends right,
     as stage-t words: the stage-t transform (Arikan's encoder) of the left
@@ -202,14 +275,8 @@ def left_partial_sums(words: np.ndarray, ell: int) -> dict[int, np.ndarray]:
     slice from t = 6 up and a shift under a mask below.
     """
     x = words.copy()
-    rows = x.shape[0]
     for s, m in _butterfly(ell):
-        if s < 6:
-            x ^= (x >> _SHIFT[s]) & m
-        else:
-            h = 1 << (s - 6)
-            v = x[:, :m].reshape(rows, m // (2 * h), 2, h, copy=False)
-            v[:, :, 0] ^= v[:, :, 1]
+        _xor_level(x, s, m)
     betas = {}
     for t in range(ell.bit_length()):
         if (ell >> t) & 1:

@@ -23,6 +23,7 @@ through its rows of H, so only parity columns take a GF(2) product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +77,19 @@ def global_Q(spec: CodeSpec) -> np.ndarray:
     return mat_mul(spec.generator, spec.H_prime)
 
 
+# The columns of a stage whose block T(ell, t) holds ell in its upper half.
+_NO_COLUMNS = np.zeros(0, dtype=np.intp)
+
+
+@lru_cache(maxsize=None)
+def _kernel_f32(t: int) -> np.ndarray:
+    """kron_power(t) as float32, read-only: mat_mul's operand type, so a
+    parity product converts only its small H block."""
+    kernel = kron_power(t).astype(np.float32)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     """Hypothesis-independent part of the stage-t systems, memoized.
 
@@ -100,14 +114,15 @@ def system_structure(spec: CodeSpec, ell: int, t: int) -> tuple:
     if cached is None:
         lo, hi = _block(ell, t)
         start = _block(ell, t - 1)[1]
-        cols = start + np.flatnonzero(~spec.info_mask[start:hi])
+        cols = (start + np.flatnonzero(~spec.info_mask[start:hi])
+                if start < hi else _NO_COLUMNS)
         Q = np.zeros((hi - lo, cols.size), dtype=np.uint8)
         offsets = np.zeros((ell + 1, cols.size), dtype=np.uint8)
         if cols.size:
             par = spec.parity_mask[cols]
             Q[:, ~par] = kron_power(t)[:, cols[~par] - lo]
             if par.any():
-                Q[:, par] = mat_mul(kron_power(t)[:, ell + 1 - lo:],
+                Q[:, par] = mat_mul(_kernel_f32(t)[:, ell + 1 - lo:],
                                     spec.H[ell + 1:hi, cols[par]])
                 offsets[:, par] = spec.H[:ell + 1, cols[par]]
         cached = (tuple(cols.tolist()), Q, offsets)

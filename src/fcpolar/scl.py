@@ -23,12 +23,17 @@ the batch.
 
 Per-path symbols live as (value, erased) word pairs in the bitboard word
 layout, one row per path, a conflict held as (1, 1). Each step of
-bitboard.steps (a run of frozen leaves and the leaf after it) recomputes
-only the stages whose block moved and takes all the step's leaves from
-bitboard.leaf_symbols. After rows change, a stage block is gathered onto
-the surviving rows only while it will still be read before it is
-recomputed; the channel block is taken from the trial's row when it is
-read. Committed bits are packed into uint64 words, so a dynamic frozen
+bitboard.walk recomputes only the stages whose block moved. A run of
+frozen leaves and the leaf after it takes all the step's leaves from
+bitboard.leaf_symbols. A block of information leaves on which no row has
+an erased or conflicting stage symbol is decided whole: no path forks or
+dies, no pruning draw is made, each path visits its 2^t leaves, and its
+bits are the transform of the block's values. Any other information block
+is taken as its halves, down to single leaves, so a batch gains only where
+every row is clean on a block. After rows change, a stage block is
+gathered onto the surviving rows only while it will still be read before
+it is recomputed; the channel block is taken from the trial's row when it
+is read. Committed bits are packed into uint64 words, so a dynamic frozen
 bit is the parity of its T column under the word mask.
 """
 
@@ -37,8 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 from .batch import BatchOutcome
-from .bitboard import (leaf_symbols, pack_rows, refresh, steps, unpack_rows,
-                       update_partial_sums)
+from .bitboard import (leaf_symbols, pack_rows, polar_transform, spread,
+                       unpack_rows, update_partial_sums, walk)
 from .codes import CodeSpec
 from .planes import Pair
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
@@ -77,11 +82,20 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
     info, dynamic = spec.info_mask, spec.parity_mask
     visited = np.zeros(B, dtype=np.int64)
 
-    for i0, t in steps(spec):
-        if i0 in (0, N >> 1):  # the only steps whose refresh reads alpha[n]
-            alpha[n] = tuple(p[tid] for p in channel)
-        refresh(alpha, ps, i0, t, n)
+    # walk calls this at the steps that read alpha[n], with the rows of tid
+    # at that moment
+    for i0, t in walk(spec, alpha, ps, lambda: tuple(p[tid] for p in channel)):
         i = i0 + (1 << t) - 1
+        if t and info[i0]:
+            # a whole information block of known symbols: no path forks or
+            # dies, each visits its 2^t leaves, and the bits are the
+            # transform of the values, which are the block's partial sums
+            values = alpha[t][0]
+            visited += np.bincount(tid, minlength=B) << t
+            u[:, i0 >> 6:(i >> 6) + 1] |= (polar_transform(values, t)
+                                           << U64(i0 & 63))
+            update_partial_sums(ps, i, values, t)
+            continue
         leaves = leaf_symbols(alpha[t], t)
         # a leaf: known at e = 0, erased at (0, 1), a conflict at (1, 1)
         val, e = ((w[:, -1] >> U64(((1 << t) - 1) & 63)) & _ONE
@@ -140,7 +154,7 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
                 if s >= t and (i >> s) & 1:
                     ps[s] = ps[s][src]
         u[:, i >> 6] |= bits << U64(i & 63)
-        update_partial_sums(ps, i, bits, t)
+        update_partial_sums(ps, i, spread(bits, t), t)
 
     survivors = np.bincount(tid, minlength=B)
     success = survivors > 0

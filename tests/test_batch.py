@@ -16,10 +16,16 @@ from fcpolar.symbols import ERASURE
 @pytest.mark.parametrize("p", [0.25, 0.55])
 def test_sc_batch_matches_scalar(ex1, p):
     # NR(128, 64) runs the multi-word blocks of the word layout; NR(256, 8)
-    # has a step of 128 leaves, and NR(128, 1) is one step
+    # has a step of 128 leaves, and NR(128, 1) is one step. NR(16, 16),
+    # NR(16, 12) and NR(64, 58) have information blocks at leaf 0 or N/2;
+    # with 8 trials some blocks are clean on every row and taken whole, and
+    # the others are split.
     for spec, T in ((ex1, 80), (build_nr_code(128, 64), 24),
                     (build_nr_code(256, 8, crc="none"), 24),
-                    (build_nr_code(128, 1, crc="none"), 40)):
+                    (build_nr_code(128, 1, crc="none"), 40),
+                    (build_nr_code(16, 16, crc="none"), 8),
+                    (build_nr_code(16, 12, crc="none"), 8),
+                    (build_nr_code(64, 58, crc="none"), 8)):
         trials = np.arange(T)
         msgs = batch.sample_messages(spec, seed=1, trials=trials)
         _, x = batch.encode_batch(spec, msgs)

@@ -60,18 +60,37 @@ def test_digest_builds_every_outer_code(capsys):
         assert set(listed.split(",")) <= built
 
 
+def _sc_and_scl_codes():
+    """(decoder, code) of every sc and scl simulate run of the digest."""
+    for args in _digest_commands():
+        if args[0] == "simulate" and _flag(args, "--decoder") in ("sc", "scl"):
+            crc = _flag(args, "--crc") if "--crc" in args else "nr11"
+            yield _flag(args, "--decoder"), build_nr_code(
+                1 << int(_flag(args, "--n")), int(_flag(args, "--k")), crc=crc)
+
+
 def test_digest_decodes_a_long_step():
     # SC and SCL take a run of frozen leaves and the leaf after it as one
     # step; the digest runs both on a code with a step of 128 leaves or
     # more past its first unfrozen leaf, where SC reads a leaf the channel
     # may leave erased and SCL paths can die inside the step.
     long_step = set()
-    for args in _digest_commands():
-        if args[0] == "simulate" and _flag(args, "--decoder") in ("sc", "scl"):
-            crc = _flag(args, "--crc") if "--crc" in args else "nr11"
-            spec = build_nr_code(1 << int(_flag(args, "--n")),
-                                 int(_flag(args, "--k")), crc=crc)
-            first = min(spec.A + spec.P)
-            if any(t >= 7 and i0 > first for i0, t in bitboard.steps(spec)):
-                long_step.add(_flag(args, "--decoder"))
+    for decoder, spec in _sc_and_scl_codes():
+        first = min(spec.A + spec.P)
+        if any(t >= 7 and i0 > first for i0, t in bitboard.steps(spec)):
+            long_step.add(decoder)
     assert long_step == {"sc", "scl"}
+
+
+def test_digest_decodes_an_information_block_at_the_half():
+    # SC and SCL take a block of information leaves whole where no row has
+    # an erased or conflicting symbol on it, and its halves otherwise. A
+    # block at leaf N/2 reads the channel block, and the digest runs both
+    # on a code that has one.
+    at_half = set()
+    for decoder, spec in _sc_and_scl_codes():
+        half = spec.N >> 1
+        if any(i0 == half and t and spec.info_mask[half]
+               for i0, t in bitboard.steps(spec)):
+            at_half.add(decoder)
+    assert at_half == {"sc", "scl"}

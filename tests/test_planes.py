@@ -100,54 +100,89 @@ def test_split_join_round_trip():
 
 
 def test_update_partial_sums_tracks_kron_transform():
-    # folding bit i completes a left block of width 2^t, t the trailing ones
-    # of i; ps[t] must then hold that block's stage-t transform. N = 256
-    # reaches two- and four-word blocks.
+    # folding a step of 2^s leaves ending at leaf i, passed as its own
+    # stage-s transform, completes a left block of width 2^t, t the
+    # trailing ones of i; ps[t] must then hold that block's stage-t
+    # transform. The steps are single leaves, then random aligned blocks;
+    # N = 256 reaches two- and four-word blocks.
     rng = np.random.default_rng(0)
     N = 256
     u = rng.integers(0, 2, size=(3, N)).astype(np.uint8)
-    ps = {}
-    for i in range(N):
-        bitboard.update_partial_sums(ps, i, u[:, i], 0)
-        t = (~i & (i + 1)).bit_length() - 1
-        width = 1 << t
-        want = mat_mul(u[:, i + 1 - width:i + 1], kron_power(t))
-        assert np.array_equal(bitboard.unpack_rows(ps[t], width), want), i
+    for blocks in (False, True):
+        ps, i0 = {}, 0
+        while i0 < N:
+            top = (i0 & -i0).bit_length() - 1 if i0 else 8
+            s = int(rng.integers(0, top + 1)) if blocks else 0
+            i = i0 + (1 << s) - 1
+            words = bitboard.pack_rows(mat_mul(u[:, i0:i + 1], kron_power(s)))
+            bitboard.update_partial_sums(ps, i, words, s)
+            t = (~i & (i + 1)).bit_length() - 1
+            width = 1 << t
+            want = mat_mul(u[:, i + 1 - width:i + 1], kron_power(t))
+            assert np.array_equal(bitboard.unpack_rows(ps[t], width),
+                                  want), (blocks, i)
+            i0 = i + 1
 
 
-def _assert_maximal_frozen_steps(spec):
+def test_polar_transform_is_the_kron_product():
+    # every level of the butterfly over the whole block, in-word below
+    # level 6 and on whole words from 6 up; it is its own inverse
+    rng = np.random.default_rng(3)
+    for t in range(10):
+        u = rng.integers(0, 2, size=(3, 1 << t)).astype(np.uint8)
+        words = bitboard.pack_rows(u)
+        x = bitboard.polar_transform(words, t)
+        assert np.array_equal(x, bitboard.pack_rows(mat_mul(u, kron_power(t))))
+        assert np.array_equal(bitboard.polar_transform(x, t), words), t
+
+
+def _is_step(spec, lo, t):
+    """Whether [lo, lo + 2^t) is a frozen run (its leaves but the last
+    statically frozen) or an information block (its leaves all
+    information leaves)."""
+    end = lo + (1 << t)
     frozen = ~(spec.info_mask | spec.parity_mask)
+    return bool(frozen[lo:end - 1].all() or spec.info_mask[lo:end].all())
+
+
+def _assert_maximal_steps(spec):
     plan = bitboard.steps(spec)
     assert bitboard.steps(spec) is plan
     end = 0
     for i0, t in plan:
         assert i0 == end and i0 % (1 << t) == 0, (spec.N, i0, t)
         end = i0 + (1 << t)
-        assert frozen[i0:end - 1].all(), (spec.N, i0, t)
+        assert _is_step(spec, i0, t), (spec.N, i0, t)
         if t < spec.n:
             lo = (i0 >> (t + 1)) << (t + 1)
-            assert not frozen[lo:lo + (2 << t) - 1].all(), (spec.N, i0, t)
+            assert not _is_step(spec, lo, t + 1), (spec.N, i0, t)
     assert end == spec.N
 
 
 def test_steps_are_maximal_frozen_runs(ex1, random_code):
-    # The steps partition 0..N-1 in order into aligned blocks whose leaves
-    # but the last are all statically frozen, and no step's aligned parent
-    # block is one.
+    # The steps partition 0..N-1 in order into aligned blocks that are
+    # frozen runs or information blocks, and no step's aligned parent
+    # block is either. A step of t > 0 starts at an information leaf only
+    # if it is an information block, which is how the decoders tell them
+    # apart.
     for n in range(1, 11):
         N = 1 << n
-        _assert_maximal_frozen_steps(build_nr_code(N, N // 2, crc="none"))
+        _assert_maximal_steps(build_nr_code(N, N // 2, crc="none"))
         if N >= 16:  # the CRC's 11 parity bits fit
-            _assert_maximal_frozen_steps(
-                build_nr_code(N, N // 2 if N > 16 else 5))
-    _assert_maximal_frozen_steps(ex1)
+            _assert_maximal_steps(build_nr_code(N, N // 2 if N > 16 else 5))
+    for N, K in ((16, 16), (16, 12), (64, 58)):
+        _assert_maximal_steps(build_nr_code(N, K, crc="none"))
+    _assert_maximal_steps(ex1)
     rng = np.random.default_rng(6)
     for n in (1, 2, 3, 4, 5, 6, 7) * 10:
-        _assert_maximal_frozen_steps(random_code(rng, n))
+        _assert_maximal_steps(random_code(rng, n))
     counts = {N: len(bitboard.steps(build_nr_code(N, N // 2)))
               for N in (64, 256, 1024)}
-    assert counts == {64: 44, 256: 145, 1024: 541}
+    assert counts == {64: 27, 256: 57, 1024: 148}
     assert bitboard.steps(build_nr_code(8, 1, crc="none")) == ((0, 3),)
+    assert bitboard.steps(build_nr_code(16, 16, crc="none")) == ((0, 4),)
+    assert bitboard.steps(build_nr_code(16, 12, crc="none")) == (
+        (0, 2), (4, 1), (6, 1), (8, 3))
 
 
 def _leaf_blocks(rng, t):

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from fcpolar import batch, planes
+from fcpolar import batch, bitboard, planes, scl
 from fcpolar.bitboard import pack_rows, refresh, update_partial_sums
 from fcpolar.codes import build_nr_code, encode, input_word
 from fcpolar.gf2 import gf2_rank, kron_power, mat_mul
 from fcpolar.rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 from fcpolar.scl import decode_scl
+from fcpolar.search import decode_sc
 from fcpolar.symbols import ERASURE
 
 _ONE = np.uint64(1)
@@ -75,7 +76,7 @@ def reference_scl(spec, y, L, seed, trial):
             alpha[t] = (p[0][keep_idx], p[1][keep_idx])
         for t in list(ps):
             ps[t] = ps[t][keep_idx]
-        update_partial_sums(ps, i, new_vals, 0)
+        update_partial_sums(ps, i, pack_rows(new_vals[:, None]), 0)
         visited += u.shape[0]
 
     ok = (u.astype(np.int64) @ spec.H_prime.astype(np.int64) % 2 == 0).all(axis=1)
@@ -103,6 +104,11 @@ _CODES = {
     # a step of 128 leaves, and a K = 1 code that is one step
     "nr256k8": (256, 8, "none"),
     "nr128k1": (128, 1, "none"),
+    # information blocks at leaf 0 (the whole code) and at leaf N/2, the
+    # steps that read the channel block
+    "nr16k16": (16, 16, "none"),
+    "nr16k12": (16, 12, "none"),
+    "nr64k58": (64, 58, "none"),
 }
 
 
@@ -136,7 +142,10 @@ def _mixed_batch(spec, seed, light, heavy):
 
 @pytest.mark.parametrize("name,light,heavy", [
     ("ex1", 0.5, 0.75), ("nr16", 0.5, 0.75), ("nr128", 0.3, 0.4),
-    ("nr256", 0.3, 0.4), ("nr256k8", 0.6, 0.99), ("nr128k1", 0.5, 0.995)])
+    ("nr256", 0.3, 0.4), ("nr256k8", 0.6, 0.99), ("nr128k1", 0.5, 0.995),
+    # rates at which some information blocks are clean on every row and
+    # taken whole, and others are split
+    ("nr16k16", 0.05, 0.3), ("nr16k12", 0.05, 0.4), ("nr64k58", 0.02, 0.2)])
 @pytest.mark.parametrize("L", [1, 2, 8, "2^K"])
 def test_batch_matches_per_trial_reference(codes, name, light, heavy, L):
     spec = codes[name]
@@ -153,9 +162,10 @@ def test_batch_matches_per_trial_reference(codes, name, light, heavy, L):
         assert out.visits[r] == v
         expect = u_hat if ok else np.zeros(spec.N, dtype=np.uint8)
         assert np.array_equal(out.u_hat[r], expect)
-    # the batch mixes trials that never fork, die early, and overflow
+    # the batch mixes trials that never fork, die early (unless no bit is
+    # frozen), and overflow
     assert spec.N in visited
-    assert 0 in visited
+    assert (0 in visited) == (spec.K < spec.N)
     assert any(overflowed) == (L < 2 ** spec.K)
 
 
@@ -293,3 +303,54 @@ def test_a_batch_whose_lists_all_die_fails_with_no_visits(codes, name):
     assert not out.success.any()
     assert not out.visits.any()
     assert not out.u_hat.any()
+
+
+def test_clean_information_blocks_are_taken_whole(monkeypatch):
+    # An information block is decided in one step where no row's stage
+    # symbols are erased or in conflict, and is split into halves, down to
+    # single leaves, where one is. NR(64, 58) ends in the information block
+    # [32, 64). Erasing x_5 and x_37 erases stage-5 symbol 5 there, so SC
+    # and SCL split the block, fork at an erased leaf and take the clean
+    # halves after it whole; both ways give the leaf-by-leaf words and
+    # visits.
+    spec = build_nr_code(64, 58, crc="none")
+    walked = []
+    real = bitboard.walk
+
+    def spy(spec, alpha, ps, *channel):
+        for i0, t in real(spec, alpha, ps, *channel):
+            walked.append((i0, t, bool(alpha[t][1].any())))
+            yield i0, t
+
+    monkeypatch.setattr(scl, "walk", spy)
+    monkeypatch.setattr(bitboard, "walk", spy)
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, 3, [0, 1]))
+    erased = np.zeros(x.shape, dtype=bool)
+    erased[1, [5, 37]] = True
+    y = planes.to_symbols(batch.channel_planes(x, erased))
+    for r in range(2):
+        for decode in ("scl", "sc"):
+            walked.clear()
+            if decode == "scl":
+                out = decode_symbols(spec, y[r], 8, seed=5, trials=[r])
+                ok, u_hat, visits, _ = reference_scl(spec, y[r], 8, 5, r)
+                assert out.success[0] and ok and out.visits[0] == visits
+            else:
+                out = batch.decode_sc_batch(
+                    spec, planes.from_symbols(y[r:r + 1]), 5, np.array([r]))
+                u_hat = decode_sc(spec, y[r], seed=5, trial=r).u_hat
+            assert np.array_equal(out.u_hat[0], u_hat), (decode, r)
+            whole = [(i0, t) for i0, t, dirty in walked
+                     if t and spec.info_mask[i0] and not dirty]
+            # every information block of t > 0 that is yielded is clean
+            assert len(whole) == sum(t > 0 and spec.info_mask[i0]
+                                     for i0, t, _ in walked)
+            if r == 0:
+                assert [(i0, t) for i0, t, _ in walked] == list(
+                    bitboard.steps(spec))
+            else:
+                assert (32, 5) not in whole
+                assert any(i0 > 32 and t for i0, t in whole), walked
+    # the list forked at the erased leaf, so a whole block after it counts
+    # 2 visits per leaf
+    assert visits > spec.N

@@ -6,7 +6,8 @@ CHECKOUT is a source tree of this project (default: the one holding this
 script); its src/ goes on PYTHONPATH. The runs cover every subcommand,
 build-code, simulate and de on a code with and without the CRC, and sc
 and scl on codes with a step of 128 leaves (bitboard.steps), one of them
-past the first information leaf, where the list has forked.
+past the first information leaf, where the list has forked, and on a code
+with an information block at leaf N/2.
 Every command runs in a fresh temporary directory with a relative --out
 name, because the simulate and de sidecars record the path; build-code and
 dump-fc have no --out, so their stdout goes to a named file there. Each
@@ -91,6 +92,14 @@ def commands() -> list[tuple[str, list[str]]]:
             "simulate", "--n", "8", "--k", "8", "--crc", "none",
             "--decoder", dec, "--p-grid", "0.85:0.97:0.04",
             "--trials", "200", "--seed", "4", "--list-size", "4"]))
+    # NR(64, 58) is an information block from leaf N/2 on: at 0.01 it is
+    # clean on every row and taken whole, at 0.02 split into halves that
+    # are, at 0.03 split down to leaves
+    for dec in ("sc", "scl"):
+        runs.append((f"simulate-{dec}-n6-k58-nocrc.csv", [
+            "simulate", "--n", "6", "--k", "58", "--crc", "none",
+            "--decoder", dec, "--p-grid", "0.01:0.03:0.01",
+            "--trials", "200", "--seed", "1"]))
     # NR(512, 16) + CRC11 forks the list at its first information leaf
     # (255), and paths die inside the next step, 128 leaves that end at
     # the information leaf 383; every decoder runs at each simulate size
