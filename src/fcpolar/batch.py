@@ -6,16 +6,12 @@ flips) is keyed by (trial, position, count) rather than consumed from a
 sequential stream. All of it runs on the planes operators over the
 bitboard word layout.
 
-Plain SC is the SCL loop with one path per row: it advances the SC
-recursion on the word layout in the steps of bitboard.walk, on (value,
-erased) word pairs that hold a conflict as (1, 1), and a keyed coin
-decides wherever the leaf's erased bit is set: an erasure or a conflict.
-A step is a run of frozen leaves and the leaf after it, or a block of
-information leaves that no row has an erased or conflicting symbol on,
-whose bits are then the transform of its values with no coin; a block
-that some row has one on is taken as its halves, down to single leaves.
-SC keeps a row whose coin was wrong, and the conflicts it carries split
-the blocks after it, so SC takes fewer blocks whole than SCL.
+Plain SC runs on the schedule of bitboard.walk with one row per trial.
+At the last leaf of each step that walk does not decide whole, a row
+takes the leaf's value, a keyed coin where the leaf is erased or in
+conflict, or the forced bit of a frozen or parity leaf. It never forks,
+and it keeps a row whose coin was wrong; the conflicts that row carries
+split the blocks after it.
 SCC and BP-SCC, with or without stack-based backjumping (SBJ), are one
 stack search over all rows (_dfs_recover64) that reads its checkpoints
 off each row's committed word; without SBJ no row has one. Each search
@@ -52,8 +48,6 @@ __all__ = [
     "decode_sc_batch",
     "decode_fc_batch",
 ]
-
-_ONE = np.uint64(1)
 
 # Trials per decoder call in the simulation loops (cli.run_point, the
 # mlbound and toy-compare commands), which bounds their memory.
@@ -132,23 +126,17 @@ def _fccn_pass_batch(state: planes.Pair, Q: np.ndarray,
     """One FCCN round by two float32 products with Q, on a word pair;
     returns (pair, clash) as bitboard.merge_round does.
 
-    Per check j at round start: a_j = members' parity XOR phi_j, c_j = erased
-    members. A known member clashes iff a check has c_j = 0 and a_j = 1; an
-    erased one takes a_j from checks with c_j = 1 (a clash if both values
-    arrive, erased if none). Merging all messages at once is exact because
-    the combine operator is commutative and associative, and the float32
-    products are exact below 2^24. The value and erasure words are unpacked
-    and stacked for one product; the product back to the members runs only
-    on the predicate rows that send a message (few: a check sends one only
-    with at most one erased member), and is packed. Rows that clashed
-    earlier get garbage, but they have already failed.
+    The value and erasure words are unpacked and stacked for one product,
+    the members' counts of bitboard.fccn_rule (exact below 2^24). The
+    product back to the members runs only on the predicate rows that send
+    a message (few: a check sends one only with at most one erased
+    member), and is packed. Rows that clashed earlier get garbage, but
+    they have already failed.
     """
     rows = phi.shape[0]
     counts = bitboard.unpack_rows(np.concatenate(state), Q.shape[0]) @ Q
-    a = (counts[:rows].astype(np.int32) & 1).astype(bool) ^ phi
-    c = counts[rows:]
-    single = c == 1
-    preds = np.concatenate([(c == 0) & a, single & a, single & ~a])
+    preds = bitboard.fccn_rule(counts[:rows].astype(np.int32), counts[rows:],
+                               phi)
     sent = np.flatnonzero(preds.any(axis=1))
     hits = np.zeros((preds.shape[0], state[0].shape[1]), dtype=bitboard.U64)
     hits[sent] = bitboard.pack_rows(preds[sent].astype(np.float32) @ Q.T > 0)
@@ -204,40 +192,31 @@ def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
 
 def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
                     trials: np.ndarray) -> BatchOutcome:
-    """Plain SC over all rows, one step of bitboard.steps at a time:
-    coin-flip unresolved bits, never backtrack."""
+    """Plain SC over all rows, as the module docstring describes."""
     rows = yp[0].shape[0]
     trials = np.asarray(trials, dtype=np.uint64)
     alpha: list = [None] * (spec.n + 1)
     alpha[spec.n] = tuple(bitboard.pack_rows(p) for p in yp)
     ps: dict[int, np.ndarray] = {}
-    committed = np.zeros((rows, spec.N), dtype=np.uint8)
-    for i0, t in bitboard.walk(spec, alpha, ps):
-        i = i0 + (1 << t) - 1
-        if t and spec.info_mask[i0]:
-            # a whole information block of known symbols: its bits are
-            # the transform of its values, which are its partial sums
-            values = alpha[t][0]
-            committed[:, i0:i + 1] = bitboard.unpack_rows(
-                bitboard.polar_transform(values, t), 1 << t)
-            bitboard.update_partial_sums(ps, i, values, t)
+    u = np.zeros((rows, -(-spec.N // 64)), dtype=bitboard.U64)
+    for i0, t, block in bitboard.walk(spec, alpha, ps):
+        if block is not None:
+            bitboard.commit(u, i0, block)
             continue
+        i = i0 + (1 << t) - 1
         if spec.info_mask[i]:
-            last = np.uint64(((1 << t) - 1) & 63)
-            lv, le = ((w[:, -1] >> last) & _ONE
-                      for w in bitboard.leaf_symbols(alpha[t], t))
-            committed[:, i] = lv
-            # a coin only where the leaf is erased or in conflict
-            hit = np.flatnonzero(le)
+            bits, erased = bitboard.last_leaf(
+                bitboard.leaf_symbols(alpha[t], t), t)
+            hit = np.flatnonzero(erased)
             if hit.size:
-                committed[hit, i] = keyed_bit_array(seed, STREAM_COIN,
-                                                    trials[hit], i, 0)
-        elif spec.parity_mask[i]:
-            committed[:, i] = mat_mul(committed[:, :i],
-                                      spec.T[:i, i][:, None])[:, 0]
-        bitboard.update_partial_sums(
-            ps, i, bitboard.spread(committed[:, i], t), t)
-    return BatchOutcome(np.ones(rows, dtype=bool), committed,
+                bits[hit] = keyed_bit_array(seed, STREAM_COIN, trials[hit],
+                                            i, 0)
+        else:
+            bits = bitboard.forced_bit(spec, u, i)
+        bitboard.commit(u, i, bits[:, None])
+        bitboard.update_partial_sums(ps, i, bitboard.spread(bits, t), t)
+    return BatchOutcome(np.ones(rows, dtype=bool),
+                        bitboard.unpack_rows(u, spec.N),
                         np.full(rows, spec.N, dtype=np.int64),
                         *(np.zeros(rows, dtype=np.int64) for _ in range(3)))
 

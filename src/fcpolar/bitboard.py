@@ -3,17 +3,13 @@
 A stage-t block holds 2^t symbols in ceil(2^t / 64) uint64 words per plane,
 little-endian within each word and across words; unused high bits stay
 zero. pack_rows, unpack_rows, mask, split, join, steps, refresh, walk,
-leaf_symbols, spread, polar_transform and update_partial_sums are the
-whole layout: the SC recursion of batch.decode_sc_batch and of scl runs on
-it for any N, with the four-symbol planes.plus / plus_bits / dot applied
-to (value, erased) word pairs. walk takes it one step of steps(spec) at a
-time. A step is of one of two kinds: a frozen run (a run of frozen leaves
-and the leaf after it), whose leaves come from leaf_symbols, or an
-information block (only information leaves). An information block whose
-stage symbols are all known on every row is decided in one step: its bits
-are the polar_transform of its values, and its values are its partial
-sums. One with an erased or conflicting symbol is walked as its halves,
-down to single leaves.
+leaf_symbols, last_leaf, spread, polar_transform, update_partial_sums,
+commit and forced_bit are the whole layout: the SC recursion of
+batch.decode_sc_batch and of scl runs on it for any N, with the
+four-symbol planes.plus / plus_bits / dot applied to (value, erased) word
+pairs, and both keep their decided bits packed in the same words. walk is
+their one schedule (see its docstring); a decoder only decides the last
+leaf of each step that walk does not decide whole.
 
 check_batch64 is the sweep and verdict of every hypothesis check that the
 batched stack search of SCC and BP-SCC runs, at every N. It holds each
@@ -22,13 +18,14 @@ dot_pair and plus_bits (on valid pairs, plus_pair with concrete bits): a
 check only asks whether a row clashed anywhere, so each dot and each
 FCCN round returns its clash words and the sweep folds them into one
 per-row fail flag. batch._check_batch hands it each stage's FCCN round,
-bound to the operands of _round_plan; both rounds take a word pair and
-end in merge_round. _fccn_pass64 is the round for N <= 64: bitwise_counts
-under each check's member masks give its parity a_j and erasure count c_j,
-and the masks each predicate selects OR-reduce to the members' messages
-(exact: the combine operator is commutative and associative). The BLAS
-round for longer codes is batch._fccn_pass_batch. left_partial_sums forms
-every beta_t of a check from its packed prefix by one in-word butterfly.
+bound to the operands of _round_plan; both rounds take a word pair, send
+the messages of fccn_rule and end in merge_round. _fccn_pass64 is the
+round for N <= 64: bitwise_counts under each check's member masks give
+its counts, and the masks each predicate selects OR-reduce to the
+members' messages (exact: the combine operator is commutative and
+associative). The BLAS round for longer codes is batch._fccn_pass_batch.
+left_partial_sums forms every beta_t of a check from its packed prefix by
+one in-word butterfly.
 """
 
 from __future__ import annotations
@@ -150,24 +147,54 @@ def refresh(alpha: list, ps: dict[int, np.ndarray], i0: int, t: int,
 def walk(spec: CodeSpec, alpha: list, ps: dict[int, np.ndarray],
          channel=None):
     """Run the SC schedule: refresh each step of steps(spec) in turn and
-    yield it as (i0, t), alpha[t] then its stage-t block. An information
-    block of t > 0 is yielded whole only if no row's block has an erased
-    or conflicting symbol; otherwise its halves are walked in the same
-    way, down to single leaves, and the left half's refresh computes stage
-    t - 1 alone. So no stage is refreshed twice. channel, if given, is
-    called for alpha[n] before each refresh that reads it: at leaves 0 and
-    N/2, never in a left half."""
+    yield (i0, t, bits), alpha[t] then its stage-t block. An information
+    block of t > 0 that no row has an erased or conflicting symbol on is
+    decided whole: its values are its partial sums, which walk folds into
+    ps, and bits is their polar_transform. Any other one is walked as its
+    halves, down to single leaves, and the left half's refresh computes
+    stage t - 1 alone, so no stage is refreshed twice. Every other step
+    yields bits None: the caller decides its last leaf and folds it into
+    ps. channel, if given, is called for alpha[n] before each refresh that
+    reads it: at leaves 0 and N/2, never in a left half."""
     work = [(i0, t, None) for i0, t in reversed(steps(spec))]
     while work:
         i0, t, top = work.pop()
         if channel is not None and top is None and i0 in (0, spec.N >> 1):
             alpha[spec.n] = channel()
         refresh(alpha, ps, i0, t, spec.n, top)
-        if t and spec.info_mask[i0] and alpha[t][1].any():
+        if not (t and spec.info_mask[i0]):
+            yield i0, t, None
+        elif alpha[t][1].any():
             half = 1 << (t - 1)
             work += [(i0 + half, t - 1, None), (i0, t - 1, t - 1)]
         else:
-            yield i0, t
+            values = alpha[t][0]
+            update_partial_sums(ps, i0 + (1 << t) - 1, values, t)
+            yield i0, t, polar_transform(values, t)
+
+
+def commit(u: np.ndarray, i0: int, words: np.ndarray) -> None:
+    """OR an aligned block of bit words, (rows, w), into the packed words u
+    from leaf i0 on; words[:, None] of (rows,) bits commits leaf i0."""
+    u[:, i0 >> 6:(i0 >> 6) + words.shape[1]] |= words << U64(i0 & 63)
+
+
+def last_leaf(block: Pair, t: int) -> Pair:
+    """The (value, erased) bits of the last symbol of a stage-t block."""
+    last = U64(((1 << t) - 1) & 63)
+    return tuple((w[:, -1] >> last) & _ONE for w in block)
+
+
+def forced_bit(spec: CodeSpec, u: np.ndarray, i: int) -> np.ndarray:
+    """The (rows,) bits forced at a frozen or parity leaf i by the packed
+    earlier bits u: 0 at a frozen leaf, and at a parity leaf the parity of
+    u under column i of T above the diagonal, packed once per spec."""
+    if not spec.parity_mask[i]:
+        return np.zeros(u.shape[0], U64)
+    taps = spec._cache.get("taps")
+    if taps is None:
+        taps = spec._cache["taps"] = pack_rows(np.triu(spec.T, 1).T)
+    return np.bitwise_count(u & taps[i]).sum(axis=1, dtype=U64) & _ONE
 
 
 # In-word left halves of the 2^(s+1)-symbol groups: bits j, bit s clear.
@@ -301,22 +328,30 @@ def merge_round(state: Pair, clash, got1, got0) -> tuple[Pair, np.ndarray]:
     return (v | got1, e & ~(got1 | got0)), clash | (got1 & got0)
 
 
+def fccn_rule(ones, erased, phi: np.ndarray) -> np.ndarray:
+    """The FCCN messages of each (row, check) from its members' count of
+    value bits ones (an integer array) and of erased bits, and its offset
+    phi: a_j = the members' parity XOR phi_j. Returns the predicates of
+    merge_round's clash, got1 and got0, stacked as (3 * rows, checks): a
+    check with no erased member and a_j = 1 clashes its known members, and
+    one with a single erased member hands it a_j."""
+    a = (ones & 1).astype(bool) ^ phi
+    single = erased == 1
+    return np.concatenate([(erased == 0) & a, single & a, single & ~a])
+
+
 def _fccn_pass64(state: Pair, masks: np.ndarray,
                  phi: np.ndarray) -> tuple[Pair, np.ndarray]:
     """One FCCN round by popcount under the (checks, W) member masks;
     masks[j] is the word form of check j's members (zero masks are inert).
-
-    Per check j: a_j = members' parity XOR phi_j, c_j = erased members; a
-    known member clashes under a check with c_j = 0 and a_j = 1, an erased
-    one gets a_j from checks with c_j = 1. Rows that clashed earlier get
-    garbage, but they have already failed.
+    The masks each predicate of fccn_rule selects OR-reduce to the
+    members' messages. Rows that clashed earlier get garbage, but they
+    have already failed.
     """
     v, e = state
-    cnt = np.bitwise_count(e[:, None] & masks).sum(axis=2)
-    odd = np.bitwise_count(v[:, None] & masks).sum(axis=2) & 1
-    a = odd.astype(bool) ^ phi
-    single = cnt == 1
-    preds = np.stack([(cnt == 0) & a, single & a, single & ~a])
+    preds = fccn_rule(np.bitwise_count(v[:, None] & masks).sum(axis=2),
+                      np.bitwise_count(e[:, None] & masks).sum(axis=2),
+                      phi).reshape(3, *phi.shape)
     return merge_round(state, *np.bitwise_or.reduce(
         np.where(preds[..., None], masks, U64(0)), axis=2))
 

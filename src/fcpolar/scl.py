@@ -22,19 +22,14 @@ keyed by the trial id, so a trial's outcome does not depend on the rest of
 the batch.
 
 Per-path symbols live as (value, erased) word pairs in the bitboard word
-layout, one row per path, a conflict held as (1, 1). Each step of
-bitboard.walk recomputes only the stages whose block moved. A run of
-frozen leaves and the leaf after it takes all the step's leaves from
-bitboard.leaf_symbols. A block of information leaves on which no row has
-an erased or conflicting stage symbol is decided whole: no path forks or
-dies, no pruning draw is made, each path visits its 2^t leaves, and its
-bits are the transform of the block's values. Any other information block
-is taken as its halves, down to single leaves, so a batch gains only where
-every row is clean on a block. After rows change, a stage block is
-gathered onto the surviving rows only while it will still be read before
-it is recomputed; the channel block is taken from the trial's row when it
-is read. Committed bits are packed into uint64 words, so a dynamic frozen
-bit is the parity of its T column under the word mask.
+layout, one row per path, a conflict held as (1, 1), on the schedule of
+bitboard.walk. In a step that walk does not decide whole, a path dies
+at its first frozen leaf whose value bit is set (a known 1 or a
+conflict), and the step's last leaf is decided as above; in one it
+does, no path forks or dies, and each visits the step's 2^t leaves.
+After rows change, a stage block is gathered onto the surviving rows
+only while it will still be read before it is recomputed; the channel
+block is taken from the trial's row when it is read.
 """
 
 from __future__ import annotations
@@ -42,8 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from .batch import BatchOutcome
-from .bitboard import (leaf_symbols, pack_rows, polar_transform, spread,
-                       unpack_rows, update_partial_sums, walk)
+from .bitboard import (commit, forced_bit, last_leaf, leaf_symbols,
+                       pack_rows, spread, unpack_rows, update_partial_sums,
+                       walk)
 from .codes import CodeSpec
 from .planes import Pair
 from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
@@ -51,7 +47,6 @@ from .rng import STREAM_PRUNE, keyed_array, keyed_uniform_array
 __all__ = ["decode_scl"]
 
 U64 = np.uint64
-_ONE = U64(1)
 
 
 def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
@@ -76,30 +71,22 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
     ps: dict[int, np.ndarray] = {}
     tid = np.arange(B)
     u = np.zeros((B, -(-N // 64)), dtype=U64)
-    t_cols = spec._cache.get("parity_taps")
-    if t_cols is None:
-        t_cols = spec._cache["parity_taps"] = pack_rows(np.triu(spec.T, 1).T)
-    info, dynamic = spec.info_mask, spec.parity_mask
+    info = spec.info_mask
     visited = np.zeros(B, dtype=np.int64)
 
     # walk calls this at the steps that read alpha[n], with the rows of tid
     # at that moment
-    for i0, t in walk(spec, alpha, ps, lambda: tuple(p[tid] for p in channel)):
-        i = i0 + (1 << t) - 1
-        if t and info[i0]:
-            # a whole information block of known symbols: no path forks or
-            # dies, each visits its 2^t leaves, and the bits are the
-            # transform of the values, which are the block's partial sums
-            values = alpha[t][0]
+    for i0, t, block in walk(spec, alpha, ps,
+                             lambda: tuple(p[tid] for p in channel)):
+        if block is not None:
+            # no path forks or dies, and each visits the block's 2^t leaves
             visited += np.bincount(tid, minlength=B) << t
-            u[:, i0 >> 6:(i >> 6) + 1] |= (polar_transform(values, t)
-                                           << U64(i0 & 63))
-            update_partial_sums(ps, i, values, t)
+            commit(u, i0, block)
             continue
+        i = i0 + (1 << t) - 1
         leaves = leaf_symbols(alpha[t], t)
         # a leaf: known at e = 0, erased at (0, 1), a conflict at (1, 1)
-        val, e = ((w[:, -1] >> U64(((1 << t) - 1) & 63)) & _ONE
-                  for w in leaves)
+        val, e = last_leaf(leaves, t)
         if t:
             # a path dies at its first frozen leaf whose value bit is set
             # (a known 1 or a conflict), having visited the leaves before
@@ -123,10 +110,7 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
         else:
             live = (val & e) == 0
             if not info[i]:
-                forced = np.zeros_like(val)
-                if dynamic[i]:
-                    forced = np.bitwise_count(u & t_cols[i]).sum(
-                        axis=1, dtype=U64) & _ONE
+                forced = forced_bit(spec, u, i)
                 live &= (erased != 0) | (val == forced)
                 val = forced
             src = np.flatnonzero(live)
@@ -153,7 +137,7 @@ def decode_scl(spec: CodeSpec, yp: Pair, L: int, seed: int,
             for s in ps:
                 if s >= t and (i >> s) & 1:
                     ps[s] = ps[s][src]
-        u[:, i >> 6] |= bits << U64(i & 63)
+        commit(u, i, bits[:, None])
         update_partial_sums(ps, i, spread(bits, t), t)
 
     survivors = np.bincount(tid, minlength=B)

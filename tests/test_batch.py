@@ -38,6 +38,44 @@ def test_sc_batch_matches_scalar(ex1, p):
             assert np.array_equal(out.u_hat[t], ref.u_hat), (spec.N, t)
 
 
+def test_sc_batch_matches_scalar_on_random_codes(random_code, monkeypatch):
+    # Random A/P/F splits and parity taps, n = 5 to 7; at N = 128 the taps
+    # of a parity leaf in the second word reach the first. At the low
+    # rates some information blocks are clean on every row and taken
+    # whole, and others are split.
+    walked = {"whole": 0, "split": 0}
+    real = bitboard.walk
+
+    def spy(spec, *args):
+        walked["split"] -= len(bitboard.steps(spec))
+        for step in real(spec, *args):
+            walked["whole"] += step[2] is not None
+            walked["split"] += 1  # a split block adds a step
+            yield step
+
+    monkeypatch.setattr(bitboard, "walk", spy)
+    rng = np.random.default_rng(5)
+    trials = np.arange(12)
+    for n in (5, 6, 7, 7):
+        spec = random_code(rng, n)
+        while not spec.P:  # a random code may have no parity leaf
+            spec = random_code(rng, n)
+        if n == 7:
+            i = max(spec.P)
+            assert i >= 64 and spec.T[:64, i].any()
+        msgs = batch.sample_messages(spec, seed=2, trials=trials)
+        _, x = batch.encode_batch(spec, msgs)
+        for p in (0.01, 0.05, 0.3):
+            yp = batch.channel_planes(
+                x, batch.sample_erasures(spec, p, seed=2, trials=trials))
+            out = batch.decode_sc_batch(spec, yp, seed=2, trials=trials)
+            rows = planes.to_symbols(yp)
+            for t in range(trials.size):
+                ref = decode_sc(spec, rows[t], seed=2, trial=t)
+                assert np.array_equal(out.u_hat[t], ref.u_hat), (n, p, t)
+    assert walked["whole"] and walked["split"], walked
+
+
 def test_sc_batch_draws_coins_only_for_erased_leaves(monkeypatch):
     # SC reads a coin only where the leaf is erased or in conflict, so it
     # draws one only for those rows: none on an erasure-free channel.

@@ -136,6 +136,65 @@ def test_polar_transform_is_the_kron_product():
         assert np.array_equal(bitboard.polar_transform(x, t), words), t
 
 
+def test_commit_round_trips_through_unpack():
+    # A block of 2^t bits committed at any aligned leaf i0 lands on leaves
+    # i0..i0 + 2^t - 1 and leaves every other leaf as it was; a (rows,)
+    # column of bits commits one leaf; last_leaf reads the block's last
+    # symbol.
+    rng = np.random.default_rng(8)
+    N = 256
+    for t in range(9):
+        width = 1 << t
+        for i0 in range(0, N, width):
+            base = rng.integers(0, 2, size=(3, N)).astype(np.uint8)
+            base[:, i0:i0 + width] = 0
+            bits = rng.integers(0, 2, size=(3, width)).astype(np.uint8)
+            u = bitboard.pack_rows(base)
+            bitboard.commit(u, i0, bitboard.pack_rows(bits))
+            want = base.copy()
+            want[:, i0:i0 + width] = bits
+            assert np.array_equal(bitboard.unpack_rows(u, N), want), (t, i0)
+            erased = bitboard.pack_rows(bits[::-1])
+            last = bitboard.last_leaf((bitboard.pack_rows(bits), erased), t)
+            assert np.array_equal(last[0], bits[:, -1]), (t, i0)
+            assert np.array_equal(last[1], bits[::-1, -1]), (t, i0)
+    for i in range(N):
+        u = np.zeros((3, N // 64), dtype=bitboard.U64)
+        bitboard.commit(u, i, np.array([1, 0, 1], dtype=bitboard.U64)[:, None])
+        assert np.array_equal(np.flatnonzero(bitboard.unpack_rows(u, N)),
+                              [i, 2 * N + i]), i
+
+
+def test_forced_bit_is_the_parity_of_earlier_bits(ex1, random_code):
+    # At a parity leaf i every path commits u[:, :i] . T[:i, i] mod 2, read
+    # by popcount from packed words; at a frozen leaf 0. The rows carry
+    # random bits at i and beyond too, which the forced bit must not read.
+    # The taps of NR(1024, 512) + CRC11 reach every word but the first
+    # (leaves 0 to 126 are frozen), and those of the random codes with
+    # n = 7 both words.
+    rng = np.random.default_rng(9)
+    specs = [build_nr_code(1024, 512), ex1]
+    for n in (3, 5, 6, 7, 7, 7):
+        spec = random_code(rng, n)
+        while not spec.P:  # a random code may have no parity leaf
+            spec = random_code(rng, n)
+        specs.append(spec)
+    words = {spec.N: set() for spec in specs}  # words the taps reach
+    for spec in specs:
+        u = rng.integers(0, 2, size=(16, spec.N)).astype(np.uint8)
+        packed = bitboard.pack_rows(u)
+        for i in np.flatnonzero(~spec.info_mask):
+            got = bitboard.forced_bit(spec, packed, int(i))
+            assert got.dtype == bitboard.U64 and got.shape == (16,)
+            want = mat_mul(u[:, :i], spec.T[:i, i][:, None])[:, 0]
+            assert np.array_equal(got, want), (spec.N, i)
+            if spec.parity_mask[i]:
+                words[spec.N] |= set(np.flatnonzero(spec.T[:i, i]) >> 6)
+            else:
+                assert not spec.T[:i, i].any() and not got.any()
+    assert words[1024] == set(range(1, 16)) and words[128] == {0, 1}
+
+
 def _is_step(spec, lo, t):
     """Whether [lo, lo + 2^t) is a frozen run (its leaves but the last
     statically frozen) or an information block (its leaves all

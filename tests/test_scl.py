@@ -318,9 +318,9 @@ def test_clean_information_blocks_are_taken_whole(monkeypatch):
     real = bitboard.walk
 
     def spy(spec, alpha, ps, *channel):
-        for i0, t in real(spec, alpha, ps, *channel):
+        for i0, t, bits in real(spec, alpha, ps, *channel):
             walked.append((i0, t, bool(alpha[t][1].any())))
-            yield i0, t
+            yield i0, t, bits
 
     monkeypatch.setattr(scl, "walk", spy)
     monkeypatch.setattr(bitboard, "walk", spy)

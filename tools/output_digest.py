@@ -8,8 +8,9 @@ build-code, simulate and de on a code with and without the CRC, and sc
 and scl on codes with a step of 128 leaves (bitboard.steps), one of them
 past the first information leaf, where the list has forked, and on a code
 with an information block at leaf N/2.
-Every command runs in a fresh temporary directory with a relative --out
-name, because the simulate and de sidecars record the path; build-code and
+The commands run at most one per CPU at a time, each with one BLAS
+thread, in one temporary directory with a relative --out name each,
+because the simulate and de sidecars record the path; build-code and
 dump-fc have no --out, so their stdout goes to a named file there. Each
 line is "<sha256>  <file>", for every output and every JSON sidecar, in
 file-name order, so two checkouts that produce the same bytes print the
@@ -27,6 +28,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # (n, k, p grid, trials) of the simulate points
@@ -115,27 +117,36 @@ def commands() -> list[tuple[str, list[str]]]:
     return runs
 
 
+def _run(out: str, args: list[str], tmp: str, env: dict) -> None:
+    """Run one fcpolar command in tmp, writing its output to out."""
+    run = [sys.executable, "-m", "fcpolar", *args]
+    if args[0] in _PRINTERS:
+        with open(Path(tmp, out), "wb") as stdout:
+            subprocess.run(run, cwd=tmp, env=env, check=True, stdout=stdout)
+    else:
+        subprocess.run([*run, "--out", out], cwd=tmp, env=env, check=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkout", nargs="?",
                         default=str(Path(__file__).resolve().parents[1]))
     checkout = Path(parser.parse_args(argv).checkout).resolve()
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    # the workers fill the CPUs between them
+    blas = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                             "MKL_NUM_THREADS")}
+    env = {**os.environ, **blas, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory(prefix="fcpolar-digest-") as tmp:
-        for out, args in commands():
-            run = [sys.executable, "-m", "fcpolar", *args]
-            if args[0] in _PRINTERS:
-                with open(Path(tmp, out), "wb") as stdout:
-                    subprocess.run(run, cwd=tmp, env=env, check=True,
-                                   stdout=stdout)
-            else:
-                subprocess.run([*run, "--out", out], cwd=tmp, env=env,
-                               check=True)
+        # one subprocess per command, at most one per CPU at a time
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            jobs = [pool.submit(_run, out, args, tmp, env)
+                    for out, args in commands()]
+            for job in jobs:
+                job.result()
         for path in sorted(Path(tmp).iterdir()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.name}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
