@@ -6,15 +6,20 @@ flips) is keyed by (trial, position, count) rather than consumed from a
 sequential stream. All of it runs on the planes operators over the
 bitboard word layout.
 
-Plain SC runs on the schedule of bitboard.walk with one row per trial.
-At the last leaf of each step that walk does not decide whole, a row
-takes the leaf's value, a keyed coin where the leaf is erased or in
-conflict, or the forced bit of a frozen or parity leaf. It never forks,
-and it keeps a row whose coin was wrong; the conflicts that row carries
-split the blocks after it.
+Plain SC runs on the schedule of bitboard.walk with one row per trial
+(_sc_leaves). At the last leaf of each step that walk does not decide
+whole, a row takes the leaf's value, a keyed coin where the leaf is
+erased or in conflict, or the forced bit of a frozen or parity leaf. It
+never forks, and it keeps a row whose coin was wrong; the conflicts that
+row carries split the blocks after it.
 SCC and BP-SCC, with or without stack-based backjumping (SBJ), are one
 stack search over all rows (_dfs_recover64) that reads its checkpoints
-off each row's committed word; without SBJ no row has one. Each search
+off each row's committed word; without SBJ no row has one. It first runs
+plain SC on the same loop without coins (_sc_pass). Below a row's first
+erased or conflicting information leaf, where the processing index ell_k
+is the bit i_k itself, a row that kept to that pass passes the
+hypothesis of the pass's bit and fails the other, as the check would:
+the search takes those verdicts and calls no check. Every other search
 step checks both hypotheses of its rows in one _check_batch call, which
 binds each stage's memoized FCCN round and runs bitboard.check_batch64,
 the one stage sweep, on the packed channel words.
@@ -190,15 +195,18 @@ def _check_batch(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     return bitboard.check_batch64(spec, yv, ye, ubuf, ell, rounds, i_max)
 
 
-def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
-                    trials: np.ndarray) -> BatchOutcome:
-    """Plain SC over all rows, as the module docstring describes."""
-    rows = yp[0].shape[0]
-    trials = np.asarray(trials, dtype=np.uint64)
+def _sc_leaves(spec: CodeSpec, channel: planes.Pair, u: np.ndarray):
+    """Plain SC on the schedule of bitboard.walk over the packed channel
+    words, committing every decided bit into the packed words u.
+
+    At each information leaf that walk does not decide whole this yields
+    (i, bits, erased) before it commits bits: bits is the leaf's value,
+    and 0 on the rows whose leaf is erased or in conflict (erased, a bool
+    row mask). The caller may set those rows' bits before it resumes.
+    """
     alpha: list = [None] * (spec.n + 1)
-    alpha[spec.n] = tuple(bitboard.pack_rows(p) for p in yp)
+    alpha[spec.n] = channel
     ps: dict[int, np.ndarray] = {}
-    u = np.zeros((rows, -(-spec.N // 64)), dtype=bitboard.U64)
     for i0, t, block in bitboard.walk(spec, alpha, ps):
         if block is not None:
             bitboard.commit(u, i0, block)
@@ -207,18 +215,44 @@ def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
         if spec.info_mask[i]:
             bits, erased = bitboard.last_leaf(
                 bitboard.leaf_symbols(alpha[t], t), t)
-            hit = np.flatnonzero(erased)
-            if hit.size:
-                bits[hit] = keyed_bit_array(seed, STREAM_COIN, trials[hit],
-                                            i, 0)
+            erased = erased.astype(bool)
+            bits[erased] = 0
+            yield i, bits, erased
         else:
             bits = bitboard.forced_bit(spec, u, i)
         bitboard.commit(u, i, bits[:, None])
         bitboard.update_partial_sums(ps, i, bitboard.spread(bits, t), t)
+
+
+def decode_sc_batch(spec: CodeSpec, yp: planes.Pair, seed: int,
+                    trials: np.ndarray) -> BatchOutcome:
+    """Plain SC over all rows, as the module docstring describes."""
+    rows = yp[0].shape[0]
+    trials = np.asarray(trials, dtype=np.uint64)
+    u = np.zeros((rows, -(-spec.N // 64)), dtype=bitboard.U64)
+    channel = tuple(bitboard.pack_rows(p) for p in yp)
+    for i, bits, erased in _sc_leaves(spec, channel, u):
+        hit = np.flatnonzero(erased)
+        if hit.size:
+            bits[hit] = keyed_bit_array(seed, STREAM_COIN, trials[hit], i, 0)
     return BatchOutcome(np.ones(rows, dtype=bool),
                         bitboard.unpack_rows(u, spec.N),
                         np.full(rows, spec.N, dtype=np.int64),
                         *(np.zeros(rows, dtype=np.int64) for _ in range(3)))
+
+
+def _sc_pass(spec: CodeSpec, yv: np.ndarray,
+             ye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain SC without coins on the packed channel words: an erased or
+    conflicting information leaf takes 0. Returns the (rows, N) bits and
+    the (rows, K) flags of the information leaves that were erased or in
+    conflict."""
+    u = np.zeros_like(yv)
+    flags = np.zeros((yv.shape[0], spec.K), dtype=bool)
+    k_of = np.cumsum(spec.info_mask) - 1
+    for i, _, erased in _sc_leaves(spec, (yv, ye), u):
+        flags[:, k_of[i]] = erased
+    return bitboard.unpack_rows(u, spec.N), flags
 
 
 def decode_fc_batch(spec: CodeSpec, yp: planes.Pair, engine: str = "bp_scc",
@@ -227,8 +261,11 @@ def decode_fc_batch(spec: CodeSpec, yp: planes.Pair, engine: str = "bp_scc",
     """SCC (engine="scc") or BP-SCC over all rows, with or without SBJ.
 
     The channel planes are packed to words once and every row goes through
-    the one stack search, _dfs_recover64. The search draws no coins, so seed
-    and trials are unused; they are kept only for perfbench's spot check.
+    the one stack search, _dfs_recover64, which takes plain SC's verdicts
+    where they are the check's (below a row's first erased information
+    leaf, where ell_k = i_k) and checks both hypotheses everywhere else.
+    The search draws no coins, so seed and trials are unused; they are
+    kept only for perfbench's spot check.
     """
     if engine not in ("scc", "bp_scc"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -264,17 +301,42 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     between them, so a stuck search backjumps without bound, while a correct
     one pops each of its at most 2^K - 1 checkpoints once.
 
-    That order is a sweep led by the rows that backjumped in the last
-    _RECENT steps: each step takes the lowest position above the previous
-    one that such a row holds, and every row there. Rows that backjump land
-    behind the sweep and wait, so rows that dead-end in the same stretch
-    restart together. With no such row ahead, the sweep starts again at the
-    lowest row, so rows that run clear wait for the rows behind to catch up
-    and share their checks, instead of running on alone. Always taking the
-    lowest row instead puts rows that backjump often out of step: 2.5x the
-    check calls of this sweep on 300 NR(64, 32) trials at p=0.35. Never
-    restarting early leaves the rows that run clear alone: 3.1x on 16
-    NR(1024, 512) trials at p=0.40.
+    Where plain SC decides a bit, the search takes its verdicts without a
+    call. Before the search, one SC pass (_sc_pass) decodes every row and
+    draws no coin: an erased or conflicting information leaf takes 0, and
+    a row's horizon is its first such leaf. A row is on the pass while
+    every information bit it committed below its position equals the
+    pass's. At a position k below its horizon where ell_k = i_k, with v
+    the pass's bit there, such a row passes H_{k,v} and fails H_{k,1-v},
+    both in sweep 1:
+    - SC's BEC deductions are sound (the channel is a BEC output of a
+      codeword), so the row's prefix, the pass's concrete bits and the
+      bits they force, is the transmitted word's. H_{k,v} has a consistent
+      completion, and the check never rejects one.
+    - At ell_k = i_k both hypotheses share every beta. The sweep and its
+      FCCN rounds only refine SC's symbols or clash, so the leaf stays v
+      or the row fails: H_{k,1-v} fails.
+    - The leaf is concrete after sweep 1, so both verdicts land there.
+    The row gains the counts the check would give (spans[k] (1 + v)
+    visits, 1 + v checks and 1 + v iterations), and one step takes it on
+    to its next position that needs a check, its horizon or the next
+    ell_k > i_k, by per-row cumulative sums, and commits the pass's bits
+    up to the processing index before that position. Every other (row, k)
+    is checked. The search keeps each row's first position below its own
+    where it committed a bit against the pass; a backjump that flips that
+    bit, which makes it the pass's, puts the row back on the pass.
+
+    The order of the checks is a sweep led by the rows that backjumped in
+    the last _RECENT steps: each step takes the lowest position above the
+    previous one that such a row holds, and every row there. Rows that
+    backjump land behind the sweep and wait, so rows that dead-end in the
+    same stretch restart together. With no such row ahead, the sweep
+    starts again at the lowest row, so rows that run clear wait for the
+    rows behind to catch up and share their checks, instead of running on
+    alone. Always taking the lowest row instead puts rows that backjump
+    often out of step: 2.5x the check calls of this sweep on 300
+    NR(64, 32) trials at p=0.35. Never restarting early leaves the rows
+    that run clear alone: 3.1x on 16 NR(1024, 512) trials at p=0.40.
 
     Returns (success, committed, visits, backjumps, iters_sum, checks), the
     fields of BatchOutcome; iters_sum and checks cover the checks before a
@@ -284,8 +346,9 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     rows = yv.shape[0]
     info = np.array(spec.A)
     K = spec.K
-    ell_of = spec.ell[info].tolist()
-    spans = np.diff(ell_of, prepend=-1)
+    ells = spec.ell[info]
+    ell_of = ells.tolist()
+    spans = np.diff(ells, prepend=-1)
     backjump_cap = 1 << min(K, 40)
     flip = spec.T[info]
 
@@ -294,6 +357,38 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
     alive = np.ones(rows, dtype=bool)
     visits, backjumps, iters_sum, checks = (
         np.zeros(rows, dtype=np.int64) for _ in range(4))
+
+    sc_bits, erased = _sc_pass(spec, yv, ye)
+    sc_info = sc_bits[:, info]
+    horizon = np.where(erased.any(axis=1), erased.argmax(axis=1), K)
+    # the positions where ell_k = i_k, and from each k the first other one
+    sure = np.append(ells == info, False)
+    hard = np.flatnonzero(~sure)
+    next_hard = hard[np.searchsorted(hard, np.arange(K))]
+    # the checks and visits the pass's verdicts give before each position
+    cum_checks = np.zeros((rows, K + 1), dtype=np.int32)
+    np.cumsum(1 + sc_info, axis=1, dtype=np.int32, out=cum_checks[:, 1:])
+    cum_visits = np.zeros_like(cum_checks)
+    np.cumsum(spans * (1 + sc_info), axis=1, dtype=np.int32,
+              out=cum_visits[:, 1:])
+    # each row's first position off the pass below its own position, or K
+    off_pass = np.full(rows, K, dtype=np.intp)
+    leaves = np.arange(spec.N)
+
+    def follow(sel):
+        # Rows sel are on the pass, below their horizon, at a position
+        # where ell_k = i_k: the pass's verdicts, counts and bits, up to
+        # their next position that needs a check.
+        k = pos[sel]
+        stop = np.minimum(horizon[sel], next_hard[k])
+        visits[sel] += cum_visits[sel, stop] - cum_visits[sel, k]
+        first = backjumps[sel] == 0
+        gained = (cum_checks[sel, stop] - cum_checks[sel, k]) * first
+        checks[sel] += gained
+        iters_sum[sel] += gained
+        upto = leaves <= ells[stop - 1, None]
+        committed[sel] = np.where(upto, sc_bits[sel], committed[sel])
+        pos[sel] = stop
 
     def check(sel, k):
         # H_{k,0} and H_{k,1} of rows sel in one call; returns where either
@@ -318,12 +413,18 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         committed[passed, i:ell + 1] = ubuf[np.flatnonzero(win)
                                             + m * ok1[win], i:]
         pos[passed] = k + 1
+        strayed = passed[ok1[win] != sc_info[passed, k]]
+        off_pass[strayed] = np.minimum(off_pass[strayed], k)
         return win
 
     live = np.arange(rows)
     last_bj = np.full(rows, -_RECENT)
     k = step = -1
     while True:
+        at = pos[live]
+        easy = live[(off_pass[live] == K) & (at < horizon[live]) & sure[at]]
+        if easy.size:
+            follow(easy)
         live = live[pos[live] < K]
         if live.size == 0:
             break
@@ -347,6 +448,10 @@ def _dfs_recover64(spec: CodeSpec, yv: np.ndarray, ye: np.ndarray,
         last_bj[bj] = step
         committed[bj] ^= flip[kk]
         pos[bj] = kk + 1
+        # the flip makes bit kk 1: a row on the pass below kk is on it
+        # below kk + 1 where the pass's bit is 1, and off it at kk otherwise
+        on = off_pass[bj] >= kk
+        off_pass[bj[on]] = np.where(sc_info[bj[on], kk[on]] == 1, K, kk[on])
         if backjumps[bj].max() > backjump_cap:
             raise RuntimeError("backjump budget exceeded; traversal is stuck")
     return alive, committed, visits, backjumps, iters_sum, checks

@@ -1,8 +1,12 @@
 """Vectorized decoders must agree bit-for-bit with the scalar engines."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fcpolar import batch, bitboard, planes
+from fcpolar import batch, bitboard, planes, search
 from fcpolar.codes import build_nr_code
 from fcpolar.constraints import system_structure
 from fcpolar.decoders import processing_index
@@ -481,26 +485,38 @@ def test_sweeps_stop_at_a_fixed_point(monkeypatch):
 
 def test_speculative_hypothesis_is_not_counted(nr64, monkeypatch):
     # All-zero codewords: H_{k,0} is true, so it passes on every row at every
-    # bit. Each search step still checks H_{k,1} in the same call (twice the
+    # bit. Each check call still checks H_{k,1} beside it (twice the
     # rows), but checks and iters_sum count the one check the scalar search
-    # runs per bit: H_{k,0}, whose iterations a direct check gives.
+    # runs per bit: H_{k,0}, whose iterations a direct check gives. Plain
+    # SC decides the bits below a row's first erased information leaf, so
+    # the search calls the check there only where ell_k > i_k: at each
+    # processing index it checks exactly the rows whose first erased leaf
+    # is at or below it, and every row where ell_k > i_k.
     spec, T = nr64, 32
     erased = batch.sample_erasures(spec, 0.3, 0, np.arange(T))
     yp = batch.channel_planes(np.zeros((T, spec.N), dtype=np.uint8), erased)
     yv, ye = (bitboard.pack_rows(plane) for plane in yp)
-    rows = []
+    rows = {}
     real = batch._check_batch
 
-    def spy(spec, yv, ye, ubuf, *args):
-        rows.append(ubuf.shape[0])
-        return real(spec, yv, ye, ubuf, *args)
+    def spy(spec, yv, ye, ubuf, ell, *args):
+        rows[ell] = rows.get(ell, 0) + ubuf.shape[0]
+        return real(spec, yv, ye, ubuf, ell, *args)
 
     monkeypatch.setattr(batch, "_check_batch", spy)
     out = batch.decode_fc_batch(spec, yp, i_max=3, sbj=True)
     K = len(spec.A)
     assert out.success.all() and not out.u_hat.any()
     assert not out.backjumps.any()
-    assert sum(rows) == 2 * T * K
+    first = _first_erased_leaves(spec, yp, np.arange(T))
+    want = {}
+    for i in spec.A:
+        ell = processing_index(spec, i)
+        checked = np.count_nonzero(first <= i) if ell == i else T
+        if checked:
+            want[ell] = 2 * checked
+    assert rows == want
+    assert 0 < sum(rows.values()) < 2 * T * K
     assert (out.checks == K).all()
     assert (out.visits == spec.N).all()
     want = sum(real(spec, yv, ye, np.zeros((T, ell + 1), dtype=np.uint8),
@@ -508,6 +524,193 @@ def test_speculative_hypothesis_is_not_counted(nr64, monkeypatch):
                for ell in (processing_index(spec, i) for i in spec.A))
     assert np.array_equal(out.iters_sum, want)
     assert want.sum() > T * K
+
+
+def _first_erased_leaves(spec, yp, trials):
+    """Each row's first information leaf where scalar SC, its coins all 0,
+    reads an erased or conflicting symbol, or N if there is none."""
+    first = np.full(len(trials), spec.N)
+    coins = []
+    with mock.patch.object(search, "keyed_bit",
+                           lambda seed, stream, trial, i, count:
+                           coins.append(i) or 0):
+        for r, (t, y) in enumerate(zip(trials, planes.to_symbols(yp))):
+            coins.clear()
+            decode_sc(spec, y, trial=t)
+            first[r] = min(coins, default=spec.N)
+    return first
+
+
+def test_checks_skip_the_bits_plain_sc_decides(nr64, monkeypatch):
+    # At p = 0.10 most rows have a clean SC pass: no information leaf is
+    # erased given the true past. A row on such a pass, all its committed
+    # bits true, is never checked where ell_k = i_k: plain SC's verdict
+    # stands there. Rows are told apart by their channel words.
+    spec, T = nr64, 128
+    trials = np.arange(T)
+    u, x = batch.encode_batch(spec, batch.sample_messages(spec, 1, trials))
+    yp = batch.channel_planes(x, batch.sample_erasures(spec, 0.10, 1, trials))
+    row_of = {key: r for r, key in enumerate(_channel_keys(
+        bitboard.pack_rows(yp[0]), bitboard.pack_rows(yp[1])))}
+    clean = _first_erased_leaves(spec, yp, trials) == spec.N
+    on_pass = []
+    real = batch._check_batch
+
+    def spy(spec, yv, ye, ubuf, ell, *args):
+        m = ubuf.shape[0] // 2
+        for key, prefix in zip(_channel_keys(yv[:m], ye[:m]), ubuf[:m]):
+            r = row_of[key]
+            if clean[r] and np.array_equal(prefix[:ell], u[r, :ell]):
+                on_pass.append((r, ell))
+        return real(spec, yv, ye, ubuf, ell, *args)
+
+    monkeypatch.setattr(batch, "_check_batch", spy)
+    out = batch.decode_fc_batch(spec, yp, i_max=1, sbj=True)
+    assert out.success.all()
+    assert clean.sum() > T // 2
+    assert on_pass and not [(r, ell) for r, ell in on_pass
+                            if spec.info_mask[ell]]
+
+
+def _channel_keys(yv, ye):
+    """One bytes key per row of packed channel words, to tell rows apart."""
+    return [v.tobytes() + e.tobytes() for v, e in zip(yv, ye)]
+
+
+_SC_PASS = batch._sc_pass
+_FIELDS = ("success", "u_hat", "visits", "backjumps", "iters_sum", "checks")
+
+
+def _every_leaf_flagged(spec, yv, ye):
+    # batch._sc_pass with every information leaf flagged erased: no row
+    # takes plain SC's verdicts, and the search checks every hypothesis.
+    bits, erased = _SC_PASS(spec, yv, ye)
+    return bits, np.ones_like(erased)
+
+
+def _assert_verdicts_of_sc_are_exact(spec, yp, **kw):
+    """decode_fc_batch(**kw) gives the same record, field by field, when
+    no row takes plain SC's verdicts. Returns the record and, for each
+    check call of the run that takes them, (ell, H_{k,0} prefixes, the
+    rows' channel keys)."""
+    calls = []
+    real = batch._check_batch
+
+    def spy(spec, yv, ye, ubuf, ell, *args):
+        m = ubuf.shape[0] // 2
+        calls.append((ell, ubuf[:m], _channel_keys(yv[:m], ye[:m])))
+        return real(spec, yv, ye, ubuf, ell, *args)
+
+    with mock.patch.object(batch, "_check_batch", spy):
+        out = batch.decode_fc_batch(spec, yp, **kw)
+    with mock.patch.object(batch, "_sc_pass", _every_leaf_flagged):
+        ref = batch.decode_fc_batch(spec, yp, **kw)
+    for f in _FIELDS:
+        assert np.array_equal(getattr(out, f), getattr(ref, f)), (spec.N, f)
+    return out, calls
+
+
+_ALL_WAYS = pytest.mark.parametrize("engine,sbj,i_max", [
+    (engine, sbj, i_max) for engine in ("scc", "bp_scc")
+    for sbj in (False, True) for i_max in (1, 3)])
+
+
+@_ALL_WAYS
+def test_verdicts_of_sc_are_exact_on_nr_codes(engine, sbj, i_max):
+    # The search takes plain SC's verdicts below a row's first erased leaf
+    # where ell_k = i_k; flagging every leaf erased makes it check every
+    # hypothesis instead, and every count and word stays. Most rows here
+    # have an erased leaf from p = 0.2 on, and with SBJ some backjump.
+    # Near capacity SBJ takes thousands of backjumps on some rows, so at
+    # p = 0.45 it runs on two NR(64, 32) trials that take few.
+    kw = {"engine": engine, "sbj": sbj, "i_max": i_max}
+    flagged = backjumps = 0
+    for N, K, T in ((64, 32, 24), (256, 128, 6)):
+        for p in (0.05, 0.2, 0.35, 0.45):
+            trials = np.arange(T)
+            if sbj and p == 0.45:
+                if N > 64:
+                    continue
+                trials = np.array([2, 7])
+            spec, yp = _nr_batch(N, K, p, 5, trials)
+            out, _ = _assert_verdicts_of_sc_are_exact(spec, yp, **kw)
+            yv, ye = (bitboard.pack_rows(plane) for plane in yp)
+            flagged += _SC_PASS(spec, yv, ye)[1].any(axis=1).sum()
+            backjumps += out.backjumps.sum()
+    assert flagged > 30 and (backjumps > 0) == sbj
+
+
+@pytest.mark.parametrize("engine,i_max", [("scc", 1), ("bp_scc", 3)])
+@pytest.mark.parametrize("sbj", [False, True])
+def test_rows_that_leave_the_pass_are_checked_until_they_rejoin_it(
+        engine, i_max, sbj):
+    # A row that passes H_{k,0} below its first erased leaf where the
+    # pass's bit is 1 (ell_k > i_k) leaves the pass, and takes no more of
+    # its verdicts until a backjump flips that bit back. No NR or random
+    # code tried passes such a wrong 0, so this check makes some: at the
+    # first position where one can occur, it passes H_{k,0} on the rows
+    # on the true path whose bit is 1. The records stay those of the run
+    # that checks every hypothesis under the same check. With SBJ each of
+    # those rows dead-ends, backjumps back onto the pass and decodes the
+    # true word, and past the forced position it is not checked on the
+    # true path where ell_k = i_k below its first erased leaf.
+    spec = build_nr_code(64, 32)
+    trials = np.arange(24)
+    u, x = batch.encode_batch(spec, batch.sample_messages(spec, 5, trials))
+    yp = batch.channel_planes(x, batch.sample_erasures(spec, 0.2, 5, trials))
+    row_of = {key: r for r, key in enumerate(_channel_keys(
+        bitboard.pack_rows(yp[0]), bitboard.pack_rows(yp[1])))}
+    first = _first_erased_leaves(spec, yp, trials)
+    i = next(i for i in spec.A if spec.ell[i] > i
+             and ((u[:, i] == 1) & (first > i)).any())
+    ell = int(spec.ell[i])
+    forced = set()
+    real = batch._check_batch
+
+    def wrong_zeros(spec, yv, ye, ubuf, at, *args):
+        ok, it = real(spec, yv, ye, ubuf, at, *args)
+        if at == ell:
+            m = ubuf.shape[0] // 2
+            for j, key in enumerate(_channel_keys(yv[:m], ye[:m])):
+                r = row_of[key]
+                if (u[r, i] and first[r] > i
+                        and np.array_equal(ubuf[j, :i], u[r, :i])):
+                    ok[j] = True
+                    forced.add(r)
+        return ok, it
+
+    with mock.patch.object(batch, "_check_batch", wrong_zeros):
+        out, calls = _assert_verdicts_of_sc_are_exact(
+            spec, yp, engine=engine, sbj=sbj, i_max=i_max)
+    rows = sorted(forced)
+    assert rows
+    if not sbj:
+        assert not out.success[rows].any()
+        return
+    assert (out.backjumps[rows] > 0).all() and out.success[rows].all()
+    assert np.array_equal(out.u_hat[rows], u[rows])
+    for at, prefixes, keys in calls:
+        for key, prefix in zip(keys, prefixes):
+            r = row_of[key]
+            assert not (r in forced and i < at < first[r]
+                        and spec.info_mask[at]
+                        and np.array_equal(prefix[:at], u[r, :at])), (r, at)
+
+
+@_ALL_WAYS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       p=st.sampled_from((0.05, 0.2, 0.35, 0.45)))
+@settings(max_examples=25)
+def test_verdicts_of_sc_are_exact_on_random_codes(random_code, engine, sbj,
+                                                  i_max, seed, n, p):
+    # As on NR codes, on random A/P/F splits and parity taps, N = 4 to 32.
+    spec = random_code(np.random.default_rng(seed), n)
+    trials = np.arange(12)
+    _, x = batch.encode_batch(spec, batch.sample_messages(spec, seed, trials))
+    yp = batch.channel_planes(
+        x, batch.sample_erasures(spec, p, seed, trials))
+    _assert_verdicts_of_sc_are_exact(spec, yp, engine=engine, sbj=sbj,
+                                     i_max=i_max)
 
 
 @pytest.mark.parametrize("N,K,p,T,seed", [

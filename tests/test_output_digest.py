@@ -94,3 +94,17 @@ def test_digest_decodes_an_information_block_at_the_half():
                for i0, t in bitboard.steps(spec)):
             at_half.add(decoder)
     assert at_half == {"sc", "scl"}
+
+
+def test_digest_decodes_where_plain_sc_decides():
+    # The search takes plain SC's verdicts below a row's first erased
+    # information leaf, which at p below 0.25 is most bits; the digest runs
+    # every search decoder there, at one sweep and at several.
+    low = set()
+    for args in _digest_commands():
+        if (args[0] == "simulate"
+                and float(_flag(args, "--p-grid").split(":")[0]) < 0.25):
+            low.add((_flag(args, "--decoder"), _flag(args, "--imax")
+                     if "--imax" in args else "1"))
+    assert {(dec, imax) for dec in ("scc", "bpscc", "bpscc-sbj")
+            for imax in ("1", "3")} <= low

@@ -7,7 +7,8 @@ script); its src/ goes on PYTHONPATH. The runs cover every subcommand,
 build-code, simulate and de on a code with and without the CRC, and sc
 and scl on codes with a step of 128 leaves (bitboard.steps), one of them
 past the first information leaf, where the list has forked, and on a code
-with an information block at leaf N/2.
+with an information block at leaf N/2. The search decoders also run below
+p = 0.25, where plain SC decides most information bits.
 The commands run at most one per CPU at a time, each with one BLAS
 thread, in one temporary directory with a relative --out name each,
 because the simulate and de sidecars record the path; build-code and
@@ -110,6 +111,14 @@ def commands() -> list[tuple[str, list[str]]]:
             "simulate", "--n", "9", "--k", "16", "--decoder", dec,
             "--p-grid", "0.85:0.95:0.05", "--trials", "200", "--seed", "4",
             "--list-size", "4"]))
+    # below p = 0.25 plain SC decides most information bits, and the
+    # search takes its verdicts there instead of checking them
+    for dec in _IMAX_DECODERS:
+        for imax in (1, 3):
+            runs.append((f"simulate-{dec}-n8-imax{imax}-lowp.csv", [
+                "simulate", "--n", "8", "--k", "128", "--decoder", dec,
+                "--imax", str(imax), "--p-grid", "0.16:0.24:0.04",
+                "--trials", "256", "--seed", "7"]))
     runs.append(("dump-fc-n6.txt", ["dump-fc", "--n", "6", "--k", "32"]))
     runs.append(("dump-fc-example1.txt", ["dump-fc"]))
     runs.append(("dump-matrices-n5.txt", [
